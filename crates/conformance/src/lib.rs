@@ -17,7 +17,9 @@
 //! * [`report`] — mismatch reports, netlist dump/replay, and the greedy
 //!   minimizer;
 //! * [`fleet`] — fleet-vs-standalone leg: sampled fleet dies replayed as
-//!   from-scratch gate-level sessions, verdicts compared exactly.
+//!   from-scratch gate-level sessions, verdicts compared exactly;
+//! * [`session`] — BIST rehearsals replayed on the reference interpreter,
+//!   the oracle for the gate-level session backend.
 //!
 //! The `difftest` binary drives everything:
 //!
@@ -35,6 +37,7 @@ pub mod pairs;
 pub mod reference;
 pub mod report;
 pub mod selftest;
+pub mod session;
 
 pub use fleet::{fleet_difftest, FleetDiffOutcome, FleetMismatch};
 pub use generator::{random_netlist, GeneratorConfig};
@@ -42,3 +45,4 @@ pub use pairs::{run_all_pairs, PAIR_NAMES};
 pub use reference::RefMachine;
 pub use report::{dump_netlist, minimize, parse_netlist, render_report, Mismatch};
 pub use selftest::{mutation_self_test, MutationOutcome};
+pub use session::reference_rehearsal;

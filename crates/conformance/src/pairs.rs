@@ -126,7 +126,7 @@ pub fn divergence_vcd(netlist: &Netlist, probe_seed: u64) -> String {
             sim.set_input(*net, *w);
         }
         sim.eval_comb();
-        probe.record(group, &sim);
+        probe.record(group, sim.values());
         probe.advance(round);
     }
     probe.finish()

@@ -1,6 +1,7 @@
 //! The §4 case study: the LDPC decoder core equipped with the BIST engine.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use soctest_bist::structural::{
     build_alfsr, build_control_unit, build_hold_cycler, build_misr, build_xor_cascade, BistSpec,
@@ -9,7 +10,7 @@ use soctest_bist::{
     Alfsr, BistEngine, BistEngineConfig, BitSource, EngineError, HoldCycler, ModuleHookup,
     PatternGenerator, PortWiring,
 };
-use soctest_netlist::{ModuleBuilder, NetId, Netlist, Word};
+use soctest_netlist::{CompiledNetlist, ModuleBuilder, NetId, Netlist, Word};
 
 use crate::error::SessionError;
 
@@ -25,9 +26,17 @@ use crate::error::SessionError;
 ///   an XOR cascade, reachable through the output selector;
 /// * Control unit: a **12-bit pattern counter** (up to 4,096 patterns per
 ///   execution).
+///
+/// Each module's compiled kernel is built on first use by
+/// [`CaseStudy::kernel`] and cached. Clones share the module netlists and
+/// every kernel compiled before the clone; [`CaseStudy::module_mut`]
+/// copies the one netlist it hands out (if shared) and drops its cached
+/// kernel, so a clone with one planted defect copies and recompiles only
+/// that module.
 #[derive(Debug, Clone)]
 pub struct CaseStudy {
-    modules: Vec<Netlist>,
+    modules: Vec<Arc<Netlist>>,
+    kernels: Vec<OnceLock<Arc<CompiledNetlist>>>,
     spec: BistSpec,
     alfsr_proto: Alfsr,
 }
@@ -93,7 +102,8 @@ impl CaseStudy {
             width: spec.alfsr_width,
         })?;
         Ok(CaseStudy {
-            modules,
+            kernels: modules.iter().map(|_| OnceLock::new()).collect(),
+            modules: modules.into_iter().map(Arc::new).collect(),
             spec,
             alfsr_proto,
         })
@@ -138,24 +148,46 @@ impl CaseStudy {
     }
 
     /// The three modules: `BIT_NODE`, `CHECK_NODE`, `CONTROL_UNIT`.
-    pub fn modules(&self) -> &[Netlist] {
+    pub fn modules(&self) -> &[Arc<Netlist>] {
         &self.modules
     }
 
     /// Mutable access to module `m`'s netlist — the fault-injection hook
     /// (e.g. [`Netlist::force_constant`] plants a stuck-at defect that a
-    /// robust session must then detect and quarantine).
+    /// robust session must then detect and quarantine). Copies the netlist
+    /// first if a clone shares it, and drops module `m`'s cached kernel, so
+    /// the next [`CaseStudy::kernel`] recompiles it.
     ///
     /// # Panics
     ///
     /// Panics if `m` is out of range.
     pub fn module_mut(&mut self, m: usize) -> &mut Netlist {
-        &mut self.modules[m]
+        self.kernels[m] = OnceLock::new();
+        Arc::make_mut(&mut self.modules[m])
+    }
+
+    /// Module `m`'s compiled kernel, compiled on first use and then shared
+    /// by every simulator built from this case study or its clones.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Netlist`] if the module does not levelize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is out of range.
+    pub fn kernel(&self, m: usize) -> Result<&Arc<CompiledNetlist>, SessionError> {
+        let slot = &self.kernels[m];
+        if let Some(kernel) = slot.get() {
+            return Ok(kernel);
+        }
+        let kernel = self.modules[m].compile()?;
+        Ok(slot.get_or_init(|| kernel))
     }
 
     /// Module names in order.
     pub fn module_names(&self) -> Vec<&str> {
-        self.modules.iter().map(Netlist::name).collect()
+        self.modules.iter().map(|m| m.name()).collect()
     }
 
     /// The BIST sizing.
@@ -699,6 +731,43 @@ mod tests {
         assert_ne!(rows(&w1, 1), rows(&base, 1));
         assert_eq!(rows(&w1, 0), rows(&base, 0), "module 0 wiring untouched");
         assert!(case.weighted_pattern_generator(1, &[0.5], 7).is_err());
+    }
+
+    #[test]
+    fn clones_share_kernels_until_a_module_is_planted() {
+        let case = CaseStudy::paper().unwrap();
+        let n = case.modules().len();
+        let kernels: Vec<_> = (0..n)
+            .map(|m| Arc::clone(case.kernel(m).unwrap()))
+            .collect();
+        let mut planted = case.clone();
+        for (m, k) in kernels.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(planted.kernel(m).unwrap(), k),
+                "clone shares {m}"
+            );
+            assert!(Arc::ptr_eq(case.kernel(m).unwrap(), k), "cached in {m}");
+        }
+
+        // A detectable stuck-at on CONTROL_UNIT's first output.
+        let victim = planted.modules()[2].primary_outputs()[0];
+        planted.module_mut(2).force_constant(victim, true);
+        assert!(!Arc::ptr_eq(planted.kernel(2).unwrap(), &kernels[2]));
+        assert!(Arc::ptr_eq(case.kernel(2).unwrap(), &kernels[2]));
+        for (m, k) in kernels.iter().enumerate().take(2) {
+            assert!(
+                Arc::ptr_eq(planted.kernel(m).unwrap(), k),
+                "{m} stays shared"
+            );
+        }
+
+        let golden = case.golden_signatures(64).unwrap();
+        let defective = planted.golden_signatures(64).unwrap();
+        assert_eq!(golden[..2], defective[..2]);
+        assert_ne!(
+            golden[2], defective[2],
+            "the planted module's signature moves"
+        );
     }
 
     #[test]

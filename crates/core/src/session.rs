@@ -1,25 +1,32 @@
 //! Live BIST sessions: the behavioral engine co-simulated against the
 //! module netlists, pluggable behind the P1500 wrapper.
 
+use std::sync::Arc;
+
 use soctest_bist::{BistCommand, BistEngine, EngineError};
-use soctest_netlist::{NetId, Netlist};
+use soctest_netlist::Netlist;
 use soctest_obs::TraceHandle;
 use soctest_p1500::BistBackend;
-use soctest_sim::{SeqSim, VcdProbe};
+use soctest_sim::{KernelSim, VcdProbe};
 
 use crate::casestudy::CaseStudy;
 use crate::error::SessionError;
 
-/// The wrapped core: the BIST engine and one gate-level simulator per
+/// The wrapped core: the BIST engine and one compiled-kernel simulator per
 /// module, advancing in lock-step. Implements [`BistBackend`], so a
 /// [`soctest_p1500::TapDriver`] can run complete test sessions against it
 /// — load pattern count, start, burst at speed, read signatures.
+///
+/// The simulators run on the case study's cached kernels
+/// ([`CaseStudy::kernel`]), so building a backend compiles nothing after
+/// the first build on the same case study.
 #[derive(Debug)]
 pub struct WrappedCore<'a> {
+    case: &'a CaseStudy,
     engine: BistEngine,
-    sims: Vec<SeqSim<'a>>,
-    inputs: Vec<Vec<NetId>>,
-    outputs: Vec<Vec<NetId>>,
+    sims: Vec<KernelSim>,
+    /// Per-module response rows, reused every functional clock.
+    responses: Vec<Vec<bool>>,
     vcd: Option<VcdProbe>,
     vcd_groups: Vec<usize>,
     functional_cycle: u64,
@@ -30,7 +37,7 @@ impl<'a> WrappedCore<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates simulator-construction errors.
+    /// Propagates kernel-compilation errors.
     pub fn new(case: &'a CaseStudy) -> Result<Self, SessionError> {
         Self::with_engine(case, case.engine())
     }
@@ -41,21 +48,20 @@ impl<'a> WrappedCore<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates simulator-construction errors.
+    /// Propagates kernel-compilation errors.
     pub fn with_engine(case: &'a CaseStudy, engine: BistEngine) -> Result<Self, SessionError> {
-        let mut sims = Vec::new();
-        let mut inputs = Vec::new();
-        let mut outputs = Vec::new();
-        for module in case.modules() {
-            sims.push(SeqSim::new(module)?);
-            inputs.push(module.primary_inputs());
-            outputs.push(module.primary_outputs());
+        let mut sims = Vec::with_capacity(case.modules().len());
+        let mut responses = Vec::with_capacity(case.modules().len());
+        for m in 0..case.modules().len() {
+            let kernel = case.kernel(m)?;
+            responses.push(vec![false; kernel.pos().len()]);
+            sims.push(KernelSim::from_kernel(Arc::clone(kernel)));
         }
         Ok(WrappedCore {
+            case,
             engine,
             sims,
-            inputs,
-            outputs,
+            responses,
             vcd: None,
             vcd_groups: Vec::new(),
             functional_cycle: 0,
@@ -74,8 +80,7 @@ impl<'a> WrappedCore<'a> {
     pub fn enable_vcd(&mut self) {
         let mut probe = VcdProbe::new();
         let mut groups = Vec::with_capacity(self.sims.len());
-        for (m, sim) in self.sims.iter().enumerate() {
-            let nl = sim.netlist();
+        for (m, nl) in self.case.modules().iter().enumerate() {
             groups.push(probe.add_module(&format!("m{m}_{}", nl.name()), nl));
         }
         self.vcd = Some(probe);
@@ -95,8 +100,8 @@ impl<'a> WrappedCore<'a> {
     }
 
     /// The module netlists being exercised.
-    pub fn netlists(&self) -> Vec<&Netlist> {
-        self.sims.iter().map(|s| s.netlist()).collect()
+    pub fn netlists(&self) -> &[Arc<Netlist>] {
+        self.case.modules()
     }
 
     /// Runs a complete fault-free session (reset → load → start → run to
@@ -149,28 +154,20 @@ impl BistBackend for WrappedCore<'_> {
         if !self.engine.control().test_enable() {
             return;
         }
-        let mut responses = Vec::with_capacity(self.sims.len());
-        for (m, sim) in self.sims.iter_mut().enumerate() {
-            let row = self.engine.inputs(m);
-            for (&net, &bit) in self.inputs[m].iter().zip(&row) {
-                sim.set_input_bit(net, bit);
-            }
+        for (m, (sim, outs)) in self.sims.iter_mut().zip(&mut self.responses).enumerate() {
+            sim.drive_inputs(&self.engine.inputs(m));
             sim.eval_comb();
-            let outs: Vec<bool> = self.outputs[m]
-                .iter()
-                .map(|&net| sim.get(net) & 1 == 1)
-                .collect();
+            sim.read_outputs(outs);
             if let Some(probe) = self.vcd.as_mut() {
-                probe.record(self.vcd_groups[m], sim);
+                probe.record(self.vcd_groups[m], sim.values());
             }
             sim.clock();
-            responses.push(outs);
         }
         if let Some(probe) = self.vcd.as_mut() {
             probe.advance(self.functional_cycle);
         }
         self.functional_cycle += 1;
-        self.engine.clock(&responses);
+        self.engine.clock(&self.responses);
     }
 
     fn end_test(&self) -> bool {
@@ -203,7 +200,29 @@ impl crate::robust::SessionBackend for WrappedCore<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::robust::RobustSession;
     use soctest_p1500::TapDriver;
+
+    /// FNV-1a, 64-bit.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn clean_session_waveform_is_pinned() {
+        // Pinned before the session moved onto the compiled kernel: the
+        // change of simulator must leave the waveform byte-identical.
+        let case = CaseStudy::paper().unwrap();
+        let report = RobustSession::default()
+            .with_vcd(true)
+            .run(&case, &case, 64)
+            .unwrap();
+        let vcd = report.vcd.unwrap();
+        assert_eq!(vcd.len(), 14_473);
+        assert_eq!(fnv64(vcd.as_bytes()), 0xe7cc_5507_c5b8_78e2);
+    }
 
     #[test]
     fn rehearsal_is_deterministic() {

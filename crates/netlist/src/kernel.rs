@@ -13,7 +13,9 @@
 //! * **Levelized SoA schedule** — every combinational gate as parallel
 //!   arrays (`kind`, output net, fixed-width pin triple), ordered
 //!   level-major so each level occupies a contiguous range
-//!   ([`CompiledNetlist::level_range`]).
+//!   ([`CompiledNetlist::level_range`]), and grouped by kind within a
+//!   level so [`CompiledNetlist::eval`] picks the gate function once per
+//!   run of one kind.
 //! * **Scheduled fanout CSR** — for every net, the ascending schedule
 //!   positions of the combinational gates it feeds
 //!   ([`CompiledNetlist::fanout_ops`]), the seed set for event-driven
@@ -50,6 +52,9 @@ pub struct CompiledNetlist {
     op_arity: Vec<u8>,
     op_out: Vec<u32>,
     op_pins: Vec<[u32; 3]>,
+    /// Maximal runs of one gate kind over the schedule: `(kind, end)`,
+    /// each run starting where the previous one ends.
+    kind_runs: Vec<(GateKind, u32)>,
     level_offsets: Vec<u32>,
     /// Per net: schedule position + 1 of its driving gate (0 = source).
     sched_of: Vec<u32>,
@@ -102,14 +107,15 @@ impl ConeTable {
 pub fn compile(netlist: &Netlist) -> Result<Arc<CompiledNetlist>, NetlistError> {
     let n = netlist.len();
     let levels = netlist.levels()?;
-    // Level-major schedule: stable by net id within a level, so the layout
-    // is deterministic for a given netlist.
+    // Level-major schedule, grouped by gate kind within a level (gates of
+    // one level are independent, so any order among them is valid) and
+    // then by net id, so the layout is deterministic for a given netlist.
     let mut sched: Vec<u32> = netlist
         .iter()
         .filter(|(_, g)| !g.kind.is_source())
         .map(|(id, _)| id.0)
         .collect();
-    sched.sort_by_key(|&id| (levels[id as usize], id));
+    sched.sort_by_key(|&id| (levels[id as usize], netlist.gate(NetId(id)).kind as u8, id));
 
     let max_level = sched.last().map_or(0, |&id| levels[id as usize] as usize);
     let mut level_offsets = vec![0u32; max_level + 2];
@@ -118,8 +124,13 @@ pub fn compile(netlist: &Netlist) -> Result<Arc<CompiledNetlist>, NetlistError> 
     let mut op_out = Vec::with_capacity(sched.len());
     let mut op_pins = Vec::with_capacity(sched.len());
     let mut sched_of = vec![0u32; n];
+    let mut kind_runs: Vec<(GateKind, u32)> = Vec::new();
     for (p, &id) in sched.iter().enumerate() {
         let gate = netlist.gate(NetId(id));
+        match kind_runs.last_mut() {
+            Some((kind, end)) if *kind == gate.kind => *end = p as u32 + 1,
+            _ => kind_runs.push((gate.kind, p as u32 + 1)),
+        }
         let mut pins = [0u32; 3];
         for (i, &pin) in gate.pins.iter().enumerate() {
             pins[i] = pin.0;
@@ -208,6 +219,7 @@ pub fn compile(netlist: &Netlist) -> Result<Arc<CompiledNetlist>, NetlistError> 
         op_arity,
         op_out,
         op_pins,
+        kind_runs,
         level_offsets,
         sched_of,
         pis,
@@ -253,6 +265,20 @@ fn eval_op(kind: GateKind, a: u64, b: u64, c: u64) -> u64 {
         // Sources are never scheduled; Const1 is materialized in the value
         // array, not evaluated.
         GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => 0,
+    }
+}
+
+/// Evaluates one run of `kind` gates. Always inlined, and every caller
+/// passes a constant `kind`, so the gate function folds out of the loop.
+#[inline(always)]
+fn sweep(kind: GateKind, values: &mut [u64], pins: &[[u32; 3]], outs: &[u32]) {
+    for (&[a, b, c], &out) in pins.iter().zip(outs) {
+        values[out as usize] = eval_op(
+            kind,
+            values[a as usize],
+            values[b as usize],
+            values[c as usize],
+        );
     }
 }
 
@@ -367,16 +393,29 @@ impl CompiledNetlist {
     }
 
     /// One full evaluation pass over the schedule (64 lanes per net).
+    ///
+    /// Sweeps one kind run at a time, so the gate function is chosen once
+    /// per run instead of once per gate.
     pub fn eval(&self, values: &mut [u64]) {
-        for p in 0..self.op_kind.len() {
-            let [a, b, c] = self.op_pins[p];
-            let w = eval_op(
-                self.op_kind[p],
-                values[a as usize],
-                values[b as usize],
-                values[c as usize],
-            );
-            values[self.op_out[p] as usize] = w;
+        let mut start = 0;
+        for &(kind, end) in &self.kind_runs {
+            let end = end as usize;
+            let pins = &self.op_pins[start..end];
+            let outs = &self.op_out[start..end];
+            match kind {
+                GateKind::Buf => sweep(GateKind::Buf, values, pins, outs),
+                GateKind::Not => sweep(GateKind::Not, values, pins, outs),
+                GateKind::And => sweep(GateKind::And, values, pins, outs),
+                GateKind::Or => sweep(GateKind::Or, values, pins, outs),
+                GateKind::Nand => sweep(GateKind::Nand, values, pins, outs),
+                GateKind::Nor => sweep(GateKind::Nor, values, pins, outs),
+                GateKind::Xor => sweep(GateKind::Xor, values, pins, outs),
+                GateKind::Xnor => sweep(GateKind::Xnor, values, pins, outs),
+                GateKind::Mux2 => sweep(GateKind::Mux2, values, pins, outs),
+                // Sources are never scheduled.
+                GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => {}
+            }
+            start = end;
         }
     }
 

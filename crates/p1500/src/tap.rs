@@ -204,6 +204,11 @@ impl<B: BistBackend> TapController<B> {
 
     /// One TCK cycle: performs the current state's action, then moves by
     /// TMS. Returns TDO.
+    // The hint makes the body available to every codegen unit that
+    // instantiates `TapDriver`, so `TapDriver::tick` can inline it on
+    // each TCK whichever unit it lands in; without it, inlining followed
+    // unrelated edits to the instantiating crate.
+    #[inline]
     pub fn tick(&mut self, tms: bool, tdi: bool) -> bool {
         self.tck += 1;
         let mut tdo = false;

@@ -17,6 +17,8 @@ use crate::broadcast;
 pub struct KernelSim {
     kernel: Arc<CompiledNetlist>,
     values: Vec<u64>,
+    /// Reused by [`KernelSim::clock`] to sample every `d` pin.
+    sampled: Vec<u64>,
     cycle: u64,
 }
 
@@ -33,9 +35,11 @@ impl KernelSim {
     /// Wraps an already-compiled kernel (shared compilations are free).
     pub fn from_kernel(kernel: Arc<CompiledNetlist>) -> Self {
         let values = kernel.fresh_values();
+        let sampled = Vec::with_capacity(kernel.dff_d().len());
         KernelSim {
             kernel,
             values,
+            sampled,
             cycle: 0,
         }
     }
@@ -70,6 +74,22 @@ impl KernelSim {
         self.values[net.index()] = broadcast(bit);
     }
 
+    /// Broadcasts one boolean per primary input, in port order, to all 64
+    /// lanes. Extra or missing bits are ignored.
+    pub fn drive_inputs(&mut self, bits: &[bool]) {
+        for (&net, &bit) in self.kernel.pis().iter().zip(bits) {
+            self.values[net as usize] = broadcast(bit);
+        }
+    }
+
+    /// Reads lane 0 of every primary output, in port order, into `out`
+    /// (valid after [`KernelSim::eval_comb`]).
+    pub fn read_outputs(&self, out: &mut [bool]) {
+        for (o, &net) in out.iter_mut().zip(self.kernel.pos()) {
+            *o = self.values[net as usize] & 1 == 1;
+        }
+    }
+
     /// Evaluates combinational logic for the current cycle without clocking.
     pub fn eval_comb(&mut self) {
         self.kernel.eval(&mut self.values);
@@ -79,13 +99,10 @@ impl KernelSim {
     /// [`KernelSim::eval_comb`]).
     pub fn clock(&mut self) {
         // Sample every d before writing any q, as in `SeqSim::clock`.
-        let sampled: Vec<u64> = self
-            .kernel
-            .dff_d()
-            .iter()
-            .map(|&d| self.values[d as usize])
-            .collect();
-        for (&q, v) in self.kernel.dff_q().iter().zip(sampled) {
+        self.sampled.clear();
+        self.sampled
+            .extend(self.kernel.dff_d().iter().map(|&d| self.values[d as usize]));
+        for (&q, &v) in self.kernel.dff_q().iter().zip(&self.sampled) {
             self.values[q as usize] = v;
         }
         self.cycle += 1;
@@ -199,6 +216,21 @@ mod tests {
         sim.reset();
         assert_eq!(sim.cycle(), 0);
         assert!(sim.state().iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn port_helpers_drive_and_read_lane_zero() {
+        let nl = counter();
+        let mut sim = KernelSim::new(&nl).unwrap();
+        // Inputs in port order: en, clr.
+        sim.drive_inputs(&[true, false]);
+        let mut q = [false; 8];
+        for _ in 0..5 {
+            sim.step();
+        }
+        sim.eval_comb();
+        sim.read_outputs(&mut q);
+        assert_eq!(q, [true, false, true, false, false, false, false, false]);
     }
 
     #[test]

@@ -112,6 +112,11 @@ impl<'a> SeqSim<'a> {
         self.comb.get(net)
     }
 
+    /// The full per-net value array (64 lanes per net).
+    pub fn values(&self) -> &[u64] {
+        self.comb.values()
+    }
+
     /// Reads one lane of an output port as an integer (bit *i* of the result
     /// is port bit *i* in that lane). Returns `None` for unknown ports.
     pub fn read_port_lane(&self, name: &str, lane: u32) -> Option<u64> {

@@ -1,4 +1,4 @@
-//! Waveform export: taps [`SeqSim`] net values into a VCD dump.
+//! Waveform export: taps simulator net values into a VCD dump.
 //!
 //! A [`VcdProbe`] watches the ports of one or more simulated modules and
 //! emits change-only value dumps through [`soctest_obs::VcdWriter`]. Each
@@ -8,8 +8,6 @@
 
 use soctest_netlist::{NetId, Netlist};
 use soctest_obs::{VarId, VcdWriter};
-
-use crate::SeqSim;
 
 /// One watched bus: a declared VCD variable plus the nets it samples.
 #[derive(Debug, Clone)]
@@ -21,15 +19,17 @@ struct Tap {
 /// Samples simulator state into a VCD waveform, one lane at a time.
 ///
 /// Declare modules with [`VcdProbe::add_module`] (before the first
-/// [`VcdProbe::advance`]), then each cycle [`VcdProbe::record`] the sims you
-/// care about and [`VcdProbe::advance`] the timeline once.
+/// [`VcdProbe::advance`]), then each cycle [`VcdProbe::record`] the value
+/// arrays you care about ([`crate::KernelSim::values`] or
+/// [`SeqSim::values`](crate::SeqSim::values)) and [`VcdProbe::advance`] the
+/// timeline once.
 ///
 /// # Example
 ///
 /// ```
 /// use soctest_netlist::ModuleBuilder;
 /// use soctest_obs::VcdReader;
-/// use soctest_sim::{SeqSim, VcdProbe};
+/// use soctest_sim::{KernelSim, VcdProbe};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut mb = ModuleBuilder::new("cnt");
@@ -39,15 +39,14 @@ struct Tap {
 /// mb.output_bus("q", &q);
 /// let nl = mb.finish()?;
 ///
-/// let mut sim = SeqSim::new(&nl)?;
-/// sim.drive_port("en", 1);
-/// sim.drive_port("clr", 0);
+/// let mut sim = KernelSim::new(&nl)?;
+/// sim.drive_inputs(&[true, false]); // en, clr
 ///
 /// let mut probe = VcdProbe::new();
 /// let cnt = probe.add_module("cnt", &nl);
 /// for _ in 0..3 {
 ///     sim.eval_comb();
-///     probe.record(cnt, &sim);
+///     probe.record(cnt, sim.values());
 ///     probe.advance(sim.cycle());
 ///     sim.clock();
 /// }
@@ -108,19 +107,21 @@ impl VcdProbe {
         self.groups.len() - 1
     }
 
-    /// Stages the current port values of `sim` for group `group`. Values are
-    /// read as-is: call [`SeqSim::eval_comb`] first if combinational outputs
-    /// should reflect this cycle's inputs.
+    /// Stages group `group`'s port values from `values`, a simulator's
+    /// 64-lane net-value array indexed by [`NetId`]. Values are read as-is:
+    /// evaluate the combinational logic first if outputs should reflect
+    /// this cycle's inputs.
     ///
     /// # Panics
     ///
-    /// Panics if `group` was not returned by [`VcdProbe::add_module`].
-    pub fn record(&mut self, group: usize, sim: &SeqSim<'_>) {
+    /// Panics if `group` was not returned by [`VcdProbe::add_module`], or if
+    /// `values` is shorter than that module's net count.
+    pub fn record(&mut self, group: usize, values: &[u64]) {
         let taps = &self.groups[group];
         for tap in taps {
             let mut value = 0u64;
             for (i, &net) in tap.bits.iter().enumerate() {
-                value |= ((sim.get(net) >> self.lane) & 1) << i;
+                value |= ((values[net.index()] >> self.lane) & 1) << i;
             }
             self.writer.change(tap.var, value);
         }
@@ -146,6 +147,7 @@ impl VcdProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeqSim;
     use soctest_netlist::ModuleBuilder;
     use soctest_obs::VcdReader;
 
@@ -169,7 +171,7 @@ mod tests {
         let g = probe.add_module("dut", &nl);
         for _ in 0..6 {
             sim.eval_comb();
-            probe.record(g, &sim);
+            probe.record(g, sim.values());
             probe.advance(sim.cycle());
             sim.clock();
         }
@@ -199,8 +201,8 @@ mod tests {
         for _ in 0..4 {
             sim_a.eval_comb();
             sim_b.eval_comb();
-            probe.record(ga, &sim_a);
-            probe.record(gb, &sim_b);
+            probe.record(ga, sim_a.values());
+            probe.record(gb, sim_b.values());
             probe.advance(sim_a.cycle());
             sim_a.clock();
             sim_b.clock();
@@ -222,7 +224,7 @@ mod tests {
         let g = probe.add_module("cnt", &nl);
         for _ in 0..6 {
             sim.eval_comb();
-            probe.record(g, &sim);
+            probe.record(g, sim.values());
             probe.advance(sim.cycle());
             sim.clock();
         }
@@ -269,8 +271,8 @@ mod tests {
         let g5 = p5.add_module("dut", &nl);
         for _ in 0..3 {
             sim.eval_comb();
-            p0.record(g0, &sim);
-            p5.record(g5, &sim);
+            p0.record(g0, sim.values());
+            p5.record(g5, sim.values());
             p0.advance(sim.cycle());
             p5.advance(sim.cycle());
             sim.clock();

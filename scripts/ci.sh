@@ -20,6 +20,11 @@ cargo test --release --workspace -q
 
 echo "== tier-1 wall time: $((SECONDS - tier1_start))s =="
 
+echo "== benchmark: unit tests + tiny smoke pass of every workload =="
+# The benchmark is a package of its own (see benchmark/README.md), so
+# `cargo test --workspace` above does not reach it.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== fmt check =="
 cargo fmt --all -- --check
 

@@ -179,7 +179,7 @@ impl ScanSchedule {
 mod tests {
     use super::*;
     use soctest_netlist::ModuleBuilder;
-    use soctest_sim::SeqSim;
+    use soctest_sim::KernelSim;
 
     fn counter() -> Netlist {
         let mut mb = ModuleBuilder::new("cnt");
@@ -194,38 +194,41 @@ mod tests {
     fn insertion_preserves_functional_behaviour() {
         let nl = counter();
         let scan = insert_scan(&nl, 2).unwrap();
-        let mut a = SeqSim::new(&nl).unwrap();
-        let mut b = SeqSim::new(&scan.netlist).unwrap();
-        a.drive_port("en", 1);
-        a.drive_port("clr", 0);
-        b.drive_port("en", 1);
-        b.drive_port("clr", 0);
-        b.drive_port("scan_en", 0);
-        b.drive_port("scan_in0", 0);
-        b.drive_port("scan_in1", 0);
+        let mut a = KernelSim::new(&nl).unwrap();
+        let mut b = KernelSim::new(&scan.netlist).unwrap();
+        a.drive_port(&nl, "en", 1);
+        a.drive_port(&nl, "clr", 0);
+        b.drive_port(&scan.netlist, "en", 1);
+        b.drive_port(&scan.netlist, "clr", 0);
+        b.drive_port(&scan.netlist, "scan_en", 0);
+        b.drive_port(&scan.netlist, "scan_in0", 0);
+        b.drive_port(&scan.netlist, "scan_in1", 0);
         for _ in 0..9 {
             a.step();
             b.step();
         }
-        assert_eq!(a.read_port_lane("q", 0), b.read_port_lane("q", 0));
+        assert_eq!(
+            a.read_port_lane(&nl, "q", 0),
+            b.read_port_lane(&scan.netlist, "q", 0)
+        );
     }
 
     #[test]
     fn chains_shift_data_through() {
         let nl = counter();
         let scan = insert_scan(&nl, 1).unwrap();
-        let mut sim = SeqSim::new(&scan.netlist).unwrap();
-        sim.drive_port("en", 0);
-        sim.drive_port("clr", 0);
-        sim.drive_port("scan_en", 1);
+        let mut sim = KernelSim::new(&scan.netlist).unwrap();
+        sim.drive_port(&scan.netlist, "en", 0);
+        sim.drive_port(&scan.netlist, "clr", 0);
+        sim.drive_port(&scan.netlist, "scan_en", 1);
         // Shift in 6 ones: the whole chain fills with 1s.
-        sim.drive_port("scan_in0", 1);
+        sim.drive_port(&scan.netlist, "scan_in0", 1);
         for _ in 0..6 {
             sim.step();
         }
         sim.eval_comb();
-        assert_eq!(sim.read_port_lane("q", 0), Some(0b11_1111));
-        assert_eq!(sim.read_port_lane("scan_out0", 0), Some(1));
+        assert_eq!(sim.read_port_lane(&scan.netlist, "q", 0), Some(0b11_1111));
+        assert_eq!(sim.read_port_lane(&scan.netlist, "scan_out0", 0), Some(1));
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub fn unroll(netlist: &Netlist, frames: usize) -> Result<UnrolledView, NetlistE
 mod tests {
     use super::*;
     use soctest_netlist::ModuleBuilder;
-    use soctest_sim::CombSim;
+    use soctest_sim::KernelSim;
 
     fn toggler() -> Netlist {
         // q' = q XOR en; out = q.
@@ -179,14 +179,14 @@ mod tests {
     fn unrolled_semantics_match_iteration() {
         let nl = toggler();
         let u = unroll(&nl, 3).unwrap();
-        let mut sim = CombSim::new(&u.view).unwrap();
+        let mut sim = KernelSim::new(&u.view).unwrap();
         // state0 = 0, en = 1 in every frame: q toggles 0,1,0 → outputs.
         let pis = u.view.primary_inputs();
-        sim.set(pis[0], 0); // state0
+        sim.set_input(pis[0], 0); // state0
         for f in 0..3 {
-            sim.set(u.pi_frames[f][0], u64::MAX);
+            sim.set_input(u.pi_frames[f][0], u64::MAX);
         }
-        sim.eval(&u.view);
+        sim.eval_comb();
         let out = |f: usize| {
             let p = u.view.port(&format!("f{f}.out")).unwrap().bits()[0];
             sim.get(p) & 1

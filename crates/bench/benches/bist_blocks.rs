@@ -4,7 +4,7 @@
 use soctest_bench::micro::bench;
 use soctest_bist::{structural, Alfsr, Misr};
 use soctest_netlist::Netlist;
-use soctest_sim::SeqSim;
+use soctest_sim::KernelSim;
 
 fn main() {
     bench("alfsr20_step_4096", || {
@@ -28,11 +28,11 @@ fn main() {
     // Structural ALFSR, gate-level simulation cost.
     let nl: Netlist = structural::alfsr(20).unwrap();
     bench("structural_alfsr20_sim_256", || {
-        let mut sim = SeqSim::new(&nl).unwrap();
-        sim.drive_port("en", 1);
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "en", 1);
         for _ in 0..256 {
             sim.step();
         }
-        sim.read_port_lane("q", 0)
+        sim.read_port_lane(&nl, "q", 0)
     });
 }

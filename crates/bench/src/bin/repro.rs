@@ -92,7 +92,7 @@ use soctest_core::experiments::{self, Budget};
 use soctest_core::fleet::{DefectMix, DriftSpec, Fleet, FleetConfig};
 use soctest_core::health::HealthConfig;
 use soctest_core::robust::RobustSession;
-use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig, SimEngine};
+use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::{
     json, CountingSink, JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot,
     ProfileHandle, SamplerPolicy, TraceHandle, Tracer, VcdReader,
@@ -106,9 +106,6 @@ struct FaultSimBench {
     faults: usize,
     serial_wall_s: f64,
     parallel_wall_s: f64,
-    /// The graph-walking reference engine under the same parallel policy —
-    /// the denominator of the kernel's engine-level speedup.
-    graph_wall_s: f64,
     untraced_wall_s: f64,
     traced_wall_s: f64,
     /// Worker count the serial policy actually resolved to (always 1).
@@ -131,16 +128,6 @@ impl FaultSimBench {
     fn speedup(&self) -> f64 {
         if self.parallel_wall_s > 0.0 {
             self.serial_wall_s / self.parallel_wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Wall ratio of the graph reference engine to the compiled kernel,
-    /// same fault list and parallel policy on both sides.
-    fn kernel_speedup_vs_graph(&self) -> f64 {
-        if self.parallel_wall_s > 0.0 {
-            self.graph_wall_s / self.parallel_wall_s
         } else {
             0.0
         }
@@ -183,11 +170,10 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
     {
         let universe = FaultUniverse::stuck_at(&case.modules()[m]);
 
-        let run = |policy: ParallelPolicy, engine: SimEngine| {
+        let run = |policy: ParallelPolicy| {
             let mut stim = pgen.stimulus(m, patterns);
             let cfg = SeqFaultSimConfig {
                 parallel: policy,
-                engine,
                 ..Default::default()
             };
             SeqFaultSim::new(&universe, cfg)
@@ -195,65 +181,41 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
                 .expect("fault sim")
         };
 
-        let serial = run(ParallelPolicy::serial(), SimEngine::Kernel);
-        let parallel = run(ParallelPolicy::default(), SimEngine::Kernel);
-        let graph = run(ParallelPolicy::default(), SimEngine::Graph);
+        let serial = run(ParallelPolicy::serial());
+        let parallel = run(ParallelPolicy::default());
         println!("{name}: serial   {}", serial.stats);
         println!("{name}: parallel {}", parallel.stats);
-        println!("{name}: graph    {}", graph.stats);
 
         // De-noise the headline walls the same way as the trace-overhead
         // pair below: min-of-3, interleaved, so a load spike on this
-        // (possibly single-core) host cannot charge one policy only. The
-        // graph reference is run once — it is the slow denominator, and a
-        // noise spike there only *understates* the kernel's speedup.
+        // (possibly single-core) host cannot charge one policy only.
         let mut serial_wall_s = serial.stats.wall.as_secs_f64();
         let mut parallel_wall_s = parallel.stats.wall.as_secs_f64();
-        let graph_wall_s = graph.stats.wall.as_secs_f64();
         for _ in 0..2 {
-            serial_wall_s = serial_wall_s.min(
-                run(ParallelPolicy::serial(), SimEngine::Kernel)
-                    .stats
-                    .wall
-                    .as_secs_f64(),
-            );
-            parallel_wall_s = parallel_wall_s.min(
-                run(ParallelPolicy::default(), SimEngine::Kernel)
-                    .stats
-                    .wall
-                    .as_secs_f64(),
-            );
+            serial_wall_s =
+                serial_wall_s.min(run(ParallelPolicy::serial()).stats.wall.as_secs_f64());
+            parallel_wall_s =
+                parallel_wall_s.min(run(ParallelPolicy::default()).stats.wall.as_secs_f64());
         }
 
         // The bit-identity contract, asserted on real workloads: thread
-        // count must not change results, and the compiled kernel must
-        // match the graph-walking reference fault for fault.
+        // count must not change results. (Correctness against the naive
+        // reference is `difftest`'s case-study leg.)
         let identical = serial.detection == parallel.detection
-            && graph.detection == parallel.detection
-            && graph.stats.survivors == parallel.stats.survivors;
+            && serial.stats.survivors == parallel.stats.survivors;
         assert!(
             serial.detection == parallel.detection,
             "{name}: parallel run diverged from serial"
         );
-        assert!(
-            graph.detection == parallel.detection,
-            "{name}: kernel engine diverged from the graph reference"
-        );
         // The coverage curves must also compare bit-identical — detection
-        // indices are absolute, so neither thread count nor engine choice
-        // can reshape the curve.
+        // indices are absolute, so thread count cannot reshape the curve.
         assert_eq!(
             serial.curve(),
             parallel.curve(),
             "{name}: parallel coverage curve diverged from serial"
         );
-        assert_eq!(
-            graph.curve(),
-            parallel.curve(),
-            "{name}: kernel coverage curve diverged from the graph reference"
-        );
         // CI greps for one of these per module.
-        println!("{name}: identical: {identical} (serial vs parallel, kernel vs graph)");
+        println!("{name}: identical: {identical} (serial vs parallel)");
         let curve_summary = parallel.curve().summary();
 
         // Instrumentation-overhead measurement: the same campaign with the
@@ -291,7 +253,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             faults: universe.len(),
             serial_wall_s,
             parallel_wall_s,
-            graph_wall_s,
             untraced_wall_s,
             traced_wall_s,
             serial_threads: serial.stats.threads,
@@ -300,12 +261,7 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             curve: curve_summary,
         });
         let r = rows.last().expect("just pushed");
-        println!(
-            "{name}: kernel {:.4}s vs graph {:.4}s ({:.1}x)",
-            parallel_wall_s,
-            graph_wall_s,
-            r.kernel_speedup_vs_graph()
-        );
+        println!("{name}: kernel {parallel_wall_s:.4}s");
         if r.speedup_comparable() {
             println!(
                 "{name}: serial/parallel speedup {:.2}x on {} thread(s)",
@@ -354,8 +310,7 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             json,
             "    {{\"name\": \"{}\", \"patterns\": {}, \"faults\": {}, \
              \"serial_wall_s\": {:.6}, \"parallel_wall_s\": {:.6}, \
-             \"kernel_wall_s\": {:.6}, \"graph_wall_s\": {:.6}, \
-             \"kernel_speedup_vs_graph\": {:.3}, \
+             \"kernel_wall_s\": {:.6}, \
              \"untraced_wall_s\": {:.6}, \"traced_wall_s\": {:.6}, \
              \"trace_overhead_pct\": {:.3}, \"trace_overhead_ok\": {}, \
              \"serial_threads\": {}, \"threads\": {}, \
@@ -368,8 +323,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             r.serial_wall_s,
             r.parallel_wall_s,
             r.parallel_wall_s,
-            r.graph_wall_s,
-            r.kernel_speedup_vs_graph(),
             r.untraced_wall_s,
             r.traced_wall_s,
             r.trace_overhead_pct(),

@@ -315,68 +315,72 @@ pub fn insert_bist(modules: &[&Netlist], spec: &BistSpec) -> Result<Netlist, Net
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctest_sim::SeqSim;
+    use soctest_sim::KernelSim;
 
     #[test]
     fn structural_alfsr_matches_behavioral() {
         let nl = alfsr(8).unwrap();
-        let mut sim = SeqSim::new(&nl).unwrap();
-        sim.drive_port("en", 1);
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "en", 1);
         let mut model = Alfsr::new(8).unwrap();
         for cycle in 0..300 {
             sim.step();
             let expect = model.step();
             sim.eval_comb();
-            assert_eq!(sim.read_port_lane("q", 0), Some(expect), "cycle {cycle}");
+            assert_eq!(
+                sim.read_port_lane(&nl, "q", 0),
+                Some(expect),
+                "cycle {cycle}"
+            );
         }
     }
 
     #[test]
     fn structural_alfsr_holds_when_disabled() {
         let nl = alfsr(8).unwrap();
-        let mut sim = SeqSim::new(&nl).unwrap();
-        sim.drive_port("en", 1);
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "en", 1);
         for _ in 0..5 {
             sim.step();
         }
         sim.eval_comb();
-        let held = sim.read_port_lane("q", 0);
-        sim.drive_port("en", 0);
+        let held = sim.read_port_lane(&nl, "q", 0);
+        sim.drive_port(&nl, "en", 0);
         for _ in 0..5 {
             sim.step();
         }
         sim.eval_comb();
-        assert_eq!(sim.read_port_lane("q", 0), held);
+        assert_eq!(sim.read_port_lane(&nl, "q", 0), held);
     }
 
     #[test]
     fn structural_misr_matches_behavioral() {
         let nl = misr(16).unwrap();
-        let mut sim = SeqSim::new(&nl).unwrap();
+        let mut sim = KernelSim::new(&nl).unwrap();
         let mut model = Misr::new(16);
-        sim.drive_port("en", 1);
-        sim.drive_port("clr", 0);
+        sim.drive_port(&nl, "en", 1);
+        sim.drive_port(&nl, "clr", 0);
         let mut x = 0xACE1u64;
         for _ in 0..200 {
             x = (x.wrapping_mul(25_214_903_917).wrapping_add(11)) & 0xFFFF;
-            sim.drive_port("data", x);
+            sim.drive_port(&nl, "data", x);
             sim.step();
             model.absorb(x);
             sim.eval_comb();
-            assert_eq!(sim.read_port_lane("sig", 0), Some(model.signature()));
+            assert_eq!(sim.read_port_lane(&nl, "sig", 0), Some(model.signature()));
         }
     }
 
     #[test]
     fn structural_cascade_matches_fold_xor() {
         let nl = xor_cascade(23, 8).unwrap();
-        let mut sim = SeqSim::new(&nl).unwrap();
+        let mut sim = KernelSim::new(&nl).unwrap();
         for seed in [0u64, 0x5A5A5A, 0x7FFFFF, 0x123456] {
-            sim.drive_port("data", seed);
+            sim.drive_port(&nl, "data", seed);
             sim.eval_comb();
             let bits: Vec<bool> = (0..23).map(|i| (seed >> i) & 1 == 1).collect();
             assert_eq!(
-                sim.read_port_lane("folded", 0),
+                sim.read_port_lane(&nl, "folded", 0),
                 Some(crate::fold_xor(&bits, 8))
             );
         }
@@ -387,13 +391,13 @@ mod tests {
         use crate::ConstraintGenerator;
         let cg = HoldCycler::new(4, vec![0b0001, 0b1111, 0b0110], 4);
         let nl = hold_cycler(&cg).unwrap();
-        let mut sim = SeqSim::new(&nl).unwrap();
-        sim.drive_port("en", 1);
-        sim.drive_port("clr", 0);
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "en", 1);
+        sim.drive_port(&nl, "clr", 0);
         for cycle in 0..40u64 {
             sim.eval_comb();
             assert_eq!(
-                sim.read_port_lane("value", 0),
+                sim.read_port_lane(&nl, "value", 0),
                 Some(cg.value_at(cycle)),
                 "cycle {cycle}"
             );
@@ -404,25 +408,25 @@ mod tests {
     #[test]
     fn structural_control_unit_counts_and_stops() {
         let nl = control_unit(6).unwrap();
-        let mut sim = SeqSim::new(&nl).unwrap();
-        sim.drive_port("rst", 0);
-        sim.drive_port("npat", 5);
-        sim.drive_port("start", 1);
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "rst", 0);
+        sim.drive_port(&nl, "npat", 5);
+        sim.drive_port(&nl, "start", 1);
         sim.step();
-        sim.drive_port("start", 0);
+        sim.drive_port(&nl, "start", 0);
         let mut enabled_cycles = 0;
         for _ in 0..20 {
             sim.eval_comb();
-            if sim.read_port_lane("test_en", 0) == Some(1) {
+            if sim.read_port_lane(&nl, "test_en", 0) == Some(1) {
                 enabled_cycles += 1;
             }
-            if sim.read_port_lane("end_test", 0) == Some(1) {
+            if sim.read_port_lane(&nl, "end_test", 0) == Some(1) {
                 break;
             }
             sim.step();
         }
         sim.eval_comb();
-        assert_eq!(sim.read_port_lane("end_test", 0), Some(1));
+        assert_eq!(sim.read_port_lane(&nl, "end_test", 0), Some(1));
         assert_eq!(enabled_cycles, 5, "exactly npat enabled cycles");
     }
 
@@ -445,41 +449,41 @@ mod tests {
             wirings: vec![PortWiring::direct(6)],
         };
         let combined = insert_bist(&[&module], &spec).unwrap();
-        let mut sim = SeqSim::new(&combined).unwrap();
-        sim.drive_port("bist_rst", 0);
-        sim.drive_port("bist_npat", 32);
-        sim.drive_port("bist_sel", 0);
-        sim.drive_port("blk_a", 0);
-        sim.drive_port("bist_start", 1);
+        let mut sim = KernelSim::new(&combined).unwrap();
+        sim.drive_port(&combined, "bist_rst", 0);
+        sim.drive_port(&combined, "bist_npat", 32);
+        sim.drive_port(&combined, "bist_sel", 0);
+        sim.drive_port(&combined, "blk_a", 0);
+        sim.drive_port(&combined, "bist_start", 1);
         sim.step();
-        sim.drive_port("bist_start", 0);
+        sim.drive_port(&combined, "bist_start", 0);
         let mut cycles = 0;
         loop {
             sim.eval_comb();
-            if sim.read_port_lane("bist_end", 0) == Some(1) {
+            if sim.read_port_lane(&combined, "bist_end", 0) == Some(1) {
                 break;
             }
             sim.step();
             cycles += 1;
             assert!(cycles < 100, "session must terminate");
         }
-        let sig = sim.read_port_lane("bist_out", 0).unwrap();
+        let sig = sim.read_port_lane(&combined, "bist_out", 0).unwrap();
         // Golden: re-run and compare — the signature is deterministic.
-        let mut sim2 = SeqSim::new(&combined).unwrap();
-        sim2.drive_port("bist_rst", 0);
-        sim2.drive_port("bist_npat", 32);
-        sim2.drive_port("bist_sel", 0);
-        sim2.drive_port("blk_a", 0);
-        sim2.drive_port("bist_start", 1);
+        let mut sim2 = KernelSim::new(&combined).unwrap();
+        sim2.drive_port(&combined, "bist_rst", 0);
+        sim2.drive_port(&combined, "bist_npat", 32);
+        sim2.drive_port(&combined, "bist_sel", 0);
+        sim2.drive_port(&combined, "blk_a", 0);
+        sim2.drive_port(&combined, "bist_start", 1);
         sim2.step();
-        sim2.drive_port("bist_start", 0);
+        sim2.drive_port(&combined, "bist_start", 0);
         loop {
             sim2.eval_comb();
-            if sim2.read_port_lane("bist_end", 0) == Some(1) {
+            if sim2.read_port_lane(&combined, "bist_end", 0) == Some(1) {
                 break;
             }
             sim2.step();
         }
-        assert_eq!(sim2.read_port_lane("bist_out", 0), Some(sig));
+        assert_eq!(sim2.read_port_lane(&combined, "bist_out", 0), Some(sig));
     }
 }

@@ -6,15 +6,19 @@
 //!          [--report-on-failure] [--fleet] [--fleet-dies N]
 //! ```
 //!
-//! Default mode fuzzes all five engine pairs over `N` seeds and writes a
-//! machine-readable JSON report. On the first `sim`-pair mismatch the
+//! Default mode fuzzes all four engine pairs over `N` seeds, then runs the
+//! case-study leg (up to 256 stride-sampled stuck-at and 256 transition
+//! faults per paper module, 64 patterns of the paper's stimulus, outputs
+//! and MISR observation with syndromes, kernel fault simulator vs the
+//! reference fault simulator), and writes a machine-readable JSON report
+//! covering both. On the first `sim`-pair mismatch the
 //! failing netlist is minimized and dumped next to the report for
 //! `--replay`; with `--vcd-on-failure` the probe stimulus is additionally
 //! replayed on the minimized netlist and written as a VCD waveform; with
 //! `--report-on-failure` a self-contained HTML triage report (mismatch
 //! table grouped per engine pair) is written next to the JSON one. Exit
-//! status is non-zero on any mismatch (or, with `--self-test`, on any
-//! undetected mutation).
+//! status is non-zero on any mismatch, pair or case-study (or, with
+//! `--self-test`, on any undetected mutation).
 //!
 //! `--fleet` runs the fleet conformance leg instead: `--fleet-dies` dies
 //! (default 48, seeded from `--start-seed`, 0 → 42) are simulated through
@@ -30,7 +34,14 @@ use soctest_conformance::report::{
     active_gates, dump_netlist, minimize, parse_netlist, render_html_report, render_report,
     Mismatch,
 };
-use soctest_conformance::selftest::{kernel_mutation_self_test, mutation_self_test};
+use soctest_conformance::selftest::{fault_mutation_self_test, mutation_self_test};
+use soctest_conformance::{case_study_leg, CaseStudyLeg};
+use soctest_core::casestudy::CaseStudy;
+
+/// Case-study leg size: faults sampled per module and fault model, and
+/// patterns per campaign.
+const CASE_STUDY_FAULTS: usize = 256;
+const CASE_STUDY_PATTERNS: u64 = 64;
 
 struct Args {
     seeds: u64,
@@ -89,7 +100,7 @@ fn self_test_mode(args: &Args) -> ExitCode {
     for seed in args.start_seed..args.start_seed + args.seeds {
         for (harness, outcome) in [
             ("sim", mutation_self_test(seed, args.max_gates)),
-            ("kernel", kernel_mutation_self_test(seed, args.max_gates)),
+            ("fault", fault_mutation_self_test(seed, args.max_gates)),
         ] {
             if !outcome.detected {
                 missed += 1;
@@ -106,7 +117,7 @@ fn self_test_mode(args: &Args) -> ExitCode {
     );
     if missed == 0 {
         println!(
-            "self-test: {}/{} injected mutations detected (sim + kernel harnesses)",
+            "self-test: {}/{} injected mutations detected (sim + fault harnesses)",
             args.seeds * 2,
             args.seeds * 2
         );
@@ -197,6 +208,18 @@ fn fuzz_mode(args: &Args) -> ExitCode {
         mismatches.extend(run_all_pairs(seed, args.max_gates));
     }
     let checked: Vec<(&'static str, u64)> = PAIR_NAMES.iter().map(|&p| (p, args.seeds)).collect();
+    let leg = match CaseStudy::paper() {
+        Ok(case) => case_study_leg(&case, &[0, 1, 2], CASE_STUDY_FAULTS, CASE_STUDY_PATTERNS),
+        Err(e) => CaseStudyLeg {
+            patterns: CASE_STUDY_PATTERNS,
+            faults: 0,
+            campaigns: 0,
+            mismatches: vec![format!("case study does not build: {e}")],
+        },
+    };
+    for d in &leg.mismatches {
+        eprintln!("case-study MISMATCH {d}");
+    }
 
     // Minimize the first sim-pair failure into a replayable dump. The
     // predicate is "simulator and reference still disagree on the reduced
@@ -229,6 +252,7 @@ fn fuzz_mode(args: &Args) -> ExitCode {
         args.max_gates,
         &checked,
         &mismatches,
+        &leg,
         dump_file.as_deref(),
     );
     if std::fs::write(&args.out, &report).is_err() {
@@ -236,11 +260,13 @@ fn fuzz_mode(args: &Args) -> ExitCode {
     }
     print!("{report}");
 
-    if args.report_on_failure && !mismatches.is_empty() {
+    let clean = mismatches.is_empty() && leg.mismatches.is_empty();
+    if args.report_on_failure && !clean {
         let html = render_html_report(
             args.seeds,
             args.max_gates,
             &mismatches,
+            &leg,
             dump_file.as_deref(),
         );
         let path = format!("{}.html", args.out.trim_end_matches(".json"));
@@ -250,15 +276,26 @@ fn fuzz_mode(args: &Args) -> ExitCode {
             eprintln!("cannot write {path}");
         }
     }
-    if mismatches.is_empty() {
+    println!(
+        "case study: {} faults × {} patterns, {} campaigns vs the reference, {} mismatches",
+        leg.faults,
+        leg.patterns,
+        leg.campaigns,
+        leg.mismatches.len()
+    );
+    if clean {
         println!(
-            "difftest: {} seeds × {} pairs, zero mismatches",
+            "difftest: {} seeds × {} pairs + case-study leg, zero mismatches",
             args.seeds,
             PAIR_NAMES.len()
         );
         ExitCode::SUCCESS
     } else {
-        eprintln!("difftest: {} mismatches", mismatches.len());
+        eprintln!(
+            "difftest: {} pair mismatches, {} case-study mismatches",
+            mismatches.len(),
+            leg.mismatches.len()
+        );
         ExitCode::FAILURE
     }
 }

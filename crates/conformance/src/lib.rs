@@ -1,17 +1,20 @@
 //! Differential conformance harness for the BIST/P1500 stack.
 //!
 //! The repo contains several *independently implemented* pairs of engines
-//! that must agree bit for bit: the 64-lane simulators vs a naive
-//! interpreter, the fault simulators' zero-fault good machines vs `sim`,
-//! behavioral BIST blocks vs their `bist::structural` netlists, and the
-//! TAP/P1500 driver vs the structural wrapper. This crate fuzzes all of
-//! them with seeded random netlists and a deliberately naive reference
-//! model, so that the next silent divergence (PR 2 caught two by hand) is
-//! found by a machine.
+//! that must agree bit for bit: the compiled 64-lane simulator and the
+//! compiled fault simulators vs a naive reference interpreter, behavioral
+//! BIST blocks vs their `bist::structural` netlists, and the TAP/P1500
+//! driver vs the structural wrapper. This crate fuzzes all of them with
+//! seeded random netlists and a deliberately naive reference model, so
+//! that the next silent divergence is found by a machine.
 //!
 //! Layout:
 //! * [`generator`] — seeded random netlist/FSM generator;
 //! * [`reference`] — the naive fixpoint interpreter ([`RefMachine`]);
+//! * [`faultref`] — the reference fault simulator: one [`RefMachine`] per
+//!   fault, the oracle for `soctest-fault`;
+//! * [`campaign`] — the case-study leg: sampled faults of the paper's
+//!   modules on the paper's stimulus, diffed against [`faultref`];
 //! * [`pairs`] — one differential runner per redundant engine pair;
 //! * [`selftest`] — mutation self-test that verifies the oracle itself;
 //! * [`report`] — mismatch reports, netlist dump/replay, and the greedy
@@ -31,6 +34,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
+pub mod faultref;
 pub mod fleet;
 pub mod generator;
 pub mod pairs;
@@ -39,6 +44,8 @@ pub mod report;
 pub mod selftest;
 pub mod session;
 
+pub use campaign::{case_study_leg, CaseStudyLeg};
+pub use faultref::{reference_fault_sim, RefFaultRun};
 pub use fleet::{fleet_difftest, FleetDiffOutcome, FleetMismatch};
 pub use generator::{random_netlist, GeneratorConfig};
 pub use pairs::{run_all_pairs, PAIR_NAMES};

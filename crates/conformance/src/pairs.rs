@@ -4,12 +4,16 @@
 //! the run seed, exercises both implementations of the pair, and returns
 //! a (hopefully empty) list of [`Mismatch`]es:
 //!
-//! * **`sim`** — `sim::comb`/`sim::seq` 64-lane kernels vs the naive
-//!   [`RefMachine`] interpreter, probed at four lanes.
-//! * **`fault`** — `fault::combsim`/`fault::seqsim` first-detection
-//!   indices vs a brute-force good-vs-forced reference run. The zero-fault
-//!   good machine is covered as a special case: every detection decision
-//!   compares the simulators' internal good machine against the reference.
+//! * **`sim`** — the 64-lane [`KernelSim`] vs the naive [`RefMachine`]
+//!   interpreter, probed at four lanes, combinational and sequential.
+//! * **`fault`** — the compiled fault simulators (`CombFaultSim`,
+//!   `SeqFaultSim`) vs the reference fault simulator
+//!   ([`reference_fault_sim`], one `RefMachine` per fault): the kernel's
+//!   good machine lane by lane, then first-detection vectors, syndrome
+//!   streams, and survivor trajectories — combinational stuck-at with and
+//!   without syndromes; sequential stuck-at and transition, per-cycle
+//!   outputs with and without syndromes and an off-boundary MISR read
+//!   schedule across window seams.
 //! * **`bist`** — behavioral `Alfsr`/`Misr`/`fold_xor`/`HoldCycler`/
 //!   control unit/`BistEngine` vs the `bist::structural` netlists,
 //!   including a full `insert_bist` assembly run against a hand-rolled
@@ -17,11 +21,6 @@
 //! * **`p1500`** — the `TapDriver` protocol stack (WIR/WBY/WCDR/WDR
 //!   sequences) vs a directly-commanded backend, and `wrap_core`'s
 //!   boundary chain (WBR) vs a reference shift/update/capture model.
-//! * **`kernel`** — the compiled-SoA fault-sim engines
-//!   (`SimEngine::Kernel`) vs the graph-walking reference engines
-//!   (`SimEngine::Graph`) on shared stimulus: first-detection vectors,
-//!   syndrome streams, and per-window survivor trajectories must be
-//!   bit-identical across both observation modes.
 
 use soctest_bist::structural::BistSpec;
 use soctest_bist::{
@@ -29,22 +28,23 @@ use soctest_bist::{
     BitSource, ConstraintGenerator, ControlUnit, HoldCycler, Misr, ModuleHookup, PortWiring,
 };
 use soctest_fault::{
-    CombFaultSim, FaultKind, FaultUniverse, ObserveMode, ParallelPolicy, PatternSet, SeqFaultSim,
-    SeqFaultSimConfig, SimEngine, VectorStimulus,
+    CombFaultSim, FaultUniverse, ObserveMode, ParallelPolicy, PatternSet, SeqFaultSim,
+    SeqFaultSimConfig, VectorStimulus,
 };
 use soctest_netlist::{compile, Netlist};
 use soctest_p1500::{
     structural as p1500_structural, BistBackend, MockBackend, TapDriver, TapInstruction,
 };
 use soctest_prng::SplitMix64;
-use soctest_sim::{CombSim, SeqSim, VcdProbe};
+use soctest_sim::{KernelSim, VcdProbe};
 
+use crate::faultref::{diff_against_reference, reference_fault_sim};
 use crate::generator::{random_netlist, GeneratorConfig};
 use crate::reference::{self, RefMachine};
 use crate::report::Mismatch;
 
-/// The five redundant engine pairs, in run order.
-pub const PAIR_NAMES: [&str; 5] = ["sim", "fault", "bist", "p1500", "kernel"];
+/// The four redundant engine pairs, in run order.
+pub const PAIR_NAMES: [&str; 4] = ["sim", "fault", "bist", "p1500"];
 
 /// Lanes sampled out of the 64-lane words when comparing against the
 /// single-bit reference.
@@ -69,13 +69,12 @@ pub fn run_all_pairs(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     out.extend(pair_fault(seed, max_gates));
     out.extend(pair_bist(seed, max_gates));
     out.extend(pair_p1500(seed, max_gates));
-    out.extend(pair_kernel(seed, max_gates));
     out
 }
 
 // ---------------------------------------------------------------- pair: sim
 
-/// Compares the 64-lane `CombSim` on `candidate` against the naive
+/// Compares the 64-lane [`KernelSim`] on `candidate` against the naive
 /// reference on `golden` under shared random stimulus. With
 /// `golden == candidate` this is the plain conformance check; with a
 /// mutated candidate it is the detector the self-test validates.
@@ -85,13 +84,13 @@ pub fn comb_divergence(golden: &Netlist, candidate: &Netlist, probe_seed: u64) -
     let mut rng = rng_for(probe_seed, 0xC0);
     let pis = candidate.primary_inputs();
     let pos = candidate.primary_outputs();
-    let mut sim = CombSim::new(candidate).expect("comb sim construction");
+    let mut sim = KernelSim::new(candidate).expect("comb sim construction");
     for round in 0..3 {
         let words: Vec<u64> = pis.iter().map(|_| rng.next_u64()).collect();
         for (net, w) in pis.iter().zip(&words) {
-            sim.set(*net, *w);
+            sim.set_input(*net, *w);
         }
-        sim.eval(candidate);
+        sim.eval_comb();
         for &lane in &LANES {
             let bits: Vec<bool> = words.iter().map(|w| (w >> lane) & 1 == 1).collect();
             let expect = reference::eval_comb(golden, &bits);
@@ -117,7 +116,7 @@ pub fn comb_divergence(golden: &Netlist, candidate: &Netlist, probe_seed: u64) -
 pub fn divergence_vcd(netlist: &Netlist, probe_seed: u64) -> String {
     let mut rng = rng_for(probe_seed, 0xC0);
     let pis = netlist.primary_inputs();
-    let mut sim = SeqSim::new(netlist).expect("comb sim construction");
+    let mut sim = KernelSim::new(netlist).expect("comb sim construction");
     let mut probe = VcdProbe::new();
     let group = probe.add_module(netlist.name(), netlist);
     for round in 0..3u64 {
@@ -132,12 +131,12 @@ pub fn divergence_vcd(netlist: &Netlist, probe_seed: u64) -> String {
     probe.finish()
 }
 
-/// Compares `SeqSim` against the reference over a multi-cycle run.
+/// Compares [`KernelSim`] against the reference over a multi-cycle run.
 pub fn seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
     let mut rng = rng_for(probe_seed, 0xC1);
     let pis = nl.primary_inputs();
     let pos = nl.primary_outputs();
-    let mut sim = SeqSim::new(nl).expect("seq sim construction");
+    let mut sim = KernelSim::new(nl).expect("seq sim construction");
     let cycles = 16usize;
     let stim: Vec<Vec<u64>> = (0..cycles)
         .map(|_| pis.iter().map(|_| rng.next_u64()).collect())
@@ -203,156 +202,23 @@ fn pair_sim(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     out
 }
 
-// -------------------------------------------------------------- pair: fault
-
-fn observed(rm: &RefMachine<'_>, observe: &[soctest_netlist::NetId]) -> Vec<bool> {
-    observe.iter().map(|n| rm.value(*n)).collect()
-}
-
-fn comb_fault_divergence(seed: u64, max_gates: usize) -> Option<String> {
-    let mut rng = rng_for(seed, 3);
-    let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(40)).comb();
-    let nl = random_netlist(&mut rng, &cfg);
-    let universe = FaultUniverse::stuck_at(&nl);
-    let view = universe.view();
-    let width = view.input_width();
-    let rows: Vec<Vec<bool>> = (0..96)
-        .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
-        .collect();
-    let patterns = PatternSet::from_rows(width, &rows);
-    let result = CombFaultSim::new(&universe)
-        .with_parallelism(ParallelPolicy::serial())
-        .run_stuck_at(&patterns)
-        .expect("comb fault sim");
-
-    let observe = universe.observe_nets().to_vec();
-    let faults = universe.faults();
-    let mut ref_det: Vec<Option<u64>> = vec![None; faults.len()];
-    let mut rm = RefMachine::new(view);
-    for (p, row) in rows.iter().enumerate() {
-        rm.clear_force();
-        rm.set_inputs(row);
-        rm.settle();
-        let good = observed(&rm, &observe);
-        for (fi, fault) in faults.iter().enumerate() {
-            if ref_det[fi].is_some() {
-                continue;
-            }
-            rm.force(fault.net, fault.kind == FaultKind::Sa1);
-            // Re-drive the inputs: a previous fault forced on an Input net
-            // leaves its stale value behind otherwise (Input gates hold
-            // whatever was last written).
-            rm.set_inputs(row);
-            rm.settle();
-            if observed(&rm, &observe) != good {
-                ref_det[fi] = Some(p as u64);
-            }
-            rm.clear_force();
-        }
-    }
-    for (fi, (got, expect)) in result.detection.iter().zip(&ref_det).enumerate() {
-        if got != expect {
-            return Some(format!(
-                "comb fault {fi} ({}): simulator={got:?} reference={expect:?}",
-                universe.describe(fi)
-            ));
-        }
-    }
-    None
-}
-
-fn seq_fault_divergence(seed: u64, max_gates: usize) -> Option<String> {
-    let mut rng = rng_for(seed, 4);
-    let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(30));
-    let cfg = cfg.seq(&mut rng);
-    let nl = random_netlist(&mut rng, &cfg);
-    let universe = FaultUniverse::stuck_at(&nl);
-    let cycles = 24u64;
-    let width = nl.input_width();
-    let words: Vec<u64> = (0..cycles).map(|_| rng.next_u64() & mask(width)).collect();
-    let config = SeqFaultSimConfig {
-        window: 16,
-        observe: ObserveMode::Outputs,
-        collect_syndromes: false,
-        parallel: ParallelPolicy::serial(),
-        ..Default::default()
-    };
-    let result = SeqFaultSim::new(&universe, config)
-        .run(&mut VectorStimulus::new(words.clone()))
-        .expect("seq fault sim");
-
-    let view = universe.view();
-    let observe = universe.observe_nets().to_vec();
-    let input_bits =
-        |t: usize| -> Vec<bool> { (0..width).map(|i| (words[t] >> i) & 1 == 1).collect() };
-    let mut rm = RefMachine::new(view);
-    let mut good_trace: Vec<Vec<bool>> = Vec::new();
-    for t in 0..cycles as usize {
-        rm.set_inputs(&input_bits(t));
-        rm.settle();
-        good_trace.push(observed(&rm, &observe));
-        rm.clock();
-    }
-    for (fi, fault) in universe.faults().iter().enumerate() {
-        let mut fm = RefMachine::new(view);
-        fm.force(fault.net, fault.kind == FaultKind::Sa1);
-        let mut expect: Option<u64> = None;
-        for (t, good) in good_trace.iter().enumerate() {
-            fm.set_inputs(&input_bits(t));
-            fm.settle();
-            if &observed(&fm, &observe) != good {
-                expect = Some(t as u64);
-                break;
-            }
-            fm.clock();
-        }
-        if result.detection[fi] != expect {
-            return Some(format!(
-                "seq fault {fi} ({}): simulator={:?} reference={expect:?}",
-                universe.describe(fi),
-                result.detection[fi]
-            ));
-        }
-    }
-    None
-}
-
-fn pair_fault(seed: u64, max_gates: usize) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    if let Some(d) = comb_fault_divergence(seed, max_gates) {
-        out.push(Mismatch {
-            pair: "fault",
-            seed,
-            detail: d,
-        });
-    }
-    if let Some(d) = seq_fault_divergence(seed, max_gates) {
-        out.push(Mismatch {
-            pair: "fault",
-            seed,
-            detail: d,
-        });
-    }
-    out
-}
-
 // --------------------------------------------------------------- pair: bist
 
 fn alfsr_divergence(seed: u64) -> Option<String> {
     let mut rng = rng_for(seed, 5);
     let width = 2 + rng.gen_index(15);
     let nl = bist_structural::alfsr(width).expect("structural alfsr");
-    let mut sim = SeqSim::new(&nl).expect("alfsr sim");
+    let mut sim = KernelSim::new(&nl).expect("alfsr sim");
     let mut model = Alfsr::new(width).expect("behavioral alfsr");
     for cycle in 0..60 {
         let en = rng.gen_bool(0.8);
-        sim.drive_port("en", u64::from(en));
+        sim.drive_port(&nl, "en", u64::from(en));
         sim.step();
         if en {
             model.step();
         }
         sim.eval_comb();
-        let got = sim.read_port_lane("q", 0);
+        let got = sim.read_port_lane(&nl, "q", 0);
         if got != Some(model.state()) {
             return Some(format!(
                 "alfsr width {width} cycle {cycle}: structural={got:?} behavioral={:#x}",
@@ -367,15 +233,15 @@ fn misr_divergence(seed: u64) -> Option<String> {
     let mut rng = rng_for(seed, 6);
     let width = 2 + rng.gen_index(15);
     let nl = bist_structural::misr(width).expect("structural misr");
-    let mut sim = SeqSim::new(&nl).expect("misr sim");
+    let mut sim = KernelSim::new(&nl).expect("misr sim");
     let mut model = Misr::new(width);
     for cycle in 0..60 {
         let en = rng.gen_bool(0.85);
         let clr = rng.gen_bool(0.05);
         let data = rng.next_u64() & mask(width);
-        sim.drive_port("data", data);
-        sim.drive_port("en", u64::from(en));
-        sim.drive_port("clr", u64::from(clr));
+        sim.drive_port(&nl, "data", data);
+        sim.drive_port(&nl, "en", u64::from(en));
+        sim.drive_port(&nl, "clr", u64::from(clr));
         sim.step();
         if clr {
             model.reset();
@@ -383,7 +249,7 @@ fn misr_divergence(seed: u64) -> Option<String> {
             model.absorb(data);
         }
         sim.eval_comb();
-        let got = sim.read_port_lane("sig", 0);
+        let got = sim.read_port_lane(&nl, "sig", 0);
         if got != Some(model.signature()) {
             return Some(format!(
                 "misr width {width} cycle {cycle}: structural={got:?} behavioral={:#x}",
@@ -399,14 +265,14 @@ fn xor_cascade_divergence(seed: u64) -> Option<String> {
     let in_width = 1 + rng.gen_index(24);
     let out_width = 1 + rng.gen_index(in_width.min(16));
     let nl = bist_structural::xor_cascade(in_width, out_width).expect("structural cascade");
-    let mut sim = SeqSim::new(&nl).expect("cascade sim");
+    let mut sim = KernelSim::new(&nl).expect("cascade sim");
     for round in 0..8 {
         let word = rng.next_u64() & mask(in_width);
-        sim.drive_port("data", word);
+        sim.drive_port(&nl, "data", word);
         sim.eval_comb();
         let bits: Vec<bool> = (0..in_width).map(|i| (word >> i) & 1 == 1).collect();
         let expect = fold_xor(&bits, out_width);
-        let got = sim.read_port_lane("folded", 0);
+        let got = sim.read_port_lane(&nl, "folded", 0);
         if got != Some(expect) {
             return Some(format!(
                 "xor_cascade {in_width}->{out_width} round {round}: structural={got:?} behavioral={expect:#x}"
@@ -425,14 +291,14 @@ fn hold_cycler_divergence(seed: u64) -> Option<String> {
         .collect();
     let cg = HoldCycler::new(width, values, hold);
     let nl = bist_structural::hold_cycler(&cg).expect("structural hold cycler");
-    let mut sim = SeqSim::new(&nl).expect("hold cycler sim");
-    sim.drive_port("clr", 0);
+    let mut sim = KernelSim::new(&nl).expect("hold cycler sim");
+    sim.drive_port(&nl, "clr", 0);
     let mut enabled = 0u64;
     for cycle in 0..40 {
         let en = rng.gen_bool(0.8);
-        sim.drive_port("en", u64::from(en));
+        sim.drive_port(&nl, "en", u64::from(en));
         sim.eval_comb();
-        let got = sim.read_port_lane("value", 0);
+        let got = sim.read_port_lane(&nl, "value", 0);
         let expect = cg.value_at(enabled);
         if got != Some(expect) {
             return Some(format!(
@@ -452,21 +318,21 @@ fn control_unit_divergence(seed: u64) -> Option<String> {
     let bits = 3 + rng.gen_index(4);
     let npat = 1 + rng.gen_below((1u64 << bits) - 1);
     let nl = bist_structural::control_unit(bits).expect("structural control unit");
-    let mut sim = SeqSim::new(&nl).expect("control unit sim");
-    sim.drive_port("rst", 0);
-    sim.drive_port("npat", npat);
-    sim.drive_port("start", 1);
+    let mut sim = KernelSim::new(&nl).expect("control unit sim");
+    sim.drive_port(&nl, "rst", 0);
+    sim.drive_port(&nl, "npat", npat);
+    sim.drive_port(&nl, "start", 1);
     sim.step();
-    sim.drive_port("start", 0);
+    sim.drive_port(&nl, "start", 0);
     let mut enabled = 0u64;
     let mut ended = false;
     for _ in 0..(1u64 << bits) + 8 {
         sim.eval_comb();
-        if sim.read_port_lane("end_test", 0) == Some(1) {
+        if sim.read_port_lane(&nl, "end_test", 0) == Some(1) {
             ended = true;
             break;
         }
-        if sim.read_port_lane("test_en", 0) == Some(1) {
+        if sim.read_port_lane(&nl, "test_en", 0) == Some(1) {
             enabled += 1;
         }
         sim.step();
@@ -474,7 +340,7 @@ fn control_unit_divergence(seed: u64) -> Option<String> {
     if !ended {
         return Some(format!("control_unit bits {bits} npat {npat}: never ended"));
     }
-    let count = sim.read_port_lane("count", 0);
+    let count = sim.read_port_lane(&nl, "count", 0);
     if enabled != npat || count != Some(npat) {
         return Some(format!(
             "control_unit bits {bits} npat {npat}: structural enabled {enabled}, count {count:?}"
@@ -537,12 +403,12 @@ fn insert_bist_divergence(seed: u64, max_gates: usize) -> Option<String> {
     let npat = 3 + rng.gen_below(30);
 
     let nl = bist_structural::insert_bist(&[&module], &spec).expect("insert_bist");
-    let mut sim = SeqSim::new(&nl).expect("insert_bist sim");
-    sim.drive_port("bist_rst", 0);
-    sim.drive_port("bist_npat", npat);
-    sim.drive_port("bist_sel", 0);
-    sim.drive_port(&format!("{}_in", module.name()), 0);
-    sim.drive_port("bist_start", 1);
+    let mut sim = KernelSim::new(&nl).expect("insert_bist sim");
+    sim.drive_port(&nl, "bist_rst", 0);
+    sim.drive_port(&nl, "bist_npat", npat);
+    sim.drive_port(&nl, "bist_sel", 0);
+    sim.drive_port(&nl, &format!("{}_in", module.name()), 0);
+    sim.drive_port(&nl, "bist_start", 1);
 
     // Behavioral twin of the structural schedule.
     let mut alfsr = Alfsr::new(alfsr_width).expect("twin alfsr");
@@ -562,14 +428,14 @@ fn insert_bist_divergence(seed: u64, max_gates: usize) -> Option<String> {
         }
         sim.eval_comb();
         let done = applied == npat;
-        let struct_end = sim.read_port_lane("bist_end", 0) == Some(1);
+        let struct_end = sim.read_port_lane(&nl, "bist_end", 0) == Some(1);
         if struct_end != done {
             return Some(format!(
                 "insert_bist cycle {guard}: structural end={struct_end}, twin done={done}"
             ));
         }
         if done {
-            let got = sim.read_port_lane("bist_out", 0);
+            let got = sim.read_port_lane(&nl, "bist_out", 0);
             if got != Some(misr.signature()) {
                 return Some(format!(
                     "insert_bist npat {npat}: structural signature={got:?} twin={:#x}",
@@ -596,7 +462,7 @@ fn insert_bist_divergence(seed: u64, max_gates: usize) -> Option<String> {
         rm.set_inputs(&in_bits);
         rm.settle();
         let response = rm.outputs();
-        let struct_out = sim.read_port_lane(&out_port, 0);
+        let struct_out = sim.read_port_lane(&nl, &out_port, 0);
         let twin_out = response
             .iter()
             .enumerate()
@@ -616,7 +482,7 @@ fn insert_bist_divergence(seed: u64, max_gates: usize) -> Option<String> {
         start = false;
         rm.clock();
         sim.step();
-        sim.drive_port("bist_start", 0);
+        sim.drive_port(&nl, "bist_start", 0);
     }
     unreachable!()
 }
@@ -820,7 +686,7 @@ fn wrap_core_divergence(seed: u64, max_gates: usize) -> Option<String> {
     let n = core.input_width();
     let m = core.output_width();
     let wrapped = p1500_structural::wrap_core(&core).expect("wrap_core");
-    let mut sim = SeqSim::new(&wrapped).expect("wrapped sim");
+    let mut sim = KernelSim::new(&wrapped).expect("wrapped sim");
 
     // Reference chain model: 3 WIR shift stages, per-input shift+update
     // stages, per-output capture stages — one chain wsi → wso.
@@ -836,12 +702,12 @@ fn wrap_core_divergence(seed: u64, max_gates: usize) -> Option<String> {
         let update = rng.gen_bool(0.2);
         let test = rng.gen_bool(0.5);
         let func = rng.next_u64() & mask(n);
-        sim.drive_port("wsi", u64::from(wsi));
-        sim.drive_port("wrap_shift", u64::from(shift));
-        sim.drive_port("wrap_capture", u64::from(capture));
-        sim.drive_port("wrap_update", u64::from(update));
-        sim.drive_port("wrap_test", u64::from(test));
-        sim.drive_port("in", func);
+        sim.drive_port(&wrapped, "wsi", u64::from(wsi));
+        sim.drive_port(&wrapped, "wrap_shift", u64::from(shift));
+        sim.drive_port(&wrapped, "wrap_capture", u64::from(capture));
+        sim.drive_port(&wrapped, "wrap_update", u64::from(update));
+        sim.drive_port(&wrapped, "wrap_test", u64::from(test));
+        sim.drive_port(&wrapped, "in", func);
         sim.eval_comb();
 
         let core_in: Vec<bool> = (0..n)
@@ -859,7 +725,7 @@ fn wrap_core_divergence(seed: u64, max_gates: usize) -> Option<String> {
         } else {
             in_shift[n - 1]
         };
-        let wso_got = sim.read_port_lane("wso", 0);
+        let wso_got = sim.read_port_lane(&wrapped, "wso", 0);
         if wso_got != Some(u64::from(wso_want)) {
             return Some(format!(
                 "wrap_core cycle {cycle}: wso structural={wso_got:?} reference={wso_want}"
@@ -869,7 +735,7 @@ fn wrap_core_divergence(seed: u64, max_gates: usize) -> Option<String> {
             .iter()
             .enumerate()
             .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << i));
-        let out_got = sim.read_port_lane("out", 0);
+        let out_got = sim.read_port_lane(&wrapped, "out", 0);
         if out_got != Some(out_want) {
             return Some(format!(
                 "wrap_core cycle {cycle}: core out structural={out_got:?} reference={out_want:#x} (test={test})"
@@ -925,21 +791,20 @@ fn pair_p1500(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     out
 }
 
-// ------------------------------------------------------------- pair: kernel
+// -------------------------------------------------------------- pair: fault
 
-/// Compares the compiled-kernel `CombFaultSim` engine on `candidate`
-/// against the graph-walking engine on `golden` under a shared pattern
-/// set, with syndrome collection on so post-detection events are checked
-/// too. With `golden == candidate` this is the plain conformance check;
-/// with a mutated candidate it is the detector the kernel mutation
-/// self-test validates.
+/// Compares the compiled-kernel `CombFaultSim` on `candidate` against the
+/// reference fault simulator on `golden` under a shared pattern set, with
+/// and without syndrome collection. With `golden == candidate` this is the
+/// plain conformance check; with a mutated candidate it is the detector
+/// the fault mutation self-test validates.
 ///
-/// The good machine is compared first, lane by lane, against the tier-0
-/// bit-level reference. Fault detections alone are blind to some good
-/// machine bugs: collapsing hoists an output net's stuck-at injections
-/// upstream, so an engine that consistently inverted a primary output
-/// would leave every collapsed detection index untouched.
-pub fn kernel_comb_divergence(
+/// The good machine is compared first, lane by lane, against the
+/// reference. Fault detections alone are blind to some good-machine bugs:
+/// collapsing hoists an output net's stuck-at injections upstream, so an
+/// engine that consistently inverted a primary output would leave every
+/// collapsed detection index untouched.
+pub fn fault_comb_divergence(
     golden: &Netlist,
     candidate: &Netlist,
     probe_seed: u64,
@@ -950,7 +815,8 @@ pub fn kernel_comb_divergence(
     let c_universe = FaultUniverse::stuck_at(candidate);
     assert_eq!(g_universe.len(), c_universe.len());
     let width = golden.input_width();
-    let rows: Vec<Vec<bool>> = (0..72)
+    // 96 patterns: one full 64-pattern block and a partial one.
+    let rows: Vec<Vec<bool>> = (0..96)
         .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
         .collect();
     let kernel = compile(candidate).expect("candidate compiles");
@@ -977,100 +843,80 @@ pub fn kernel_comb_divergence(
         }
     }
     let patterns = PatternSet::from_rows(width, &rows);
-    let run = |universe: &FaultUniverse, engine: SimEngine| {
-        CombFaultSim::new(universe)
-            .with_engine(engine)
-            .with_parallelism(ParallelPolicy::serial())
-            .with_syndromes()
-            .run_stuck_at(&patterns)
-            .expect("comb fault sim")
-    };
-    let graph = run(&g_universe, SimEngine::Graph);
-    let kernel = run(&c_universe, SimEngine::Kernel);
-    for (fi, (g, k)) in graph.detection.iter().zip(&kernel.detection).enumerate() {
-        if g != k {
-            return Some(format!(
-                "comb fault {fi} ({}): graph={g:?} kernel={k:?}",
-                g_universe.describe(fi)
-            ));
+    let reference = reference_fault_sim(&g_universe, &rows, &[ObserveMode::Outputs]);
+    for (what, collect) in [("comb", false), ("comb+syndromes", true)] {
+        let mut sim = CombFaultSim::new(&c_universe).with_parallelism(ParallelPolicy::serial());
+        if collect {
+            sim = sim.with_syndromes();
         }
-    }
-    if graph.syndromes != kernel.syndromes {
-        return Some("comb: syndrome streams diverge".into());
+        let got = sim.run_stuck_at(&patterns).expect("comb fault sim");
+        // The PPSFP simulator reports survivors per 64-pattern block and
+        // never stops early.
+        if let Some(d) = diff_against_reference(&g_universe, &got, &reference[0], 64, false) {
+            return Some(format!("{what} {d}"));
+        }
     }
     None
 }
 
-/// Compares the kernel `SeqFaultSim` window engine on `candidate` against
-/// the graph engine on `golden` under shared stimulus, across both
-/// observation modes (per-cycle outputs and an off-boundary MISR read
-/// schedule), with and without syndrome collection.
-pub fn kernel_seq_divergence(
-    golden: &Netlist,
-    candidate: &Netlist,
-    probe_seed: u64,
-) -> Option<String> {
-    assert_eq!(golden.input_width(), candidate.input_width());
+/// Compares the kernel `SeqFaultSim` on `nl` against the reference fault
+/// simulator under shared stimulus, for stuck-at and transition faults,
+/// across both observation modes: per-cycle outputs with and without
+/// syndrome collection, and an off-boundary MISR read schedule with
+/// syndromes.
+pub fn fault_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
     let mut rng = rng_for(probe_seed, 15);
-    let g_universe = FaultUniverse::stuck_at(golden);
-    let c_universe = FaultUniverse::stuck_at(candidate);
-    assert_eq!(g_universe.len(), c_universe.len());
-    let width = golden.input_width();
+    let width = nl.input_width();
     let cycles = 40u64;
     let words: Vec<u64> = (0..cycles).map(|_| rng.next_u64() & mask(width)).collect();
+    let rows: Vec<Vec<bool>> = words
+        .iter()
+        .map(|w| (0..width).map(|i| (w >> i) & 1 == 1).collect())
+        .collect();
     // `read_every: 7` leaves the final read off the boundary grid, and
     // `window: 16` splits the run so window seams are exercised too.
-    let misr_width = golden.output_width().clamp(2, 16);
-    let modes: [(&str, ObserveMode, bool); 3] = [
-        ("outputs", ObserveMode::Outputs, false),
-        ("outputs+syndromes", ObserveMode::Outputs, true),
-        ("misr", ObserveMode::misr_default(misr_width, 7), true),
+    let window = 16;
+    let misr = ObserveMode::misr_default(nl.output_width().clamp(2, 16), 7);
+    let observe = [ObserveMode::Outputs, misr];
+    let modes = [
+        ("outputs", 0, false),
+        ("outputs+syndromes", 0, true),
+        ("misr", 1, true),
     ];
-    for (what, observe, collect) in modes {
-        let run = |universe: &FaultUniverse, engine: SimEngine| {
+    for (model, universe) in [
+        ("stuck-at", FaultUniverse::stuck_at(nl)),
+        ("transition", FaultUniverse::transition(nl)),
+    ] {
+        let reference = reference_fault_sim(&universe, &rows, &observe);
+        for (what, m, collect) in modes {
             let config = SeqFaultSimConfig {
-                window: 16,
-                observe: observe.clone(),
+                window,
+                observe: observe[m].clone(),
                 collect_syndromes: collect,
                 parallel: ParallelPolicy::serial(),
-                engine,
                 ..Default::default()
             };
-            SeqFaultSim::new(universe, config)
+            let got = SeqFaultSim::new(&universe, config)
                 .run(&mut VectorStimulus::new(words.clone()))
-                .expect("seq fault sim")
-        };
-        let graph = run(&g_universe, SimEngine::Graph);
-        let kernel = run(&c_universe, SimEngine::Kernel);
-        for (fi, (g, k)) in graph.detection.iter().zip(&kernel.detection).enumerate() {
-            if g != k {
-                return Some(format!(
-                    "seq {what} fault {fi} ({}): graph={g:?} kernel={k:?}",
-                    g_universe.describe(fi)
-                ));
+                .expect("seq fault sim");
+            if let Some(d) =
+                diff_against_reference(&universe, &got, &reference[m], window, !collect)
+            {
+                return Some(format!("seq {model} {what} {d}"));
             }
-        }
-        if graph.syndromes != kernel.syndromes {
-            return Some(format!("seq {what}: syndrome streams diverge"));
-        }
-        if graph.stats.survivors != kernel.stats.survivors {
-            return Some(format!(
-                "seq {what}: survivor trajectories diverge (graph {:?} kernel {:?})",
-                graph.stats.survivors, kernel.stats.survivors
-            ));
         }
     }
     None
 }
 
-fn pair_kernel(seed: u64, max_gates: usize) -> Vec<Mismatch> {
+fn pair_fault(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     let mut out = Vec::new();
     let mut rng = rng_for(seed, 16);
     let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(60)).comb();
     let nl = random_netlist(&mut rng, &cfg);
-    if let Some(d) = kernel_comb_divergence(&nl, &nl, seed) {
+    if let Some(d) = fault_comb_divergence(&nl, &nl, seed) {
         out.push(Mismatch {
-            pair: "kernel",
+            pair: "fault",
             seed,
             detail: d,
         });
@@ -1079,9 +925,9 @@ fn pair_kernel(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(40));
     let cfg = cfg.seq(&mut rng);
     let nl = random_netlist(&mut rng, &cfg);
-    if let Some(d) = kernel_seq_divergence(&nl, &nl, seed) {
+    if let Some(d) = fault_seq_divergence(&nl, seed) {
         out.push(Mismatch {
-            pair: "kernel",
+            pair: "fault",
             seed,
             detail: d,
         });

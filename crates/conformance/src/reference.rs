@@ -10,7 +10,8 @@
 //! A single optional *forced net* mimics a stuck-at fault: after every
 //! sweep the forced value is re-asserted, which matches how the fault
 //! simulators inject at a site (the site's own gate function is ignored,
-//! its fanout sees the forced value).
+//! its fanout sees the forced value). A single optional *delayed net*
+//! mimics a gross-delay transition fault ([`RefMachine::delay`]).
 
 use std::collections::HashMap;
 
@@ -27,6 +28,17 @@ pub struct RefMachine<'a> {
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
     forced: Option<(NetId, bool)>,
+    delayed: Option<Delay>,
+    clocked: bool,
+}
+
+/// A gross-delay transition fault: the site's value one clock ago, as the
+/// faulty machine saw it.
+#[derive(Debug, Clone, Copy)]
+struct Delay {
+    net: NetId,
+    slow_to_rise: bool,
+    prev: bool,
 }
 
 impl<'a> RefMachine<'a> {
@@ -43,13 +55,20 @@ impl<'a> RefMachine<'a> {
             inputs: nl.primary_inputs(),
             outputs: nl.primary_outputs(),
             forced: None,
+            delayed: None,
+            clocked: false,
         }
     }
 
-    /// Clears all net values and DFF state (the forced net persists).
+    /// Clears all net values and DFF state, and restarts the clock count
+    /// a delayed net depends on (the forced and delayed nets persist).
     pub fn reset(&mut self) {
         self.values.iter_mut().for_each(|v| *v = false);
         self.dff_state.iter_mut().for_each(|v| *v = false);
+        self.clocked = false;
+        if let Some(d) = self.delayed.as_mut() {
+            d.prev = false;
+        }
     }
 
     /// Forces `net` to `value` (stuck-at injection).
@@ -60,6 +79,19 @@ impl<'a> RefMachine<'a> {
     /// Removes the forced net.
     pub fn clear_force(&mut self) {
         self.forced = None;
+    }
+
+    /// Delays `net` (transition-fault injection). Before the first
+    /// [`RefMachine::clock`] the net keeps its logic value; after it, a
+    /// slow-to-rise net reads `cur && prev` and a slow-to-fall net reads
+    /// `cur || prev`, where `prev` is the net's (faulty) value latched at
+    /// the last clock edge.
+    pub fn delay(&mut self, net: NetId, slow_to_rise: bool) {
+        self.delayed = Some(Delay {
+            net,
+            slow_to_rise,
+            prev: false,
+        });
     }
 
     /// Drives the primary inputs, port-declaration order.
@@ -117,6 +149,15 @@ impl<'a> RefMachine<'a> {
                         next = v;
                     }
                 }
+                if let Some(d) = self.delayed {
+                    if d.net.index() == id && self.clocked {
+                        next = if d.slow_to_rise {
+                            next && d.prev
+                        } else {
+                            next || d.prev
+                        };
+                    }
+                }
                 if next != self.values[id] {
                     self.values[id] = next;
                     changed = true;
@@ -129,8 +170,9 @@ impl<'a> RefMachine<'a> {
         unreachable!("combinational fixpoint did not converge");
     }
 
-    /// Clock edge: every DFF samples its `d` pin. Call [`settle`]
-    /// (`RefMachine::settle`) first so the sampled values are current.
+    /// Clock edge: every DFF samples its `d` pin, and a delayed net
+    /// latches its current value. Call [`settle`](RefMachine::settle)
+    /// first so the sampled values are current.
     pub fn clock(&mut self) {
         let next: Vec<bool> = self
             .dffs
@@ -138,6 +180,10 @@ impl<'a> RefMachine<'a> {
             .map(|d| self.values[self.nl.gate(*d).pins[0].index()])
             .collect();
         self.dff_state = next;
+        if let Some(d) = self.delayed.as_mut() {
+            d.prev = self.values[d.net.index()];
+        }
+        self.clocked = true;
     }
 
     /// Convenience: settle then clock.
@@ -202,6 +248,130 @@ mod tests {
         m.settle();
         // q is now 1 (xor of 1,0 sampled), so y = !(1 ^ 0) = 0.
         assert_eq!(m.outputs(), vec![false]);
+    }
+
+    /// Steps `m` through `inputs` (one row per cycle) and returns the value
+    /// of `net` after each settle.
+    fn trace(m: &mut RefMachine<'_>, net: NetId, inputs: &[[bool; 2]]) -> Vec<bool> {
+        inputs
+            .iter()
+            .map(|row| {
+                m.set_inputs(row);
+                m.settle();
+                let v = m.value(net);
+                m.clock();
+                v
+            })
+            .collect()
+    }
+
+    // Nets of `xor_with_ff`: a = 0 and b = 1 (inputs), x = 2 (Xor gate),
+    // q = 3 (DFF of x), y = 4 (Xnor of q and a, the output).
+    const A: NetId = NetId(0);
+    const X: NetId = NetId(2);
+    const Q: NetId = NetId(3);
+
+    #[test]
+    fn delayed_gate_passes_through_on_cycle_zero() {
+        let nl = xor_with_ff();
+        for slow_to_rise in [true, false] {
+            let mut m = RefMachine::new(&nl);
+            m.delay(X, slow_to_rise);
+            // x = a ^ b = 1 on cycle 0: no clock edge yet, so no history.
+            m.set_inputs(&[true, false]);
+            m.settle();
+            assert!(m.value(X), "slow_to_rise={slow_to_rise}");
+            // And 0 stays 0.
+            let mut m = RefMachine::new(&nl);
+            m.delay(X, slow_to_rise);
+            m.set_inputs(&[false, false]);
+            m.settle();
+            assert!(!m.value(X), "slow_to_rise={slow_to_rise}");
+        }
+    }
+
+    #[test]
+    fn slow_to_rise_gate_holds_zero_and_slow_to_fall_holds_one() {
+        let nl = xor_with_ff();
+        // x = a ^ b: 0, 1, 1, 0, 1 — one rise at cycle 1, one at cycle 4.
+        let rows = [
+            [false, false],
+            [true, false],
+            [false, true],
+            [true, true],
+            [true, false],
+        ];
+        let mut good = RefMachine::new(&nl);
+        assert_eq!(trace(&mut good, X, &rows), [false, true, true, false, true]);
+        // Slow-to-rise: cur && prev. Cycle 1 rises from a latched 0 and
+        // holds 0, and the faulty 0 it latches keeps the net low.
+        let mut str_ = RefMachine::new(&nl);
+        str_.delay(X, true);
+        assert_eq!(trace(&mut str_, X, &rows), [false; 5]);
+        // Slow-to-fall: cur || prev. Cycle 0 passes 0, cycle 1 rises
+        // freely, and the fall at cycle 3 holds the latched 1.
+        let mut stf = RefMachine::new(&nl);
+        stf.delay(X, false);
+        assert_eq!(trace(&mut stf, X, &rows), [false, true, true, true, true]);
+        // The delayed value is what the fanout sees: q samples x.
+        let mut stf = RefMachine::new(&nl);
+        stf.delay(X, false);
+        let q: Vec<bool> = rows
+            .iter()
+            .map(|row| {
+                stf.set_inputs(row);
+                stf.settle();
+                stf.clock();
+                stf.settle();
+                stf.value(Q)
+            })
+            .collect();
+        assert_eq!(q, [false, true, true, true, true]);
+    }
+
+    #[test]
+    fn delayed_input_and_dff_sites() {
+        let nl = xor_with_ff();
+        // Input site a: 1, 0, 1 with b = 0. Slow-to-fall holds the 1 at
+        // cycle 1; slow-to-rise passes cycle 0's 1, then sticks at the 0.
+        let rows = [[true, false], [false, false], [true, false]];
+        let mut stf = RefMachine::new(&nl);
+        stf.delay(A, false);
+        assert_eq!(trace(&mut stf, A, &rows), [true, true, true]);
+        let mut str_ = RefMachine::new(&nl);
+        str_.delay(A, true);
+        assert_eq!(trace(&mut str_, A, &rows), [true, false, false]);
+        // The input's fanout sees the delayed value: x = a ^ b.
+        let mut stf = RefMachine::new(&nl);
+        stf.delay(A, false);
+        assert_eq!(trace(&mut stf, X, &rows), [true, true, true]);
+
+        // DFF site q: x = 1, 1, 0, 0 makes good q = 0, 1, 1, 0.
+        let rows = [[true, false], [true, false], [false, false], [false, false]];
+        let mut good = RefMachine::new(&nl);
+        assert_eq!(trace(&mut good, Q, &rows), [false, true, true, false]);
+        // Slow-to-rise: q's rise at cycle 1 is held low, and stays low.
+        let mut str_ = RefMachine::new(&nl);
+        str_.delay(Q, true);
+        assert_eq!(trace(&mut str_, Q, &rows), [false, false, false, false]);
+        // Slow-to-fall: the rise passes, the fall at cycle 3 holds 1.
+        let mut stf = RefMachine::new(&nl);
+        stf.delay(Q, false);
+        assert_eq!(trace(&mut stf, Q, &rows), [false, true, true, true]);
+    }
+
+    #[test]
+    fn reset_restarts_the_delay_history() {
+        let nl = xor_with_ff();
+        let mut m = RefMachine::new(&nl);
+        m.delay(X, true);
+        assert_eq!(
+            trace(&mut m, X, &[[false, false], [true, false]]),
+            [false, false]
+        );
+        m.reset();
+        // After a reset cycle 0 passes through again.
+        assert_eq!(trace(&mut m, X, &[[true, false]]), [true]);
     }
 
     #[test]

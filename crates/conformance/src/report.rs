@@ -8,6 +8,8 @@ use std::fmt::Write as _;
 
 use soctest_netlist::{GateKind, NetId, Netlist, PortDir};
 
+use crate::campaign::CaseStudyLeg;
+
 /// One observed divergence between two engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mismatch {
@@ -36,13 +38,15 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders the `--report-on-failure` HTML triage page: one self-contained
-/// document with the run parameters and every mismatch grouped per engine
-/// pair, built on the obs report toolkit so it obeys the same
-/// no-external-reference guarantee as the campaign cockpit.
+/// document with the run parameters, every mismatch grouped per engine
+/// pair, and the case-study leg's mismatches, built on the obs report
+/// toolkit so it obeys the same no-external-reference guarantee as the
+/// campaign cockpit.
 pub fn render_html_report(
     seeds: u64,
     max_gates: usize,
     mismatches: &[Mismatch],
+    case_study: &CaseStudyLeg,
     dump_file: Option<&str>,
 ) -> String {
     use soctest_obs::report as html;
@@ -58,7 +62,10 @@ pub fn render_html_report(
     doc.add_section(
         "Overview",
         html::stat_tiles(&[
-            ("mismatches".into(), mismatches.len().to_string()),
+            (
+                "mismatches".into(),
+                (mismatches.len() + case_study.mismatches.len()).to_string(),
+            ),
             ("engine pairs hit".into(), pairs.len().to_string()),
             (
                 "minimized dump".into(),
@@ -75,6 +82,17 @@ pub fn render_html_report(
         doc.add_section(
             &format!("Pair: {pair}"),
             html::table(&["seed", "first divergence"], &rows),
+        );
+    }
+    if !case_study.mismatches.is_empty() {
+        let rows: Vec<Vec<String>> = case_study
+            .mismatches
+            .iter()
+            .map(|d| vec![d.clone()])
+            .collect();
+        doc.add_section(
+            "Case-study leg",
+            html::table(&["first divergence per campaign"], &rows),
         );
     }
     if let Some(f) = dump_file {
@@ -95,6 +113,7 @@ pub fn render_report(
     max_gates: usize,
     checked: &[(&'static str, u64)],
     mismatches: &[Mismatch],
+    case_study: &CaseStudyLeg,
     dump_file: Option<&str>,
 ) -> String {
     let mut s = String::new();
@@ -122,6 +141,21 @@ pub fn render_report(
         );
     }
     s.push_str("  ],\n");
+    let details: Vec<String> = case_study
+        .mismatches
+        .iter()
+        .map(|d| format!("\"{}\"", json_escape(d)))
+        .collect();
+    let _ = writeln!(
+        s,
+        "  \"case_study\": {{\"patterns\": {}, \"faults\": {}, \"campaigns\": {}, \
+         \"mismatch_count\": {}, \"mismatches\": [{}]}},",
+        case_study.patterns,
+        case_study.faults,
+        case_study.campaigns,
+        case_study.mismatches.len(),
+        details.join(", ")
+    );
     match dump_file {
         Some(f) => {
             let _ = writeln!(s, "  \"minimized_netlist\": \"{}\"", json_escape(f));
@@ -289,10 +323,18 @@ mod tests {
                 detail: "detection count 4 vs 5".into(),
             },
         ];
-        let html = render_html_report(25, 120, &mismatches, Some("difftest_min_seed7.nl"));
+        let leg = CaseStudyLeg {
+            patterns: 64,
+            faults: 10,
+            campaigns: 6,
+            mismatches: vec!["CONTROL_UNIT stuck-at misr: fault 3".into()],
+        };
+        let html = render_html_report(25, 120, &mismatches, &leg, Some("difftest_min_seed7.nl"));
         assert!(soctest_obs::report::is_self_contained(&html));
         assert!(html.contains("Pair: sim"));
         assert!(html.contains("Pair: fault"));
+        assert!(html.contains("Case-study leg"));
+        assert!(html.contains("CONTROL_UNIT stuck-at misr"));
         assert!(html.contains("&lt;&amp;&gt;"), "details are escaped");
         assert!(html.contains("difftest_min_seed7.nl"));
     }
@@ -341,6 +383,12 @@ mod tests {
 
     #[test]
     fn report_is_plausible_json() {
+        let leg = CaseStudyLeg {
+            patterns: 64,
+            faults: 12,
+            campaigns: 6,
+            mismatches: Vec::new(),
+        };
         let r = render_report(
             5,
             80,
@@ -350,10 +398,18 @@ mod tests {
                 seed: 3,
                 detail: "lane 0 \"quote\"".into(),
             }],
+            &leg,
             Some("min.nl"),
         );
         assert!(r.contains("\"mismatch_count\": 1"));
         assert!(r.contains("\\\"quote\\\""));
         assert!(r.starts_with('{') && r.trim_end().ends_with('}'));
+        let doc = soctest_obs::json::parse(&r).expect("report parses as JSON");
+        let leg = doc.get("case_study").expect("case-study object");
+        assert_eq!(leg.get("faults").and_then(|v| v.as_f64()), Some(12.0));
+        assert_eq!(
+            leg.get("mismatch_count").and_then(|v| v.as_f64()),
+            Some(0.0)
+        );
     }
 }

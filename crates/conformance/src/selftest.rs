@@ -4,16 +4,17 @@
 //! that works. Each self-test run draws a random combinational netlist,
 //! flips the polarity of one primary-output driver (And↔Nand, Xor↔Xnor,
 //! Buf↔Not, …) via [`soctest_netlist::Netlist::set_gate_kind`], and runs
-//! the sim-vs-reference differential with the mutant on the simulator
-//! side. The mutation inverts that output on *every* input vector, so a
-//! healthy harness must flag it on the first compared pattern — 100%
-//! detection is a hard requirement, not a statistical target.
+//! the sim-vs-reference and fault-vs-reference differentials with the
+//! mutant on the simulator side. The mutation inverts that output on
+//! *every* input vector, so a healthy harness must flag it on the first
+//! compared pattern — 100% detection is a hard requirement, not a
+//! statistical target.
 
 use soctest_netlist::{GateKind, NetId, Netlist};
 use soctest_prng::SplitMix64;
 
 use crate::generator::{inverted_kind, random_netlist, GeneratorConfig};
-use crate::pairs::{comb_divergence, kernel_comb_divergence};
+use crate::pairs::{comb_divergence, fault_comb_divergence};
 
 /// The result of one mutation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,15 +56,14 @@ pub fn mutation_self_test(seed: u64, max_gates: usize) -> MutationOutcome {
     }
 }
 
-/// Mutation self-test for the `kernel` pair: the graph engine simulates
-/// the original netlist, the compiled kernel simulates the mutant, and
-/// the differential must fire. The inverted output driver flips a primary
-/// output on every pattern, so the two engines' good machines (and with
-/// them every detection decision) disagree immediately — unless the pair
-/// harness itself is broken.
-pub fn kernel_mutation_self_test(seed: u64, max_gates: usize) -> MutationOutcome {
+/// Mutation self-test for the `fault` pair: the reference simulates the
+/// original netlist, the compiled fault simulator the mutant, and the
+/// differential must fire. The inverted output driver flips a primary
+/// output on every pattern, so the kernel's good machine disagrees with
+/// the reference immediately — unless the pair harness itself is broken.
+pub fn fault_mutation_self_test(seed: u64, max_gates: usize) -> MutationOutcome {
     let (original, mutant, site) = mutant_pair(seed, max_gates);
-    let detected = kernel_comb_divergence(&original, &mutant, seed).is_some();
+    let detected = fault_comb_divergence(&original, &mutant, seed).is_some();
     MutationOutcome {
         seed,
         site,
@@ -98,22 +98,22 @@ mod tests {
     }
 
     #[test]
-    fn every_injected_mutation_trips_the_kernel_pair() {
+    fn every_injected_mutation_trips_the_fault_pair() {
         for seed in 0..15u64 {
-            let outcome = kernel_mutation_self_test(seed, 80);
+            let outcome = fault_mutation_self_test(seed, 80);
             assert!(
                 outcome.detected,
-                "seed {seed}: {:?}→{:?} at {:?} slipped through the kernel pair",
+                "seed {seed}: {:?}→{:?} at {:?} slipped through the fault pair",
                 outcome.original, outcome.mutated, outcome.site
             );
         }
     }
 
     #[test]
-    fn unmutated_netlists_are_clean_under_the_kernel_pair() {
+    fn unmutated_netlists_are_clean_under_the_fault_pair() {
         for seed in 0..6u64 {
             let (original, _, _) = mutant_pair(seed, 80);
-            assert_eq!(kernel_comb_divergence(&original, &original, seed), None);
+            assert_eq!(fault_comb_divergence(&original, &original, seed), None);
         }
     }
 }

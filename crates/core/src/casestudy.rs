@@ -610,7 +610,7 @@ impl CaseStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctest_sim::SeqSim;
+    use soctest_sim::KernelSim;
 
     #[test]
     fn spec_matches_the_paper() {
@@ -651,18 +651,18 @@ mod tests {
     fn assemble_plain_levelizes_and_simulates() {
         let case = CaseStudy::paper().unwrap();
         let top = case.assemble(false).unwrap();
-        let mut sim = SeqSim::new(&top).unwrap();
-        sim.drive_port("llr_in", 5);
-        sim.drive_port("clr", 0);
-        sim.drive_port("start", 1);
-        sim.drive_port("step_en", 1);
-        sim.drive_port("n_edges", 3);
-        sim.drive_port("max_iter", 1);
+        let mut sim = KernelSim::new(&top).unwrap();
+        sim.drive_port(&top, "llr_in", 5);
+        sim.drive_port(&top, "clr", 0);
+        sim.drive_port(&top, "start", 1);
+        sim.drive_port(&top, "step_en", 1);
+        sim.drive_port(&top, "n_edges", 3);
+        sim.drive_port(&top, "max_iter", 1);
         for _ in 0..20 {
             sim.step();
         }
         sim.eval_comb();
-        assert!(sim.read_port_lane("iter_out", 0).is_some());
+        assert!(sim.read_port_lane(&top, "iter_out", 0).is_some());
     }
 
     #[test]
@@ -670,25 +670,25 @@ mod tests {
         let case = CaseStudy::paper().unwrap();
         let top = case.assemble(true).unwrap();
         let run = |npat: u64| {
-            let mut sim = SeqSim::new(&top).unwrap();
-            sim.drive_port("bist_rst", 0);
-            sim.drive_port("bist_npat", npat);
-            sim.drive_port("bist_sel", 0);
-            sim.drive_port("clr", 0);
-            sim.drive_port("bist_start", 1);
+            let mut sim = KernelSim::new(&top).unwrap();
+            sim.drive_port(&top, "bist_rst", 0);
+            sim.drive_port(&top, "bist_npat", npat);
+            sim.drive_port(&top, "bist_sel", 0);
+            sim.drive_port(&top, "clr", 0);
+            sim.drive_port(&top, "bist_start", 1);
             sim.step();
-            sim.drive_port("bist_start", 0);
+            sim.drive_port(&top, "bist_start", 0);
             let mut guard = 0;
             loop {
                 sim.eval_comb();
-                if sim.read_port_lane("bist_end", 0) == Some(1) {
+                if sim.read_port_lane(&top, "bist_end", 0) == Some(1) {
                     break;
                 }
                 sim.step();
                 guard += 1;
                 assert!(guard < npat + 10, "session must terminate");
             }
-            sim.read_port_lane("bist_out", 0).unwrap()
+            sim.read_port_lane(&top, "bist_out", 0).unwrap()
         };
         let sig_a = run(64);
         let sig_b = run(64);

@@ -1,21 +1,20 @@
-//! Compiled-kernel PPSFP path for [`CombFaultSim`].
+//! Compiled-kernel PPSFP body of [`CombFaultSim`].
 //!
-//! The kernel path widens the good machine to [`LANE_WORDS`] pattern
-//! blocks per pass (256 lanes) via [`CompiledNetlist::eval_wide`], then
-//! replaces the per-fault event-driven graph walk with a **cone-of-influence
-//! sweep**: the compile-time cone table gives every gate the fault site can
-//! possibly disturb, and the sweep re-evaluates only those gates — in
-//! schedule order, reading undisturbed pins straight out of the cached good
-//! vector, and stamping a gate only when its faulty output actually deviates.
-//! Gates whose pins are all undisturbed are skipped without evaluation, so
-//! per-fault cost tracks the deviated frontier, not the cone size.
+//! The good machine is widened to [`LANE_WORDS`] pattern blocks per pass
+//! (256 lanes) via [`CompiledNetlist::eval_wide`]; each fault is then
+//! simulated by a **cone-of-influence sweep**: the compile-time cone table
+//! gives every gate the fault site can possibly disturb, and the sweep
+//! re-evaluates only those gates — in schedule order, reading undisturbed
+//! pins straight out of the cached good vector, and stamping a gate only
+//! when its faulty output actually deviates. Gates whose pins are all
+//! undisturbed are skipped without evaluation, so per-fault cost tracks the
+//! deviated frontier, not the cone size.
 //!
-//! Bit-identity with the graph path ([`CombFaultSim::run_graph`]) is by
-//! construction: the per-word bookkeeping below replays the reference's
-//! per-block order exactly — same skip rule, same propagation counting,
-//! same first-detection index, same canonical syndrome-event order, and the
-//! same per-block window trace. The contract is pinned by the `kernel`
-//! conformance pair and the equivalence asserts in `repro --bench-faultsim`.
+//! The bookkeeping is per 64-pattern block, word by word: one propagation
+//! pass counted per excited block, first detection at the lowest absolute
+//! pattern index, syndrome events in canonical (pattern, output) order, and
+//! one window trace event per block. The `fault` conformance pair pins
+//! detections and syndromes against the naive reference interpreter.
 
 use std::time::Instant;
 
@@ -46,9 +45,8 @@ impl ConeScratch {
 }
 
 impl CombFaultSim<'_> {
-    /// The kernel-engine body of [`CombFaultSim::run`]; same protocol and
-    /// bit-identical results to [`CombFaultSim::run_graph`].
-    pub(crate) fn run_kernel(
+    /// Simulates one pattern batch, carrying `campaign` forward.
+    pub(crate) fn run(
         &self,
         patterns: &PatternSet,
         transition: Option<&[(NetId, NetId)]>,
@@ -149,8 +147,8 @@ impl CombFaultSim<'_> {
                     &mut scratches[0],
                 )
             } else {
-                // Same contiguous sharding as the graph path: disjoint
-                // detection/syndrome slots per worker, deterministic sum.
+                // Contiguous sharding: disjoint detection/syndrome slots
+                // per worker, deterministic sum.
                 let shard = faults.len().div_ceil(nthreads);
                 let kernel_ref = &kernel;
                 let values_ref: &[u64] = &values;
@@ -198,7 +196,7 @@ impl CombFaultSim<'_> {
             let _p = self.profile.scope("merge");
             campaign.stats.faulty_cycles += propagations;
 
-            // Replay the reference's per-block window trace. The survivor
+            // One window trace event per 64-pattern block. The survivor
             // count after block `b` is recoverable from the final detection
             // array because detection indices are absolute: a fault still
             // survives block `b` iff it is undetected or first detected at
@@ -237,10 +235,9 @@ impl CombFaultSim<'_> {
 }
 
 /// Simulates one [`LANE_WORDS`]-block group for a contiguous shard of
-/// faults via the cone-of-influence sweep. Word `w` of the group replays
-/// block `b0 + w` of the reference exactly; returns the propagation count
-/// (the faulty-machine work counter, word-sequentially accounted like the
-/// reference's per-block passes).
+/// faults via the cone-of-influence sweep. Word `w` of the group is block
+/// `b0 + w`; returns the propagation count (the faulty-machine work
+/// counter: one pass per excited block, accounted word by word).
 #[allow(clippy::too_many_arguments)]
 fn simulate_group(
     kernel: &CompiledNetlist,
@@ -337,8 +334,8 @@ fn simulate_group(
             }
         }
 
-        // Observation: only stamped nets can deviate; `oi` order matches
-        // the reference's deviation list.
+        // Observation: only stamped nets can deviate; deviations are
+        // listed in `oi` order.
         let mut det = [0u64; W];
         devs.clear();
         for (oi, &o) in obs.iter().enumerate() {
@@ -362,10 +359,10 @@ fn simulate_group(
             }
         }
 
-        // Word-sequential bookkeeping replays the reference's per-block
-        // order: the skip rule sees detections from earlier words, the
-        // propagation counter matches pass-for-pass, and syndrome events
-        // stream in canonical (absolute pattern, output) order.
+        // Word-sequential bookkeeping keeps the per-block order: the skip
+        // rule sees detections from earlier words, the propagation counter
+        // counts one pass per excited block, and syndrome events stream in
+        // canonical (absolute pattern, output) order.
         for k in 0..gw {
             if detection[fi].is_some() && !collect {
                 continue;

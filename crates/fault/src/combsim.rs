@@ -2,24 +2,18 @@
 //! event-driven forward propagation) — the engine behind the full-scan
 //! baseline of Table 3.
 //!
-//! The good machine is evaluated once per 64-pattern block; the per-fault
-//! excite/propagate loop is then sharded across worker threads
-//! ([`ParallelPolicy`]), each with its own [`Propagator`] scratchpad.
-//! Shards are contiguous fault ranges, every fault sees the blocks in
-//! order, and detection/syndrome slots are disjoint per shard, so the
-//! parallel run is bit-identical to the serial one (first detection =
-//! lowest absolute pattern index).
+//! The good machine is evaluated once per group of 64-pattern blocks on the
+//! compiled kernel (see `combkernel`); the per-fault excite/propagate loop
+//! is then sharded across worker threads ([`ParallelPolicy`]), each with
+//! its own scratchpad. Shards are contiguous fault ranges, every fault sees
+//! the blocks in order, and detection/syndrome slots are disjoint per
+//! shard, so the parallel run is bit-identical to the serial one (first
+//! detection = lowest absolute pattern index).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::time::Instant;
+use soctest_netlist::{NetId, NetlistError};
+use soctest_obs::{ProfileHandle, TraceHandle};
 
-use soctest_netlist::{GateKind, NetId, Netlist, NetlistError};
-use soctest_obs::{ProfileHandle, TraceEvent, TraceHandle};
-
-use crate::{
-    FaultKind, FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, SimEngine, Syndrome,
-};
+use crate::{FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, Syndrome};
 
 /// A set of input patterns for a combinational view, stored bit-parallel:
 /// 64 patterns per block, one word per input position.
@@ -176,7 +170,6 @@ pub struct CombFaultSim<'a> {
     pub(crate) parallel: ParallelPolicy,
     pub(crate) trace: TraceHandle,
     pub(crate) profile: ProfileHandle,
-    pub(crate) engine: SimEngine,
 }
 
 impl<'a> CombFaultSim<'a> {
@@ -188,14 +181,7 @@ impl<'a> CombFaultSim<'a> {
             parallel: ParallelPolicy::default(),
             trace: TraceHandle::none(),
             profile: ProfileHandle::none(),
-            engine: SimEngine::default(),
         }
-    }
-
-    /// Selects the execution engine (default: [`SimEngine::Kernel`]).
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Attaches a trace handle: one `FaultSimWindow` event per 64-pattern
@@ -306,183 +292,7 @@ impl<'a> CombFaultSim<'a> {
         self.run(patterns, Some(state_map), campaign)
     }
 
-    fn run(
-        &self,
-        patterns: &PatternSet,
-        transition: Option<&[(NetId, NetId)]>,
-        campaign: &mut CombCampaign,
-    ) -> Result<(), NetlistError> {
-        match self.engine {
-            SimEngine::Kernel => self.run_kernel(patterns, transition, campaign),
-            SimEngine::Graph => self.run_graph(patterns, transition, campaign),
-        }
-    }
-
-    fn run_graph(
-        &self,
-        patterns: &PatternSet,
-        transition: Option<&[(NetId, NetId)]>,
-        campaign: &mut CombCampaign,
-    ) -> Result<(), NetlistError> {
-        let start = Instant::now();
-        let view = self.universe.view();
-        let faults = self.universe.faults();
-        let pis = view.primary_inputs();
-        assert_eq!(
-            patterns.width(),
-            pis.len(),
-            "pattern width must match the view's primary-input count"
-        );
-        assert_eq!(
-            campaign.detection.len(),
-            faults.len(),
-            "campaign state size"
-        );
-        let order = view.levelize()?;
-        let mut pos = vec![0u32; view.len()];
-        for (i, &id) in order.iter().enumerate() {
-            pos[id.index()] = i as u32 + 1;
-        }
-        let fanouts = view.fanouts();
-        let obs = self.universe.observe_nets();
-
-        let mut values = vec![0u64; view.len()];
-        for (id, gate) in view.iter() {
-            if gate.kind == GateKind::Const1 {
-                values[id.index()] = u64::MAX;
-            }
-        }
-        let mut launch = vec![0u64; view.len()];
-
-        let nthreads = self.parallel.workers_for(faults.len());
-        campaign.stats.threads = nthreads;
-        let collect = self.collect_syndromes;
-        let offset = campaign.applied;
-
-        let mut scratches: Vec<Propagator> =
-            (0..nthreads).map(|_| Propagator::new(view.len())).collect();
-        let mut empty_syndromes: Vec<Syndrome> = Vec::new();
-
-        let (good0, faulty0, windows0) = (
-            campaign.stats.good_cycles,
-            campaign.stats.faulty_cycles,
-            campaign.stats.windows,
-        );
-        for (b, block) in patterns.blocks().iter().enumerate() {
-            let mask = patterns.lane_mask(b);
-            let base = offset + b as u64 * 64;
-            {
-                // Good evaluation (launch pass for transition mode).
-                let _p = self.profile.scope("good_trace");
-                for (i, &pi) in pis.iter().enumerate() {
-                    values[pi.index()] = block[i];
-                }
-                eval_all(view, &order, &mut values);
-                campaign.stats.good_cycles += 1;
-                if let Some(map) = transition {
-                    launch.copy_from_slice(&values);
-                    for &(ppi, ppo) in map {
-                        values[ppi.index()] = launch[ppo.index()];
-                    }
-                    eval_all(view, &order, &mut values);
-                    campaign.stats.good_cycles += 1;
-                }
-            }
-
-            let eval_scope = self.profile.scope("chunk_eval");
-            let syndromes: &mut [Syndrome] = match campaign.syndromes.as_mut() {
-                Some(s) => s,
-                None => &mut empty_syndromes,
-            };
-            let propagations = if nthreads == 1 {
-                simulate_block(
-                    view,
-                    &pos,
-                    &fanouts,
-                    obs,
-                    faults,
-                    &values,
-                    &launch,
-                    mask,
-                    base,
-                    &mut campaign.detection,
-                    syndromes,
-                    collect,
-                    &mut scratches[0],
-                )
-            } else {
-                // Shard the fault range contiguously; detection/syndrome
-                // slots are disjoint per shard, so workers write directly.
-                let shard = faults.len().div_ceil(nthreads);
-                let values_ref: &[u64] = &values;
-                let launch_ref: &[u64] = &launch;
-                let fanouts_ref = &fanouts;
-                let pos_ref: &[u32] = &pos;
-                std::thread::scope(|s| {
-                    let mut handles = Vec::with_capacity(nthreads);
-                    let det_shards = campaign.detection.chunks_mut(shard);
-                    let mut syn_iter = if collect {
-                        Some(syndromes.chunks_mut(shard))
-                    } else {
-                        None
-                    };
-                    for ((t, det), scratch) in det_shards.enumerate().zip(scratches.iter_mut()) {
-                        let f0 = t * shard;
-                        let fault_shard = &faults[f0..(f0 + det.len())];
-                        let syn_shard: &mut [Syndrome] = match syn_iter.as_mut() {
-                            Some(it) => it.next().expect("syndromes shard"),
-                            None => &mut [],
-                        };
-                        handles.push(s.spawn(move || {
-                            simulate_block(
-                                view,
-                                pos_ref,
-                                fanouts_ref,
-                                obs,
-                                fault_shard,
-                                values_ref,
-                                launch_ref,
-                                mask,
-                                base,
-                                det,
-                                syn_shard,
-                                collect,
-                                scratch,
-                            )
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fault-sim worker panicked"))
-                        .sum::<u64>()
-                })
-            };
-            drop(eval_scope);
-            let _p = self.profile.scope("merge");
-            campaign.stats.faulty_cycles += propagations;
-            let survivors = campaign.detection.iter().filter(|d| d.is_none()).count();
-            self.trace.emit(
-                base + u64::from(mask.count_ones()),
-                TraceEvent::FaultSimWindow {
-                    index: campaign.stats.windows,
-                    start_cycle: base,
-                    length: u64::from(mask.count_ones()),
-                    chunks: nthreads as u64,
-                    survivors: survivors as u64,
-                },
-            );
-            campaign.stats.windows += 1;
-            campaign.stats.survivors.push(survivors);
-        }
-
-        self.count_profile(campaign, good0, faulty0, windows0);
-        campaign.applied += patterns.len() as u64;
-        campaign.stats.wall += start.elapsed();
-        Ok(())
-    }
-
-    /// Folds this run's scheduling-counter deltas into the profiler
-    /// (shared by the graph and kernel paths).
+    /// Folds this run's scheduling-counter deltas into the profiler.
     pub(crate) fn count_profile(
         &self,
         campaign: &CombCampaign,
@@ -503,188 +313,10 @@ impl<'a> CombFaultSim<'a> {
     }
 }
 
-/// Simulates one 64-pattern block for a contiguous shard of faults.
-/// `detection[i]`/`syndromes[i]` correspond to `faults[i]`; `base` is the
-/// absolute pattern index of lane 0. Returns the number of propagation
-/// passes performed (the faulty-machine work counter).
-#[allow(clippy::too_many_arguments)]
-fn simulate_block(
-    view: &Netlist,
-    pos: &[u32],
-    fanouts: &[Vec<(NetId, u8)>],
-    obs: &[NetId],
-    faults: &[crate::Fault],
-    values: &[u64],
-    launch: &[u64],
-    mask: u64,
-    base: u64,
-    detection: &mut [Option<u64>],
-    syndromes: &mut [Syndrome],
-    collect: bool,
-    scratch: &mut Propagator,
-) -> u64 {
-    let mut propagations = 0u64;
-    for (fi, fault) in faults.iter().enumerate() {
-        if detection[fi].is_some() && !collect {
-            continue;
-        }
-        let site = fault.net;
-        let good = values[site.index()];
-        let faulty = match fault.kind {
-            FaultKind::Sa0 => 0,
-            FaultKind::Sa1 => u64::MAX,
-            // Excited where launch=0 and capture=1; holds the launch 0.
-            FaultKind::SlowToRise => good & launch[site.index()],
-            FaultKind::SlowToFall => good | launch[site.index()],
-        };
-        let excite = (good ^ faulty) & mask;
-        if excite == 0 {
-            continue;
-        }
-        propagations += 1;
-        let det = scratch.propagate(
-            view,
-            pos,
-            fanouts,
-            values,
-            site,
-            faulty,
-            obs,
-            mask,
-            if collect {
-                Some((&mut syndromes[fi], base))
-            } else {
-                None
-            },
-        );
-        if det != 0 && detection[fi].is_none() {
-            let lane = det.trailing_zeros() as u64;
-            detection[fi] = Some(base + lane);
-        }
-    }
-    propagations
-}
-
-fn eval_all(view: &Netlist, order: &[NetId], values: &mut [u64]) {
-    let mut pins = [0u64; 3];
-    for &id in order {
-        let gate = view.gate(id);
-        for (i, &p) in gate.pins.iter().enumerate() {
-            pins[i] = values[p.index()];
-        }
-        values[id.index()] = gate.kind.eval_word(&pins[..gate.pins.len()]);
-    }
-}
-
-/// Event-driven single-fault forward propagation scratchpad.
-#[derive(Debug)]
-struct Propagator {
-    delta: HashMap<u32, u64>,
-    visited: Vec<bool>,
-    touched: Vec<u32>,
-    queue: BinaryHeap<Reverse<(u32, u32)>>,
-}
-
-impl Propagator {
-    fn new(nets: usize) -> Self {
-        Propagator {
-            delta: HashMap::new(),
-            visited: vec![false; nets],
-            touched: Vec::new(),
-            queue: BinaryHeap::new(),
-        }
-    }
-
-    /// Propagates a faulty word at `site` forward; returns the lane mask of
-    /// patterns whose deviation reaches an observation net. Syndrome events
-    /// are recorded as `(base + lane, output)` — absolute pattern indices.
-    #[allow(clippy::too_many_arguments)]
-    fn propagate(
-        &mut self,
-        view: &Netlist,
-        pos: &[u32],
-        fanouts: &[Vec<(NetId, u8)>],
-        good: &[u64],
-        site: NetId,
-        faulty: u64,
-        obs: &[NetId],
-        mask: u64,
-        mut syndrome: Option<(&mut Syndrome, u64)>,
-    ) -> u64 {
-        self.delta.clear();
-        for &t in &self.touched {
-            self.visited[t as usize] = false;
-        }
-        self.touched.clear();
-        self.queue.clear();
-
-        self.delta.insert(site.0, faulty);
-        for &(sink, _) in &fanouts[site.index()] {
-            self.enqueue(sink, pos);
-        }
-        let mut pins = [0u64; 3];
-        while let Some(Reverse((_, net))) = self.queue.pop() {
-            let id = NetId(net);
-            let gate = view.gate(id);
-            if gate.kind.is_source() {
-                continue;
-            }
-            for (i, &p) in gate.pins.iter().enumerate() {
-                pins[i] = *self.delta.get(&p.0).unwrap_or(&good[p.index()]);
-            }
-            let w = gate.kind.eval_word(&pins[..gate.pins.len()]);
-            if w != good[id.index()] {
-                self.delta.insert(net, w);
-                for &(sink, _) in &fanouts[id.index()] {
-                    self.enqueue(sink, pos);
-                }
-            }
-        }
-
-        let mut detected = 0u64;
-        let mut devs: Vec<(u64, u64)> = Vec::new();
-        for (oi, &o) in obs.iter().enumerate() {
-            if let Some(&w) = self.delta.get(&o.0) {
-                let diff = (w ^ good[o.index()]) & mask;
-                if diff != 0 {
-                    detected |= diff;
-                    if syndrome.is_some() {
-                        devs.push((oi as u64, diff));
-                    }
-                }
-            }
-        }
-        if let Some((syn, base)) = syndrome.as_mut() {
-            // One event per deviating pattern and output, in canonical
-            // (absolute pattern, output) order so a campaign split into
-            // arbitrary batches streams the events identically.
-            let mut lanes = detected;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as u64;
-                lanes &= lanes - 1;
-                for &(oi, diff) in &devs {
-                    if (diff >> lane) & 1 == 1 {
-                        syn.record(*base + lane, oi);
-                    }
-                }
-            }
-        }
-        detected
-    }
-
-    fn enqueue(&mut self, sink: NetId, pos: &[u32]) {
-        if !self.visited[sink.index()] {
-            self.visited[sink.index()] = true;
-            self.touched.push(sink.0);
-            self.queue.push(Reverse((pos[sink.index()], sink.0)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctest_netlist::ModuleBuilder;
+    use soctest_netlist::{ModuleBuilder, Netlist};
 
     /// A redundancy-free full adder: every collapsed fault is testable.
     fn comb_block() -> Netlist {

@@ -8,21 +8,24 @@
 //!   gross-delay transition faults ([`SlowToRise`]/[`SlowToFall`]), placed on
 //!   every stem and every fanout branch ([`FaultUniverse`]);
 //! * **Structural equivalence collapsing** with the classic gate rules;
-//! * A **parallel-fault sequential fault simulator** ([`SeqFaultSim`]): the
-//!   good machine and up to 63 faulty machines run in the 64 lanes of the
-//!   bit-parallel [`soctest_sim`] kernel, with windowed simulation, fault
+//! * A **parallel-fault sequential fault simulator** ([`SeqFaultSim`]): up
+//!   to 64 faulty machines share the lanes of one word over the compiled
+//!   netlist kernel ([`soctest_netlist::CompiledNetlist`]), replayed against
+//!   a once-per-window good-machine trace, with windowed simulation, fault
 //!   dropping and survivor repacking — this is what evaluates the BIST runs
 //!   of Table 3;
 //! * A **PPSFP combinational fault simulator** ([`CombFaultSim`]) for the
-//!   full-scan baseline (64 patterns per pass, single-fault forward
-//!   propagation);
+//!   full-scan baseline (256 patterns per kernel pass, single-fault
+//!   cone-of-influence propagation);
 //! * **Diagnosis**: per-fault syndromes, the diagnostic matrix, and
 //!   equivalent-fault-class statistics (max/median class size — Table 5).
 //!
 //! Both simulators shard their per-fault hot loop across a scoped worker
 //! pool ([`ParallelPolicy`], std-only) with a deterministic merge: a run
 //! with `threads: N` is bit-identical to `threads: 1`. Scheduling counters
-//! are reported per campaign via [`FaultSimStats`].
+//! are reported per campaign via [`FaultSimStats`]. Their results are
+//! pinned against a naive one-machine-per-fault reference interpreter in
+//! `soctest-conformance`.
 //!
 //! [`Sa1`]: FaultKind::Sa1
 //! [`SlowToRise`]: FaultKind::SlowToRise
@@ -58,7 +61,6 @@
 mod combkernel;
 mod combsim;
 mod diagnosis;
-mod engine;
 mod model;
 mod par;
 mod report;
@@ -69,7 +71,6 @@ mod universe;
 
 pub use combsim::{CombCampaign, CombFaultSim, PatternSet};
 pub use diagnosis::{DiagnosticMatrix, EquivalentClassStats, Syndrome};
-pub use engine::SimEngine;
 pub use model::{Fault, FaultKind};
 pub use par::ParallelPolicy;
 pub use report::{FaultSimResult, FaultSimStats};

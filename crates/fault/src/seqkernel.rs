@@ -1,16 +1,15 @@
 //! Compiled-kernel window engine for [`crate::SeqFaultSim`].
 //!
-//! [`KernelEngine`] executes the same window protocol as the graph-walking
-//! reference (`GraphEngine` in `seqsim`) on top of the flattened
-//! [`CompiledNetlist`] schedule, with one key optimization: **incremental
-//! re-evaluation against the cached good trace**. The good pass records the
-//! broadcast value of *every* net at *every* cycle of the window; each
-//! 64-fault chunk then starts its cycle from that row (one `memcpy`) and
-//! sweeps only the gates that can actually deviate — seeded from the
-//! injection sites and from flip-flops whose lane word differs from the
-//! good machine, expanding along the kernel's scheduled fanout lists in
-//! topological order. Every net the sweep never touches holds the good
-//! value by construction.
+//! [`KernelEngine`] executes one window of the `seqsim` window loop on top
+//! of the flattened [`CompiledNetlist`] schedule, with one key
+//! optimization: **incremental re-evaluation against the cached good
+//! trace**. The good pass records the broadcast value of *every* net at
+//! *every* cycle of the window; each 64-fault chunk then starts its cycle
+//! from that row (one `memcpy`) and sweeps only the gates that can
+//! actually deviate — seeded from the injection sites and from flip-flops
+//! whose lane word differs from the good machine, expanding along the
+//! kernel's scheduled fanout lists in topological order. Every net the
+//! sweep never touches holds the good value by construction.
 //!
 //! Sequential state is tracked just as sparsely: a bitmap marks the
 //! deviating flip-flops, and the clock edge only visits flip-flops whose
@@ -20,10 +19,9 @@
 //! most faults early and surviving deviations are shallow, which is what
 //! makes this the fast path.
 //!
-//! The engine is bit-identical to the reference by construction (same
-//! injection semantics, same observation order, same merge order); the
-//! contract is pinned by the `kernel` conformance pair and the bench
-//! equivalence asserts in `repro --bench-faultsim`.
+//! The contract — detections, syndrome streams, and survivor trajectories
+//! — is pinned against the naive reference interpreter by the `fault`
+//! conformance pair and the case-study leg of `difftest`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,7 +29,7 @@ use std::sync::Arc;
 use soctest_netlist::CompiledNetlist;
 
 use crate::seqsim::{
-    apply, get_bit, set_bit, ActiveFault, ChunkOut, GoodTrace, InjEntry, WindowCtx, WindowEngine,
+    apply, get_bit, set_bit, ActiveFault, ChunkOut, GoodTrace, InjEntry, WindowCtx,
 };
 
 /// The compiled-kernel window engine (see the [module docs](self)).
@@ -42,9 +40,11 @@ pub(crate) struct KernelEngine {
 /// Per-worker scratch. `qdev` marks the flip-flops whose lane word
 /// currently deviates from the good machine; `qwords[j]` is only meaningful
 /// while bit `j` is set. `inj_mark` is stamped with `chunk_no` so it never
-/// needs clearing between chunks.
+/// needs clearing between chunks. `sampled` stages the good pass's `d`
+/// samples at each clock edge.
 pub(crate) struct KernelScratch {
     vals: Vec<u64>,
+    sampled: Vec<u64>,
     dev: Vec<u64>,
     stored: Vec<u32>,
     pending: Vec<u64>,
@@ -69,13 +69,13 @@ fn gbit(row: &[u64], net: usize) -> u64 {
     0u64.wrapping_sub((row[net / 64] >> (net % 64)) & 1)
 }
 
-impl WindowEngine for KernelEngine {
-    type Scratch = KernelScratch;
-
-    fn new_scratch(&self, ctx: &WindowCtx<'_>) -> KernelScratch {
+impl KernelEngine {
+    /// Allocates one worker's scratchpad, reused across windows and chunks.
+    pub(crate) fn new_scratch(&self, ctx: &WindowCtx<'_>) -> KernelScratch {
         let sched_words = self.kernel.ops().div_ceil(64).max(1);
         KernelScratch {
             vals: self.kernel.fresh_values(),
+            sampled: Vec::with_capacity(ctx.ndff),
             dev: vec![0u64; self.kernel.nets()],
             stored: Vec::new(),
             pending: vec![0u64; sched_words],
@@ -89,11 +89,12 @@ impl WindowEngine for KernelEngine {
         }
     }
 
-    /// The good pass on the flat schedule. Beyond what the graph engine
-    /// records, it captures the good value of every net at every cycle as
-    /// a packed per-cycle bitmap — small enough to stay cache-resident
-    /// while every chunk replays the window against it.
-    fn good_window(
+    /// Simulates the good machine alone over one window. Besides the MISR
+    /// signatures at read boundaries and the end-of-window state, it
+    /// captures the good value of every net at every cycle as a packed
+    /// per-cycle bitmap — small enough to stay cache-resident while every
+    /// chunk replays the window against it.
+    pub(crate) fn good_window(
         &self,
         ctx: &WindowCtx<'_>,
         good_state: &[u64],
@@ -104,14 +105,13 @@ impl WindowEngine for KernelEngine {
         let kernel = &*self.kernel;
         let net_words = kernel.nets().div_ceil(64).max(1);
         let mut trace = GoodTrace {
-            obs: Vec::new(),
-            obs_words: 0,
             sigs: Vec::new(),
             next_state: vec![0u64; good_state.len()],
             net_bits: vec![0u64; net_words * wlen as usize],
             net_words,
         };
         let values = &mut scratch.vals;
+        let sampled = &mut scratch.sampled;
 
         for (j, &q) in kernel.dff_q().iter().enumerate() {
             values[q as usize] = if get_bit(good_state, j) { u64::MAX } else { 0 };
@@ -125,7 +125,12 @@ impl WindowEngine for KernelEngine {
             w => (1u64 << w) - 1,
         };
         // Monotone read-index counter, seeded with the number of boundary
-        // reads before this window (see `seqsim::good_window`).
+        // reads strictly before this window (`t` is absolute, so earlier
+        // windows contributed exactly `window_start / read_every` reads;
+        // the forced off-boundary final read can only occur in the last
+        // window). Assigning indices sequentially instead of re-deriving
+        // `t / read_every` per read makes collisions between a boundary
+        // read and the forced final read structurally impossible.
         let mut read_idx = if ctx.misr_width == 0 {
             0
         } else {
@@ -133,8 +138,8 @@ impl WindowEngine for KernelEngine {
         };
 
         for t in window_start..window_start + wlen {
-            for (k, &pi) in ctx.pis.iter().enumerate() {
-                values[pi.index()] = if ctx.stim.get(t, k) { u64::MAX } else { 0 };
+            for (k, &pi) in kernel.pis().iter().enumerate() {
+                values[pi as usize] = if ctx.stim.get(t, k) { u64::MAX } else { 0 };
             }
             kernel.eval(values);
             let rel = (t - window_start) as usize;
@@ -161,8 +166,9 @@ impl WindowEngine for KernelEngine {
             }
             // Clock: stage every d sample before writing any q so chained
             // flip-flops see pre-edge values.
-            let sampled: Vec<u64> = kernel.dff_d().iter().map(|&d| values[d as usize]).collect();
-            for (&q, v) in kernel.dff_q().iter().zip(sampled) {
+            sampled.clear();
+            sampled.extend(kernel.dff_d().iter().map(|&d| values[d as usize]));
+            for (&q, &v) in kernel.dff_q().iter().zip(sampled.iter()) {
                 values[q as usize] = v;
             }
         }
@@ -180,7 +186,11 @@ impl WindowEngine for KernelEngine {
         trace
     }
 
-    fn run_chunk(
+    /// Simulates one 64-fault lane chunk over one window against the good
+    /// trace, updating the chunk's packed states in place and returning
+    /// its detections and syndrome events.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_chunk(
         &self,
         ctx: &WindowCtx<'_>,
         chunk: &mut [ActiveFault],
@@ -294,7 +304,7 @@ impl WindowEngine for KernelEngine {
                 }
             }
             // Source-site injections (primary inputs, flip-flop outputs,
-            // constants) — applied before the sweep, like the reference.
+            // constants) — applied before the sweep.
             for &net in &src_sites {
                 let n = net as usize;
                 let entries = inj.get_mut(&net).expect("registered");
@@ -357,8 +367,8 @@ impl WindowEngine for KernelEngine {
                 }
             }
 
-            // Observation. The obs loop runs in `oi` order, so event order
-            // matches the reference exactly.
+            // Observation. The obs loop runs in `oi` order, so events stream
+            // in (cycle, output) order per fault.
             if ctx.misr_width == 0 {
                 for (oi, &o) in ctx.obs.iter().enumerate() {
                     let on = o.index();

@@ -1,15 +1,15 @@
 //! Parallel-fault sequential fault simulation.
 //!
-//! Up to 64 faulty machines share the 64 lanes of the bit-parallel
-//! simulation kernel: lane *i* carries machine *i*'s deviation. All machines
-//! receive the same per-cycle stimulus — exactly the situation of a BIST
-//! run, where the pattern generator feeds every module one pattern per
-//! clock.
+//! Up to 64 faulty machines share the 64 lanes of a word: lane *i* carries
+//! machine *i*'s deviation. All machines receive the same per-cycle
+//! stimulus — exactly the situation of a BIST run, where the pattern
+//! generator feeds every module one pattern per clock.
 //!
-//! Simulation proceeds in *windows*: the good machine's trajectory over the
-//! window (observation values, MISR signatures at read boundaries, and the
-//! next flip-flop state) is computed **once**, then every 64-fault lane
-//! chunk is simulated against that trace. Chunks are independent, so they
+//! Simulation proceeds in *windows* on the compiled netlist kernel (see
+//! `seqkernel`): the good machine's trajectory over the window (every
+//! net's value per cycle, MISR signatures at read boundaries, and the next
+//! flip-flop state) is computed **once**, then every 64-fault lane chunk is
+//! simulated against that trace. Chunks are independent, so they
 //! are sharded across a scoped worker pool ([`ParallelPolicy`]); per-chunk
 //! detections and syndrome events are merged in chunk order, which makes a
 //! `threads: N` run bit-identical to `threads: 1`. After each window,
@@ -19,17 +19,16 @@
 //! Random patterns detect most faults early, so the survivor tail is short
 //! and the windowed schedule approaches good-machine-only cost.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use soctest_netlist::{GateKind, NetId, Netlist, NetlistError};
+use soctest_netlist::{NetId, NetlistError};
 use soctest_obs::{ProfileHandle, TraceEvent, TraceHandle};
 
 use crate::seqkernel::KernelEngine;
 use crate::stimulus::StimulusMatrix;
 use crate::{
     Fault, FaultKind, FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, SeqStimulus,
-    SimEngine, Syndrome,
+    Syndrome,
 };
 
 /// How fault effects are observed.
@@ -39,8 +38,6 @@ pub enum ObserveMode {
     /// to the good machine every cycle — the ideal "fault simulator tool"
     /// view used for the paper's coverage figures.
     Outputs,
-    /// Compare an explicit set of nets every cycle.
-    Nets(Vec<NetId>),
     /// Compact the observation nets into a multiple-input signature
     /// register and compare *signatures* at read boundaries only. This
     /// models the BIST Result Collector, including aliasing.
@@ -97,9 +94,6 @@ pub struct SeqFaultSimConfig {
     /// phase attribution plus cycle counters, recorded from the
     /// coordinating thread (disabled by default).
     pub profile: ProfileHandle,
-    /// Execution engine (default: the compiled SoA kernel; the graph
-    /// walker remains available as the conformance oracle).
-    pub engine: SimEngine,
 }
 
 impl Default for SeqFaultSimConfig {
@@ -111,7 +105,6 @@ impl Default for SeqFaultSimConfig {
             parallel: ParallelPolicy::default(),
             trace: TraceHandle::none(),
             profile: ProfileHandle::none(),
-            engine: SimEngine::default(),
         }
     }
 }
@@ -143,11 +136,6 @@ pub(crate) struct InjEntry {
 /// The good machine's trajectory over one window, computed once and shared
 /// (read-only) by every fault chunk.
 pub(crate) struct GoodTrace {
-    /// Packed observation values: bit `oi` of cycle `t` (window-relative)
-    /// lives at word `t * obs_words + oi / 64`. Empty in MISR mode and
-    /// under the kernel engine (which reads `net_bits` instead).
-    pub(crate) obs: Vec<u64>,
-    pub(crate) obs_words: usize,
     /// Good MISR signature at each read boundary inside the window, in
     /// boundary order, paired with `(cycle, read_idx)`. Read indices are
     /// assigned by a monotone counter — the single source of truth for the
@@ -156,12 +144,11 @@ pub(crate) struct GoodTrace {
     /// Good flip-flop + MISR state at window end (packed like
     /// `ActiveFault::state`).
     pub(crate) next_state: Vec<u64>,
-    /// Kernel engine only: the full good value of every net at every cycle
-    /// (post-eval, pre-clock), bit-packed per cycle — net `n` of cycle `t`
-    /// is bit `n % 64` of word `t * net_words + n / 64`, broadcast to a
-    /// 64-lane word on read. Chunks overlay XOR deviations on these rows,
-    /// so every net the deviation sweep never touches provably holds the
-    /// good value. Empty under the graph engine.
+    /// The full good value of every net at every cycle (post-eval,
+    /// pre-clock), bit-packed per cycle — net `n` of cycle `t` is bit
+    /// `n % 64` of word `t * net_words + n / 64`, broadcast to a 64-lane
+    /// word on read. Chunks overlay XOR deviations on these rows, so every
+    /// net the deviation sweep never touches provably holds the good value.
     pub(crate) net_bits: Vec<u64>,
     pub(crate) net_words: usize,
 }
@@ -177,10 +164,6 @@ pub(crate) struct ChunkOut {
 
 /// Read-only context shared by the good pass and every fault chunk.
 pub(crate) struct WindowCtx<'b> {
-    pub(crate) view: &'b Netlist,
-    pub(crate) order: &'b [NetId],
-    pub(crate) dff_pairs: &'b [(NetId, NetId)],
-    pub(crate) pis: &'b [NetId],
     pub(crate) obs: &'b [NetId],
     pub(crate) stim: &'b StimulusMatrix,
     pub(crate) faults: &'b [Fault],
@@ -222,32 +205,6 @@ pub(crate) fn apply(w: u64, entries: &mut [InjEntry], first_ever: bool) -> u64 {
     out
 }
 
-/// One levelized pass over the combinational cloud with inline fault
-/// injection — the inner loop every fault chunk spends its cycles in.
-#[allow(clippy::too_many_arguments)]
-fn eval_comb_injected(
-    view: &Netlist,
-    order: &[NetId],
-    values: &mut [u64],
-    inj_flag: &[bool],
-    inj: &mut HashMap<u32, Vec<InjEntry>>,
-    pins: &mut [u64; 3],
-    first_ever: bool,
-) {
-    for &id in order {
-        let gate = view.gate(id);
-        for (i, &p) in gate.pins.iter().enumerate() {
-            pins[i] = values[p.index()];
-        }
-        let mut w = gate.kind.eval_word(&pins[..gate.pins.len()]);
-        if inj_flag[id.index()] {
-            let entries = inj.get_mut(&id.0).expect("registered");
-            w = apply(w, entries, first_ever);
-        }
-        values[id.index()] = w;
-    }
-}
-
 pub(crate) fn get_bit(state: &[u64], j: usize) -> bool {
     (state[j / 64] >> (j % 64)) & 1 == 1
 }
@@ -274,67 +231,36 @@ impl<'a> SeqFaultSim<'a> {
     /// be levelized (it can always be levelized if the original could).
     pub fn run(&self, stimulus: &mut dyn SeqStimulus) -> Result<FaultSimResult, NetlistError> {
         let start = Instant::now();
-        let view = self.universe.view();
-        let pis = view.primary_inputs();
-        let stim = StimulusMatrix::materialize(stimulus, pis.len());
-        let order = view.levelize()?;
-        let dff_pairs: Vec<(NetId, NetId)> = view
-            .dffs()
-            .iter()
-            .map(|&q| (q, view.gate(q).pins[0]))
-            .collect();
-        let obs: Vec<NetId> = match &self.config.observe {
-            ObserveMode::Outputs => self.universe.observe_nets().to_vec(),
-            ObserveMode::Nets(nets) => nets.clone(),
-            ObserveMode::Misr { .. } => self.universe.observe_nets().to_vec(),
-        };
+        let kernel = self.universe.kernel()?;
+        let stim = StimulusMatrix::materialize(stimulus, kernel.pis().len());
         let (misr_width, misr_taps, misr_read) = match self.config.observe {
             ObserveMode::Misr {
                 width,
                 taps,
                 read_every,
             } => (width, taps, read_every.max(1)),
-            _ => (0, 0, 0),
+            ObserveMode::Outputs => (0, 0, 0),
         };
-
-        let faults = self.universe.faults();
-        let ndff = dff_pairs.len();
-        let cycles = stim.cycles;
-
         let ctx = WindowCtx {
-            view,
-            order: &order,
-            dff_pairs: &dff_pairs,
-            pis: &pis,
-            obs: &obs,
+            obs: self.universe.observe_nets(),
             stim: &stim,
-            faults,
+            faults: self.universe.faults(),
             misr_width,
             misr_taps,
             misr_read,
-            total_cycles: cycles,
-            ndff,
+            total_cycles: stim.cycles,
+            ndff: kernel.dff_q().len(),
             collect: self.config.collect_syndromes,
         };
-        match self.config.engine {
-            SimEngine::Graph => self.run_windows(&ctx, &GraphEngine, start),
-            SimEngine::Kernel => {
-                let kernel = self.universe.kernel()?;
-                self.run_windows(&ctx, &KernelEngine::new(kernel), start)
-            }
-        }
+        self.run_windows(&ctx, &KernelEngine::new(kernel), start)
     }
 
-    /// The engine-generic window loop: good pass, chunk fan-out with a
-    /// deterministic merge, fault dropping, and survivor repacking. Both
-    /// engines share this loop verbatim, so scheduling counters, window
-    /// trace events, and merge order are identical by construction — the
-    /// engines only differ in how a window is *computed*, never in what is
-    /// recorded.
-    fn run_windows<E: WindowEngine>(
+    /// The window loop: good pass, chunk fan-out with a deterministic
+    /// merge, fault dropping, and survivor repacking.
+    fn run_windows(
         &self,
         ctx: &WindowCtx<'_>,
-        engine: &E,
+        engine: &KernelEngine,
         start: Instant,
     ) -> Result<FaultSimResult, NetlistError> {
         let faults = ctx.faults;
@@ -369,8 +295,7 @@ impl<'a> SeqFaultSim<'a> {
 
         // Per-worker scratchpads, hoisted across windows (plus one for the
         // coordinating thread's good pass).
-        let mut scratches: Vec<E::Scratch> =
-            (0..nthreads).map(|_| engine.new_scratch(ctx)).collect();
+        let mut scratches: Vec<_> = (0..nthreads).map(|_| engine.new_scratch(ctx)).collect();
         let mut good_scratch = engine.new_scratch(ctx);
 
         let mut window_start = 0u64;
@@ -505,376 +430,11 @@ impl<'a> SeqFaultSim<'a> {
     }
 }
 
-/// One window-execution strategy: a good-machine pass plus a 64-fault
-/// chunk simulation. Implementations must be bit-identical — the
-/// [`GraphEngine`] is the oracle, [`KernelEngine`] the optimized default —
-/// and the contract is pinned by the `kernel` conformance pair.
-pub(crate) trait WindowEngine: Sync {
-    /// Per-worker scratch memory, reused across windows and chunks.
-    type Scratch: Send;
-
-    /// Allocates one worker's scratchpad.
-    fn new_scratch(&self, ctx: &WindowCtx<'_>) -> Self::Scratch;
-
-    /// Simulates the good machine over one window.
-    fn good_window(
-        &self,
-        ctx: &WindowCtx<'_>,
-        good_state: &[u64],
-        window_start: u64,
-        wlen: u64,
-        scratch: &mut Self::Scratch,
-    ) -> GoodTrace;
-
-    /// Simulates one 64-fault lane chunk over one window.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk(
-        &self,
-        ctx: &WindowCtx<'_>,
-        chunk: &mut [ActiveFault],
-        good_state: &[u64],
-        trace: &GoodTrace,
-        window_start: u64,
-        wlen: u64,
-        scratch: &mut Self::Scratch,
-    ) -> ChunkOut;
-}
-
-/// The graph-walking reference engine: levelized order over the gate
-/// graph, full re-evaluation of every gate for every chunk cycle.
-pub(crate) struct GraphEngine;
-
-impl WindowEngine for GraphEngine {
-    type Scratch = Vec<u64>;
-
-    fn new_scratch(&self, ctx: &WindowCtx<'_>) -> Vec<u64> {
-        // Constants are set once; everything else is rewritten per cycle.
-        let mut values = vec![0u64; ctx.view.len()];
-        for (id, gate) in ctx.view.iter() {
-            if gate.kind == GateKind::Const1 {
-                values[id.index()] = u64::MAX;
-            }
-        }
-        values
-    }
-
-    fn good_window(
-        &self,
-        ctx: &WindowCtx<'_>,
-        good_state: &[u64],
-        window_start: u64,
-        wlen: u64,
-        scratch: &mut Vec<u64>,
-    ) -> GoodTrace {
-        good_window(ctx, good_state, window_start, wlen, scratch)
-    }
-
-    fn run_chunk(
-        &self,
-        ctx: &WindowCtx<'_>,
-        chunk: &mut [ActiveFault],
-        good_state: &[u64],
-        trace: &GoodTrace,
-        window_start: u64,
-        wlen: u64,
-        scratch: &mut Vec<u64>,
-    ) -> ChunkOut {
-        run_chunk(ctx, chunk, good_state, trace, window_start, wlen, scratch)
-    }
-}
-
-/// Simulates the good machine alone over one window (bit 0 of the value
-/// words), recording what the fault chunks need: observation values per
-/// cycle, MISR signatures at read boundaries, and the end-of-window state.
-fn good_window(
-    ctx: &WindowCtx<'_>,
-    good_state: &[u64],
-    window_start: u64,
-    wlen: u64,
-    values: &mut [u64],
-) -> GoodTrace {
-    let obs_words = if ctx.misr_width == 0 {
-        ctx.obs.len().div_ceil(64).max(1)
-    } else {
-        0
-    };
-    let mut trace = GoodTrace {
-        obs: vec![0u64; obs_words * wlen as usize],
-        obs_words,
-        sigs: Vec::new(),
-        next_state: vec![0u64; good_state.len()],
-        net_bits: Vec::new(),
-        net_words: 0,
-    };
-    // Monotone read-index counter, seeded with the number of boundary
-    // reads strictly before this window (`t` is absolute, so earlier
-    // windows contributed exactly `window_start / read_every` reads; the
-    // forced off-boundary final read can only occur in the last window).
-    // Assigning indices sequentially instead of re-deriving `t / read_every`
-    // per read makes collisions between a boundary read and the forced
-    // final read structurally impossible.
-    let mut read_idx = if ctx.misr_width == 0 {
-        0
-    } else {
-        window_start / ctx.misr_read
-    };
-
-    for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-        values[q.index()] = if get_bit(good_state, j) { u64::MAX } else { 0 };
-    }
-    let mut misr: u64 = (0..ctx.misr_width).rev().fold(0u64, |acc, j| {
-        (acc << 1) | u64::from(get_bit(good_state, ctx.ndff + 1 + j))
-    });
-    let misr_mask = match ctx.misr_width {
-        0 => 0,
-        64.. => u64::MAX,
-        w => (1u64 << w) - 1,
-    };
-
-    let mut pins = [0u64; 3];
-    let mut dff_next: Vec<u64> = vec![0; ctx.dff_pairs.len()];
-    for t in window_start..window_start + wlen {
-        for (k, &pi) in ctx.pis.iter().enumerate() {
-            values[pi.index()] = if ctx.stim.get(t, k) { u64::MAX } else { 0 };
-        }
-        for &id in ctx.order {
-            let gate = ctx.view.gate(id);
-            for (i, &p) in gate.pins.iter().enumerate() {
-                pins[i] = values[p.index()];
-            }
-            values[id.index()] = gate.kind.eval_word(&pins[..gate.pins.len()]);
-        }
-        let rel = (t - window_start) as usize;
-        if ctx.misr_width == 0 {
-            for (oi, &o) in ctx.obs.iter().enumerate() {
-                if values[o.index()] & 1 == 1 {
-                    trace.obs[rel * obs_words + oi / 64] |= 1u64 << (oi % 64);
-                }
-            }
-        } else {
-            // Scalar form of the per-lane MISR update in `run_chunk`.
-            let fb = (misr >> (ctx.misr_width - 1)) & 1;
-            let mut next = (misr << 1) & misr_mask;
-            if fb == 1 {
-                next ^= ctx.misr_taps;
-            }
-            for (oi, &o) in ctx.obs.iter().enumerate() {
-                next ^= (values[o.index()] & 1) << (oi % ctx.misr_width);
-            }
-            misr = next & misr_mask;
-            let is_read = (t + 1) % ctx.misr_read == 0 || t + 1 == ctx.total_cycles;
-            if is_read {
-                trace.sigs.push((t, read_idx, misr));
-                read_idx += 1;
-            }
-        }
-        // Sample every d before writing any q so chained flip-flops see
-        // pre-edge values (simultaneous clocking).
-        for (w, &(_, d)) in dff_next.iter_mut().zip(ctx.dff_pairs) {
-            *w = values[d.index()];
-        }
-        for (&(q, _), &w) in ctx.dff_pairs.iter().zip(&dff_next) {
-            values[q.index()] = w;
-        }
-    }
-
-    for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-        set_bit(&mut trace.next_state, j, values[q.index()] & 1 == 1);
-    }
-    for j in 0..ctx.misr_width {
-        set_bit(
-            &mut trace.next_state,
-            ctx.ndff + 1 + j,
-            (misr >> j) & 1 == 1,
-        );
-    }
-    trace
-}
-
-/// Simulates one 64-fault lane chunk over one window against the good
-/// trace, updating the chunk's packed states in place and returning its
-/// detections and syndrome events.
-fn run_chunk(
-    ctx: &WindowCtx<'_>,
-    chunk: &mut [ActiveFault],
-    good_state: &[u64],
-    trace: &GoodTrace,
-    window_start: u64,
-    wlen: u64,
-    values: &mut [u64],
-) -> ChunkOut {
-    let mut out = ChunkOut::default();
-    let mut first_det: Vec<Option<u64>> = vec![None; chunk.len()];
-    let lanes_mask = if chunk.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << chunk.len()) - 1
-    };
-    // Hoist the context fields the per-cycle loop touches.
-    let view = ctx.view;
-    let order = ctx.order;
-    let dff_pairs = ctx.dff_pairs;
-    let pis = ctx.pis;
-    let obs = ctx.obs;
-    let stim = ctx.stim;
-
-    // Load flip-flop lane words from the good state + per-fault states.
-    for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-        let mut w = if get_bit(good_state, j) { u64::MAX } else { 0 };
-        for (l, af) in chunk.iter().enumerate() {
-            if get_bit(&af.state, j) != get_bit(good_state, j) {
-                w ^= 1u64 << l;
-            }
-        }
-        values[q.index()] = w;
-    }
-    // Load MISR lane words similarly.
-    let mut misr: Vec<u64> = (0..ctx.misr_width)
-        .map(|j| {
-            let sj = ctx.ndff + 1 + j;
-            let mut w = if get_bit(good_state, sj) { u64::MAX } else { 0 };
-            for (l, af) in chunk.iter().enumerate() {
-                if get_bit(&af.state, sj) != get_bit(good_state, sj) {
-                    w ^= 1u64 << l;
-                }
-            }
-            w
-        })
-        .collect();
-    let mut misr_next = vec![0u64; ctx.misr_width];
-
-    // Build injection tables.
-    let mut inj: HashMap<u32, Vec<InjEntry>> = HashMap::new();
-    for (l, af) in chunk.iter().enumerate() {
-        let f = ctx.faults[af.idx];
-        inj.entry(f.net.0).or_default().push(InjEntry {
-            lane: l as u8,
-            kind: f.kind,
-            prev: get_bit(&af.state, ctx.ndff),
-        });
-    }
-    let mut inj_flag = vec![false; ctx.view.len()];
-    let mut src_inj: Vec<u32> = Vec::new();
-    for &net in inj.keys() {
-        inj_flag[net as usize] = true;
-        if ctx.view.gate(NetId(net)).kind.is_source() {
-            src_inj.push(net);
-        }
-    }
-
-    let mut pins = [0u64; 3];
-    let mut read_cursor = 0usize;
-    let mut dff_next: Vec<u64> = vec![0; dff_pairs.len()];
-    for t in window_start..window_start + wlen {
-        let first_ever = t == 0;
-        // Drive primary inputs (same value on every lane).
-        for (k, &pi) in pis.iter().enumerate() {
-            values[pi.index()] = if stim.get(t, k) { u64::MAX } else { 0 };
-        }
-        // Source-site injections (PI nets and flip-flop outputs).
-        for &net in &src_inj {
-            let entries = inj.get_mut(&net).expect("registered");
-            values[net as usize] = apply(values[net as usize], entries, first_ever);
-        }
-        eval_comb_injected(
-            view, order, values, &inj_flag, &mut inj, &mut pins, first_ever,
-        );
-        // Observation against the precomputed good trace.
-        let rel = (t - window_start) as usize;
-        if ctx.misr_width == 0 {
-            let row = &trace.obs[rel * trace.obs_words..(rel + 1) * trace.obs_words];
-            for (oi, &o) in obs.iter().enumerate() {
-                let w = values[o.index()];
-                let good_bit = (row[oi / 64] >> (oi % 64)) & 1;
-                let good = 0u64.wrapping_sub(good_bit);
-                let mut diff = (w ^ good) & lanes_mask;
-                while diff != 0 {
-                    let lane = diff.trailing_zeros() as usize;
-                    diff &= diff - 1;
-                    if first_det[lane].is_none() {
-                        first_det[lane] = Some(t);
-                    }
-                    if ctx.collect {
-                        out.events.push((chunk[lane].idx, t, oi as u64));
-                    }
-                }
-            }
-        } else {
-            // Fold observation nets into MISR inputs and update.
-            let fb = misr[ctx.misr_width - 1];
-            for (j, n) in misr_next.iter_mut().enumerate() {
-                let mut w = if j > 0 { misr[j - 1] } else { 0 };
-                if (ctx.misr_taps >> j) & 1 == 1 {
-                    w ^= fb;
-                }
-                *n = w;
-            }
-            for (oi, &o) in obs.iter().enumerate() {
-                misr_next[oi % ctx.misr_width] ^= values[o.index()];
-            }
-            std::mem::swap(&mut misr, &mut misr_next);
-            // The good trace's boundary list is the single source of truth
-            // for the read schedule — no re-derivation of the predicate.
-            let is_read = read_cursor < trace.sigs.len() && trace.sigs[read_cursor].0 == t;
-            if is_read {
-                let (_, read_idx, good_sig) = trace.sigs[read_cursor];
-                read_cursor += 1;
-                // Per-lane signature extraction and comparison.
-                for (l, af) in chunk.iter().enumerate() {
-                    let mut sig = 0u64;
-                    for (j, &w) in misr.iter().enumerate() {
-                        sig |= ((w >> l) & 1) << j;
-                    }
-                    if sig != good_sig {
-                        if first_det[l].is_none() {
-                            first_det[l] = Some(t);
-                        }
-                        if ctx.collect {
-                            out.events.push((af.idx, read_idx, sig));
-                        }
-                    }
-                }
-            }
-        }
-        // Clock every flip-flop, sampling all d pins before writing any q
-        // so chained flip-flops see pre-edge values.
-        for (w, &(_, d)) in dff_next.iter_mut().zip(dff_pairs) {
-            *w = values[d.index()];
-        }
-        for (&(q, _), &w) in dff_pairs.iter().zip(&dff_next) {
-            values[q.index()] = w;
-        }
-    }
-
-    for (l, d) in first_det.iter().enumerate() {
-        if let Some(t) = d {
-            out.detections.push((chunk[l].idx, *t));
-        }
-    }
-
-    // Extract survivor states.
-    for (l, af) in chunk.iter_mut().enumerate() {
-        for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-            set_bit(&mut af.state, j, (values[q.index()] >> l) & 1 == 1);
-        }
-        let f = ctx.faults[af.idx];
-        if let Some(entries) = inj.get(&f.net.0) {
-            if let Some(e) = entries.iter().find(|e| e.lane as usize == l) {
-                set_bit(&mut af.state, ctx.ndff, e.prev);
-            }
-        }
-        for (j, &w) in misr.iter().enumerate() {
-            set_bit(&mut af.state, ctx.ndff + 1 + j, (w >> l) & 1 == 1);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::VectorStimulus;
-    use soctest_netlist::ModuleBuilder;
+    use soctest_netlist::{ModuleBuilder, Netlist};
 
     /// Combinational XOR/AND block behind a register.
     fn small_seq() -> Netlist {
@@ -1054,28 +614,25 @@ mod tests {
     fn misr_reads_survive_off_boundary_windows_and_totals() {
         let nl = small_seq();
         let u = FaultUniverse::stuck_at(&nl);
-        for engine in [SimEngine::Kernel, SimEngine::Graph] {
-            let run = |window| {
-                let mut stim = VectorStimulus::new(exhaustive_patterns(4, 0)[..13].to_vec());
-                let sim = SeqFaultSim::new(
-                    &u,
-                    SeqFaultSimConfig {
-                        window,
-                        observe: ObserveMode::misr_default(16, 5),
-                        collect_syndromes: true,
-                        engine,
-                        ..Default::default()
-                    },
-                );
-                sim.run(&mut stim).unwrap()
-            };
-            let reference = run(1024); // one window covers all 13 cycles
-            assert!(reference.detected_count() > 0);
-            for window in [3, 4, 5, 7] {
-                let r = run(window);
-                assert_eq!(r.detection, reference.detection, "window={window}");
-                assert_eq!(r.syndromes, reference.syndromes, "window={window}");
-            }
+        let run = |window| {
+            let mut stim = VectorStimulus::new(exhaustive_patterns(4, 0)[..13].to_vec());
+            let sim = SeqFaultSim::new(
+                &u,
+                SeqFaultSimConfig {
+                    window,
+                    observe: ObserveMode::misr_default(16, 5),
+                    collect_syndromes: true,
+                    ..Default::default()
+                },
+            );
+            sim.run(&mut stim).unwrap()
+        };
+        let reference = run(1024); // one window covers all 13 cycles
+        assert!(reference.detected_count() > 0);
+        for window in [3, 4, 5, 7] {
+            let r = run(window);
+            assert_eq!(r.detection, reference.detection, "window={window}");
+            assert_eq!(r.syndromes, reference.syndromes, "window={window}");
         }
     }
 
@@ -1086,65 +643,25 @@ mod tests {
     fn first_detection_is_independent_of_syndrome_collection() {
         let nl = small_seq();
         let u = FaultUniverse::stuck_at(&nl);
-        for engine in [SimEngine::Kernel, SimEngine::Graph] {
-            for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 5)] {
-                let run = |collect_syndromes| {
-                    let mut stim = VectorStimulus::new(exhaustive_patterns(4, 1));
-                    let sim = SeqFaultSim::new(
-                        &u,
-                        SeqFaultSimConfig {
-                            window: 8,
-                            observe: observe.clone(),
-                            collect_syndromes,
-                            engine,
-                            ..Default::default()
-                        },
-                    );
-                    sim.run(&mut stim).unwrap()
-                };
-                let with = run(true);
-                let without = run(false);
-                assert!(with.detected_count() > 0);
-                assert_eq!(
-                    with.detection, without.detection,
-                    "engine={engine:?} observe={observe:?}"
+        for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 5)] {
+            let run = |collect_syndromes| {
+                let mut stim = VectorStimulus::new(exhaustive_patterns(4, 1));
+                let sim = SeqFaultSim::new(
+                    &u,
+                    SeqFaultSimConfig {
+                        window: 8,
+                        observe: observe.clone(),
+                        collect_syndromes,
+                        ..Default::default()
+                    },
                 );
-                assert!(with.syndromes.is_some() && without.syndromes.is_none());
-            }
-        }
-    }
-
-    /// The compiled kernel engine must be bit-identical to the graph
-    /// reference across universes and observation modes — detections,
-    /// syndrome streams, and per-window survivor counts alike.
-    #[test]
-    fn kernel_engine_matches_graph_engine() {
-        let nl = small_seq();
-        for universe in [FaultUniverse::stuck_at(&nl), FaultUniverse::transition(&nl)] {
-            for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 5)] {
-                let run = |engine| {
-                    let mut stim = VectorStimulus::new(exhaustive_patterns(4, 2));
-                    let sim = SeqFaultSim::new(
-                        &universe,
-                        SeqFaultSimConfig {
-                            window: 8,
-                            observe: observe.clone(),
-                            collect_syndromes: true,
-                            engine,
-                            ..Default::default()
-                        },
-                    );
-                    sim.run(&mut stim).unwrap()
-                };
-                let kernel = run(SimEngine::Kernel);
-                let graph = run(SimEngine::Graph);
-                assert!(kernel.detected_count() > 0);
-                assert_eq!(kernel.detection, graph.detection, "observe={observe:?}");
-                assert_eq!(kernel.syndromes, graph.syndromes, "observe={observe:?}");
-                assert_eq!(kernel.stats.survivors, graph.stats.survivors);
-                assert_eq!(kernel.stats.good_cycles, graph.stats.good_cycles);
-                assert_eq!(kernel.stats.faulty_cycles, graph.stats.faulty_cycles);
-            }
+                sim.run(&mut stim).unwrap()
+            };
+            let with = run(true);
+            let without = run(false);
+            assert!(with.detected_count() > 0);
+            assert_eq!(with.detection, without.detection, "observe={observe:?}");
+            assert!(with.syndromes.is_some() && without.syndromes.is_none());
         }
     }
 
@@ -1152,11 +669,7 @@ mod tests {
     fn parallel_run_is_bit_identical_to_serial() {
         let nl = small_seq();
         for universe in [FaultUniverse::stuck_at(&nl), FaultUniverse::transition(&nl)] {
-            for (engine, observe) in [
-                (SimEngine::Kernel, ObserveMode::Outputs),
-                (SimEngine::Kernel, ObserveMode::misr_default(16, 8)),
-                (SimEngine::Graph, ObserveMode::misr_default(16, 8)),
-            ] {
+            for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 8)] {
                 let run = |threads: usize| {
                     let mut stim = VectorStimulus::new(exhaustive_patterns(4, 2));
                     let sim = SeqFaultSim::new(
@@ -1166,7 +679,6 @@ mod tests {
                             observe: observe.clone(),
                             collect_syndromes: true,
                             parallel: ParallelPolicy::with_threads(threads),
-                            engine,
                             ..Default::default()
                         },
                     );

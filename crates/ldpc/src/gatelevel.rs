@@ -639,9 +639,9 @@ mod tests {
 
     #[test]
     fn bit_node_accumulates_llr() {
-        use soctest_sim::SeqSim;
+        use soctest_sim::KernelSim;
         let bn = bit_node().unwrap();
-        let mut sim = SeqSim::new(&bn).unwrap();
+        let mut sim = KernelSim::new(&bn).unwrap();
         for (port, v) in [
             ("ch_llr", 5u64),
             ("msg_a", 3),
@@ -654,25 +654,25 @@ mod tests {
             ("valid", 1),
             ("start", 1),
         ] {
-            sim.drive_port(port, v);
+            sim.drive_port(&bn, port, v);
         }
         sim.step(); // captures llr into pipeline and start state
-        sim.drive_port("start", 0);
+        sim.drive_port(&bn, "start", 0);
         sim.step(); // acc loads? acc loaded at start cycle
         sim.eval_comb();
-        let acc = sim.read_port_lane("acc_out", 0).unwrap();
+        let acc = sim.read_port_lane(&bn, "acc_out", 0).unwrap();
         // After the start cycle the accumulator holds the (registered)
         // channel LLR; after one valid cycle it has absorbed msg_a once.
         assert!(acc > 0, "accumulator moved, got {acc}");
-        let addr = sim.read_port_lane("addr_out", 0).unwrap();
+        let addr = sim.read_port_lane(&bn, "addr_out", 0).unwrap();
         assert!(addr >= 7, "address pipeline loaded, got {addr}");
     }
 
     #[test]
     fn control_unit_walks_phases() {
-        use soctest_sim::SeqSim;
+        use soctest_sim::KernelSim;
         let cu = control_unit().unwrap();
-        let mut sim = SeqSim::new(&cu).unwrap();
+        let mut sim = KernelSim::new(&cu).unwrap();
         for (port, v) in [
             ("start", 1u64),
             ("halt", 0),
@@ -687,15 +687,15 @@ mod tests {
             ("step_en", 1),
             ("quota", 0),
         ] {
-            sim.drive_port(port, v);
+            sim.drive_port(&cu, port, v);
         }
         sim.step();
-        sim.drive_port("start", 0);
+        sim.drive_port(&cu, "start", 0);
         let mut seen_cn = false;
         let mut seen_bn = false;
         for _ in 0..40 {
             sim.eval_comb();
-            match sim.read_port_lane("phase", 0) {
+            match sim.read_port_lane(&cu, "phase", 0) {
                 Some(1) => seen_cn = true,
                 Some(2) => seen_bn = true,
                 Some(3) => break,
@@ -706,6 +706,6 @@ mod tests {
         sim.eval_comb();
         assert!(seen_cn, "check phase visited");
         assert!(seen_bn, "bit phase visited");
-        assert_eq!(sim.read_port_lane("done", 0), Some(1), "reaches done");
+        assert_eq!(sim.read_port_lane(&cu, "done", 0), Some(1), "reaches done");
     }
 }

@@ -29,8 +29,8 @@
 //!
 //! Evaluation over the compiled schedule is bit-identical to walking the
 //! graph with [`crate::GateKind::eval_word`]: same gate semantics, any
-//! topological order. `crates/conformance` pins that contract with a
-//! dedicated kernel-vs-graph engine pair.
+//! topological order. `crates/conformance` pins the simulators built on it
+//! against a naive one-bit reference interpreter.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};

@@ -139,7 +139,7 @@ pub fn wrap_core(core: &Netlist) -> Result<Netlist, NetlistError> {
 mod tests {
     use super::*;
     use soctest_netlist::ModuleBuilder;
-    use soctest_sim::SeqSim;
+    use soctest_sim::KernelSim;
 
     fn core() -> Netlist {
         let mut mb = ModuleBuilder::new("core");
@@ -154,24 +154,24 @@ mod tests {
     fn wrapped_core_preserves_function_in_mission_mode() {
         let c = core();
         let w = wrap_core(&c).unwrap();
-        let mut plain = SeqSim::new(&c).unwrap();
-        let mut wrapped = SeqSim::new(&w).unwrap();
+        let mut plain = KernelSim::new(&c).unwrap();
+        let mut wrapped = KernelSim::new(&w).unwrap();
         // Mission mode: test off, no shifting.
-        wrapped.drive_port("wrap_test", 0);
-        wrapped.drive_port("wrap_shift", 0);
-        wrapped.drive_port("wrap_capture", 0);
-        wrapped.drive_port("wrap_update", 0);
-        wrapped.drive_port("wsi", 0);
+        wrapped.drive_port(&w, "wrap_test", 0);
+        wrapped.drive_port(&w, "wrap_shift", 0);
+        wrapped.drive_port(&w, "wrap_capture", 0);
+        wrapped.drive_port(&w, "wrap_update", 0);
+        wrapped.drive_port(&w, "wsi", 0);
         for v in [3u64, 9, 15, 0, 7] {
-            plain.drive_port("a", v);
-            wrapped.drive_port("a", v);
+            plain.drive_port(&c, "a", v);
+            wrapped.drive_port(&w, "a", v);
             plain.step();
             wrapped.step();
             plain.eval_comb();
             wrapped.eval_comb();
             assert_eq!(
-                plain.read_port_lane("s", 0),
-                wrapped.read_port_lane("s", 0),
+                plain.read_port_lane(&c, "s", 0),
+                wrapped.read_port_lane(&w, "s", 0),
                 "input {v}"
             );
         }
@@ -181,20 +181,20 @@ mod tests {
     fn boundary_chain_shifts_end_to_end() {
         let c = core();
         let w = wrap_core(&c).unwrap();
-        let mut sim = SeqSim::new(&w).unwrap();
-        sim.drive_port("wrap_test", 1);
-        sim.drive_port("wrap_shift", 1);
-        sim.drive_port("wrap_capture", 0);
-        sim.drive_port("wrap_update", 0);
-        sim.drive_port("a", 0);
+        let mut sim = KernelSim::new(&w).unwrap();
+        sim.drive_port(&w, "wrap_test", 1);
+        sim.drive_port(&w, "wrap_shift", 1);
+        sim.drive_port(&w, "wrap_capture", 0);
+        sim.drive_port(&w, "wrap_update", 0);
+        sim.drive_port(&w, "a", 0);
         // Chain: 3 WIR + 4 input cells + 4 output cells = 11 stages.
-        sim.drive_port("wsi", 1);
+        sim.drive_port(&w, "wsi", 1);
         for _ in 0..11 {
             sim.eval_comb();
             sim.step();
         }
         sim.eval_comb();
-        assert_eq!(sim.read_port_lane("wso", 0), Some(1));
+        assert_eq!(sim.read_port_lane(&w, "wso", 0), Some(1));
     }
 
     #[test]

@@ -7,12 +7,13 @@ use soctest_netlist::{CompiledNetlist, NetId, Netlist, NetlistError};
 use crate::broadcast;
 
 /// A cycle-accurate sequential simulator running on a
-/// [`CompiledNetlist`] instead of walking the gate graph.
+/// [`CompiledNetlist`]: the workspace's one logic simulator.
 ///
-/// Mirrors [`crate::SeqSim`] semantics exactly — same reset state, same
-/// sample-all-`d`-then-write-`q` clocking — but sweeps the kernel's flat
-/// level-major schedule. The conformance suite pins `KernelSim` against
-/// [`crate::SeqSim`] lane for lane.
+/// Each net carries 64 lanes (see the [crate docs](crate)); flip-flops
+/// reset to 0 and clock by sampling every `d` pin before writing any `q`.
+/// A [`KernelSim::step`] evaluates the kernel's flat level-major schedule
+/// and then clocks. The `sim` conformance pair pins `KernelSim` against
+/// the naive reference interpreter lane by lane.
 #[derive(Debug, Clone)]
 pub struct KernelSim {
     kernel: Arc<CompiledNetlist>,
@@ -82,6 +83,36 @@ impl KernelSim {
         }
     }
 
+    /// Writes a whole port from a lane-0 integer, broadcast to all lanes
+    /// (bit *i* of `value` goes to port bit *i*). `netlist` must be the
+    /// netlist this simulator's kernel was compiled from.
+    ///
+    /// Returns `false` if the port does not exist.
+    pub fn drive_port(&mut self, netlist: &Netlist, name: &str, value: u64) -> bool {
+        match netlist.port(name) {
+            Some(p) => {
+                for (i, &net) in p.bits().iter().enumerate() {
+                    self.set_input_bit(net, (value >> i) & 1 == 1);
+                }
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Reads one lane of a port as an integer (bit *i* of the result is
+    /// port bit *i* in that lane), valid after [`KernelSim::eval_comb`].
+    /// `netlist` must be the netlist this simulator's kernel was compiled
+    /// from. Returns `None` for unknown ports.
+    pub fn read_port_lane(&self, netlist: &Netlist, name: &str, lane: u32) -> Option<u64> {
+        let p = netlist.port(name)?;
+        let mut out = 0u64;
+        for (i, &net) in p.bits().iter().enumerate() {
+            out |= ((self.values[net.index()] >> lane) & 1) << i;
+        }
+        Some(out)
+    }
+
     /// Reads lane 0 of every primary output, in port order, into `out`
     /// (valid after [`KernelSim::eval_comb`]).
     pub fn read_outputs(&self, out: &mut [bool]) {
@@ -98,7 +129,8 @@ impl KernelSim {
     /// Clocks every flip-flop (d pins must be up to date; see
     /// [`KernelSim::eval_comb`]).
     pub fn clock(&mut self) {
-        // Sample every d before writing any q, as in `SeqSim::clock`.
+        // Sample every d before writing any q: a flip-flop whose d pin is
+        // another flip-flop's q net must see the pre-edge value.
         self.sampled.clear();
         self.sampled
             .extend(self.kernel.dff_d().iter().map(|&d| self.values[d as usize]));
@@ -154,7 +186,6 @@ impl KernelSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeqSim;
     use soctest_netlist::ModuleBuilder;
 
     fn counter() -> Netlist {
@@ -167,43 +198,99 @@ mod tests {
     }
 
     #[test]
-    fn kernel_sim_tracks_seq_sim_cycle_for_cycle() {
+    fn counter_counts_and_clears() {
         let nl = counter();
-        let mut ks = KernelSim::new(&nl).unwrap();
-        let mut gs = SeqSim::new(&nl).unwrap();
-        let en = nl.port("en").unwrap().bits()[0];
-        let clr = nl.port("clr").unwrap().bits()[0];
-        let mut s = 0xDEAD_BEEF_u64;
-        for _ in 0..32 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            for (net, bit) in [(en, s & 1 == 1), (clr, s & 0x100 == 0x100)] {
-                ks.set_input_bit(net, bit);
-                gs.set_input_bit(net, bit);
-            }
-            ks.eval_comb();
-            gs.eval_comb();
-            for id in 0..nl.len() {
-                assert_eq!(
-                    ks.get(NetId(id as u32)),
-                    gs.get(NetId(id as u32)),
-                    "net {id} cycle {}",
-                    ks.cycle()
-                );
-            }
-            ks.clock();
-            gs.clock();
-            assert_eq!(ks.state(), gs.state());
+        let mut sim = KernelSim::new(&nl).unwrap();
+        assert!(sim.drive_port(&nl, "en", 1));
+        assert!(sim.drive_port(&nl, "clr", 0));
+        for _ in 0..10 {
+            sim.step();
         }
+        sim.eval_comb();
+        assert_eq!(sim.read_port_lane(&nl, "q", 0), Some(10));
+        assert_eq!(sim.read_port_lane(&nl, "q", 63), Some(10));
+        sim.drive_port(&nl, "clr", 1);
+        sim.step();
+        sim.eval_comb();
+        assert_eq!(sim.read_port_lane(&nl, "q", 7), Some(0));
+        assert_eq!(sim.cycle(), 11);
+    }
+
+    #[test]
+    fn enable_holds_value() {
+        let nl = counter();
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "en", 1);
+        sim.drive_port(&nl, "clr", 0);
+        sim.step();
+        sim.step();
+        sim.drive_port(&nl, "en", 0);
+        sim.step();
+        sim.step();
+        sim.eval_comb();
+        assert_eq!(sim.read_port_lane(&nl, "q", 0), Some(2));
+    }
+
+    #[test]
+    fn evaluates_an_adder_in_every_lane() {
+        let mut mb = ModuleBuilder::new("add");
+        let a = mb.input_bus("a", 8);
+        let b = mb.input_bus("b", 8);
+        let r = mb.add(&a, &b);
+        mb.output_bus("sum", &r.sum);
+        mb.output("cout", r.carry);
+        let nl = mb.finish().unwrap();
+
+        let mut sim = KernelSim::new(&nl).unwrap();
+        // 64 lanes: lane i computes i + 3*i.
+        for bit in 0..8 {
+            let mut wa = 0u64;
+            let mut wb = 0u64;
+            for lane in 0..64u64 {
+                wa |= ((lane >> bit) & 1) << lane;
+                wb |= ((((3 * lane) & 0xFF) >> bit) & 1) << lane;
+            }
+            sim.set_input(nl.port("a").unwrap().bits()[bit as usize], wa);
+            sim.set_input(nl.port("b").unwrap().bits()[bit as usize], wb);
+        }
+        sim.eval_comb();
+        for lane in 0..64u32 {
+            let expect = (u64::from(lane) * 4) & 0xFF;
+            assert_eq!(
+                sim.read_port_lane(&nl, "sum", lane),
+                Some(expect),
+                "lane {lane}"
+            );
+        }
+    }
+
+    #[test]
+    fn constants_hold_their_value() {
+        let mut mb = ModuleBuilder::new("c");
+        let k = mb.constant(0b01, 2);
+        mb.output_bus("k", &k);
+        let nl = mb.finish().unwrap();
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.eval_comb();
+        let bits = nl.port("k").unwrap().bits();
+        assert_eq!(sim.get(bits[0]), u64::MAX);
+        assert_eq!(sim.get(bits[1]), 0);
+    }
+
+    #[test]
+    fn unknown_ports_are_reported() {
+        let nl = counter();
+        let mut sim = KernelSim::new(&nl).unwrap();
+        assert!(!sim.drive_port(&nl, "nope", 1));
+        assert_eq!(sim.read_port_lane(&nl, "nope", 0), None);
     }
 
     #[test]
     fn reset_and_state_roundtrip() {
         let nl = counter();
         let mut sim = KernelSim::new(&nl).unwrap();
-        sim.set_input_bit(nl.port("en").unwrap().bits()[0], true);
-        sim.set_input_bit(nl.port("clr").unwrap().bits()[0], false);
+        sim.drive_port(&nl, "en", 1);
+        sim.drive_port(&nl, "clr", 0);
         for _ in 0..5 {
             sim.step();
         }
@@ -211,9 +298,15 @@ mod tests {
         for _ in 0..3 {
             sim.step();
         }
+        sim.eval_comb();
+        assert_eq!(sim.read_port_lane(&nl, "q", 0), Some(8));
         sim.restore_state(&snap);
         assert_eq!(sim.state(), snap);
+        sim.eval_comb();
+        assert_eq!(sim.read_port_lane(&nl, "q", 0), Some(5));
         sim.reset();
+        sim.eval_comb();
+        assert_eq!(sim.read_port_lane(&nl, "q", 0), Some(0));
         assert_eq!(sim.cycle(), 0);
         assert!(sim.state().iter().all(|&w| w == 0));
     }

@@ -1,24 +1,21 @@
 //! Bit-parallel logic simulation for `soctest` netlists.
 //!
-//! The simulators here evaluate 64 independent "lanes" per pass: each net is
-//! represented by a `u64` whose bit *i* is the net's value in lane *i*.
-//! Lanes are used two ways across the workspace:
-//!
-//! * **64 patterns at once** for combinational circuits (ATPG fault
-//!   simulation, signature checks), via [`CombSim`];
-//! * **64 machines at once** for sequential circuits (the parallel-fault
-//!   simulator in `soctest-fault` runs the good machine and 63 faulty
-//!   machines on the same per-cycle stimulus), via [`SeqSim`].
+//! [`KernelSim`] evaluates 64 independent "lanes" per pass over a
+//! compiled netlist kernel: each net is represented by a `u64` whose bit
+//! *i* is the net's value in lane *i*. Lanes carry 64 patterns at once for
+//! combinational checks, or 64 machines at once for sequential ones (the
+//! fault simulators in `soctest-fault` sweep the same compiled kernel).
 //!
 //! [`ToggleMonitor`] implements the toggle-activity metric of the paper's
 //! step-1 evaluation loop (Fig. 3): the percentage of nets that were driven
-//! both to 0 and to 1 by the applied patterns.
+//! both to 0 and to 1 by the applied patterns. [`VcdProbe`] records
+//! simulator values as a VCD waveform.
 //!
 //! # Example
 //!
 //! ```
 //! use soctest_netlist::ModuleBuilder;
-//! use soctest_sim::SeqSim;
+//! use soctest_sim::KernelSim;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut mb = ModuleBuilder::new("cnt");
@@ -28,29 +25,30 @@
 //! mb.output_bus("q", &q);
 //! let nl = mb.finish()?;
 //!
-//! let mut sim = SeqSim::new(&nl)?;
-//! sim.set_input_bit(nl.port("en").unwrap().bits()[0], true);
-//! sim.set_input_bit(nl.port("clr").unwrap().bits()[0], false);
+//! let mut sim = KernelSim::new(&nl)?;
+//! sim.drive_port(&nl, "en", 1);
+//! sim.drive_port(&nl, "clr", 0);
 //! for _ in 0..5 {
 //!     sim.step();
 //! }
-//! assert_eq!(sim.read_port_lane("q", 0), Some(5));
+//! sim.eval_comb();
+//! assert_eq!(sim.read_port_lane(&nl, "q", 0), Some(5));
 //! # Ok(())
 //! # }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
-mod comb;
 mod kernel;
-mod seq;
 mod toggle;
 mod vcd;
 
-pub use comb::CombSim;
 pub use kernel::KernelSim;
-pub use seq::SeqSim;
 pub use toggle::{ToggleMonitor, ToggleReport};
 pub use vcd::VcdProbe;
 
@@ -64,33 +62,13 @@ pub fn broadcast(bit: bool) -> u64 {
     }
 }
 
-/// Packs up to 64 booleans into a lane word (element *i* goes to bit *i*).
-///
-/// # Panics
-///
-/// Panics if more than 64 booleans are supplied.
-pub fn pack_lanes(bits: &[bool]) -> u64 {
-    assert!(bits.len() <= 64, "at most 64 lanes per word");
-    bits.iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn broadcast_and_pack() {
+    fn broadcast_fills_every_lane() {
         assert_eq!(broadcast(true), u64::MAX);
         assert_eq!(broadcast(false), 0);
-        assert_eq!(pack_lanes(&[true, false, true]), 0b101);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64")]
-    fn pack_rejects_overwide() {
-        let bits = vec![false; 65];
-        let _ = pack_lanes(&bits);
     }
 }

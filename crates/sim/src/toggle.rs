@@ -169,7 +169,7 @@ impl ToggleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeqSim;
+    use crate::KernelSim;
     use soctest_netlist::ModuleBuilder;
 
     #[test]
@@ -181,13 +181,13 @@ mod tests {
         mb.output_bus("q", &q);
         let nl = mb.finish().unwrap();
 
-        let mut sim = SeqSim::new(&nl).unwrap();
+        let mut sim = KernelSim::new(&nl).unwrap();
         let mut mon = ToggleMonitor::new(&nl);
-        sim.drive_port("en", 1);
-        sim.drive_port("clr", 0);
+        sim.drive_port(&nl, "en", 1);
+        sim.drive_port(&nl, "clr", 0);
         for _ in 0..20 {
             sim.eval_comb();
-            mon.sample(sim.comb().values());
+            mon.sample(sim.values());
             sim.clock();
         }
         let q0 = nl.port("q").unwrap().bits()[0];
@@ -207,12 +207,12 @@ mod tests {
         let q = mb.register(&[a]);
         mb.output_bus("q", &q);
         let nl = mb.finish().unwrap();
-        let mut sim = SeqSim::new(&nl).unwrap();
+        let mut sim = KernelSim::new(&nl).unwrap();
         let mut mon = ToggleMonitor::new(&nl);
         sim.set_input_bit(nl.port("a").unwrap().bits()[0], false);
         for _ in 0..4 {
             sim.eval_comb();
-            mon.sample(sim.comb().values());
+            mon.sample(sim.values());
             sim.clock();
         }
         let rep = mon.report();
@@ -237,11 +237,11 @@ mod tests {
         let lanes = 0b111u64;
 
         let run = |mon: &mut ToggleMonitor| {
-            let mut sim = SeqSim::new(&nl).unwrap();
+            let mut sim = KernelSim::new(&nl).unwrap();
             sim.set_input(a_net, lanes);
             for _ in 0..6 {
                 sim.eval_comb();
-                mon.sample(sim.comb().values());
+                mon.sample(sim.values());
                 sim.clock();
             }
         };

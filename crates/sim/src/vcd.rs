@@ -19,10 +19,9 @@ struct Tap {
 /// Samples simulator state into a VCD waveform, one lane at a time.
 ///
 /// Declare modules with [`VcdProbe::add_module`] (before the first
-/// [`VcdProbe::advance`]), then each cycle [`VcdProbe::record`] the value
-/// arrays you care about ([`crate::KernelSim::values`] or
-/// [`SeqSim::values`](crate::SeqSim::values)) and [`VcdProbe::advance`] the
-/// timeline once.
+/// [`VcdProbe::advance`]), then each cycle [`VcdProbe::record`] the
+/// value array you care about ([`crate::KernelSim::values`]) and
+/// [`VcdProbe::advance`] the timeline once.
 ///
 /// # Example
 ///
@@ -147,7 +146,7 @@ impl VcdProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeqSim;
+    use crate::KernelSim;
     use soctest_netlist::ModuleBuilder;
     use soctest_obs::VcdReader;
 
@@ -163,9 +162,9 @@ mod tests {
     #[test]
     fn counter_waveform_round_trips() {
         let nl = counter(4);
-        let mut sim = SeqSim::new(&nl).unwrap();
-        sim.drive_port("en", 1);
-        sim.drive_port("clr", 0);
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "en", 1);
+        sim.drive_port(&nl, "clr", 0);
 
         let mut probe = VcdProbe::new();
         let g = probe.add_module("dut", &nl);
@@ -187,13 +186,13 @@ mod tests {
     fn two_modules_with_colliding_net_ids_stay_separate() {
         let a = counter(3);
         let b = counter(3);
-        let mut sim_a = SeqSim::new(&a).unwrap();
-        let mut sim_b = SeqSim::new(&b).unwrap();
-        sim_a.drive_port("en", 1);
-        sim_a.drive_port("clr", 0);
+        let mut sim_a = KernelSim::new(&a).unwrap();
+        let mut sim_b = KernelSim::new(&b).unwrap();
+        sim_a.drive_port(&a, "en", 1);
+        sim_a.drive_port(&a, "clr", 0);
         // b holds at zero: enable low.
-        sim_b.drive_port("en", 0);
-        sim_b.drive_port("clr", 0);
+        sim_b.drive_port(&b, "en", 0);
+        sim_b.drive_port(&b, "clr", 0);
 
         let mut probe = VcdProbe::new();
         let ga = probe.add_module("a", &a);
@@ -216,9 +215,9 @@ mod tests {
     fn two_dff_counter_matches_hand_computed_changes() {
         // counter(2) is two flip-flops; q counts 0,1,2,3 then wraps.
         let nl = counter(2);
-        let mut sim = SeqSim::new(&nl).unwrap();
-        sim.drive_port("en", 1);
-        sim.drive_port("clr", 0);
+        let mut sim = KernelSim::new(&nl).unwrap();
+        sim.drive_port(&nl, "en", 1);
+        sim.drive_port(&nl, "clr", 0);
 
         let mut probe = VcdProbe::new();
         let g = probe.add_module("cnt", &nl);
@@ -259,11 +258,11 @@ mod tests {
     #[test]
     fn nonzero_lane_sees_that_lane_only() {
         let nl = counter(3);
-        let mut sim = SeqSim::new(&nl).unwrap();
+        let mut sim = KernelSim::new(&nl).unwrap();
         // Enable only lane 5; every other lane holds at zero.
         let en = nl.port("en").unwrap().bits()[0];
         sim.set_input(en, 1u64 << 5);
-        sim.drive_port("clr", 0);
+        sim.drive_port(&nl, "clr", 0);
 
         let mut p0 = VcdProbe::new();
         let mut p5 = VcdProbe::with_lane(5);

@@ -8,7 +8,7 @@
 use soctest::bist::{Alfsr, BistEngine, BistEngineConfig, ModuleHookup, PortWiring};
 use soctest::fault::{FaultUniverse, SeqFaultSim, SeqFaultSimConfig};
 use soctest::netlist::{ModuleBuilder, Netlist};
-use soctest::sim::SeqSim;
+use soctest::sim::KernelSim;
 
 /// Build a small "core": a registered multiply-accumulate-ish datapath.
 fn my_core() -> Result<Netlist, Box<dyn std::error::Error>> {
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Run a 1,024-pattern session against the gate-level module.
-    let mut sim = SeqSim::new(&core)?;
+    let mut sim = KernelSim::new(&core)?;
     let inputs = core.primary_inputs();
     let outputs = core.primary_outputs();
     engine.begin(1024);

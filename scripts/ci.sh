@@ -2,8 +2,8 @@
 # Tier-1 gate: build, test, lint. Run from the repo root.
 #
 # Matches the robustness contract in DESIGN.md §6: clippy runs with
-# -D warnings, and crates/p1500 + crates/core deny unwrap/expect/panic in
-# non-test code at the crate root, so a regression there fails this script.
+# -D warnings, and crates/p1500, core, obs and sim deny unwrap/expect/panic
+# in non-test code at the crate root, so a regression there fails this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,22 +34,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== example smoke: ldpc_bist =="
 cargo run --release --example ldpc_bist
 
-echo "== conformance: fixed-seed differential sweep (incl. kernel-vs-graph pair) =="
+echo "== conformance: fixed-seed differential sweep + case-study leg vs the reference =="
 cargo run --release -p soctest-conformance --bin difftest -- \
     --seeds 25 --max-gates 80 --out target/difftest_ci.json
 
-echo "== conformance: mutation self-test (sim + kernel harnesses) =="
+echo "== conformance: mutation self-test (sim + fault harnesses) =="
 cargo run --release -p soctest-conformance --bin difftest -- \
     --seeds 25 --self-test --out target/difftest_selftest_ci.json
 
-echo "== fault-sim bench (kernel vs graph + serial vs parallel + trace-overhead gate) =="
+echo "== fault-sim bench (serial vs parallel + trace-overhead gate) =="
 cargo run --release -p soctest-bench --bin repro -- --quick --bench-faultsim \
     | tee target/bench_faultsim.txt
-# Kernel-equivalence gate: every case-study module must report bit-identical
-# results across serial/parallel policies and kernel/graph engines.
+# Policy-equivalence gate: every case-study module must report bit-identical
+# results across serial/parallel policies.
 for m in BIT_NODE CHECK_NODE CONTROL_UNIT; do
     grep -q "^$m: identical: true" target/bench_faultsim.txt \
-        || { echo "$m: kernel/graph or serial/parallel results diverged"; exit 1; }
+        || { echo "$m: serial/parallel results diverged"; exit 1; }
 done
 
 echo "== bench gate: history-median regression check + self-test =="

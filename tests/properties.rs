@@ -7,13 +7,14 @@
 //! seeds are fixed, so failures replay deterministically.
 
 use soctest::bist::{Alfsr, Misr};
+use soctest::conformance::RefMachine;
 use soctest::fault::{
     CombFaultSim, FaultKind, FaultUniverse, ObserveMode, ParallelPolicy, PatternSet, SeqFaultSim,
     SeqFaultSimConfig, VectorStimulus,
 };
 use soctest::netlist::{GateKind, ModuleBuilder, NetId, Netlist};
 use soctest::prng::SplitMix64;
-use soctest::sim::{CombSim, SeqSim};
+use soctest::sim::KernelSim;
 
 const CASES: usize = 64;
 
@@ -98,7 +99,7 @@ fn lanes_are_independent() {
     for _ in 0..CASES {
         let (n_in, gates) = draw_comb(&mut rng, 4, 39);
         let nl = random_comb(n_in, &gates);
-        let mut sim = CombSim::new(&nl).unwrap();
+        let mut sim = KernelSim::new(&nl).unwrap();
         let ins = nl.port("in").unwrap().bits().to_vec();
         let out = nl.port("out").unwrap().bits()[0];
         let n_words = 1 + rng.gen_index(4);
@@ -107,16 +108,16 @@ fn lanes_are_independent() {
             let mut padded = words.to_vec();
             padded.resize(n_in, 0);
             for (&net, &w) in ins.iter().zip(&padded) {
-                sim.set(net, w);
+                sim.set_input(net, w);
             }
-            sim.eval(&nl);
+            sim.eval_comb();
             let parallel = sim.get(out);
             // Re-run lane 7 alone, broadcast.
-            let mut solo = CombSim::new(&nl).unwrap();
+            let mut solo = KernelSim::new(&nl).unwrap();
             for (&net, &w) in ins.iter().zip(&padded) {
-                solo.set(net, if (w >> 7) & 1 == 1 { u64::MAX } else { 0 });
+                solo.set_input_bit(net, (w >> 7) & 1 == 1);
             }
-            solo.eval(&nl);
+            solo.eval_comb();
             assert_eq!((parallel >> 7) & 1, solo.get(out) & 1);
         }
     }
@@ -255,7 +256,7 @@ fn seq_sim_is_deterministic() {
         let comb = random_comb(n_in, &gates);
         let drive: Vec<u64> = (0..1 + rng.gen_index(19)).map(|_| rng.next_u64()).collect();
         let run = || {
-            let mut sim = SeqSim::new(&comb).unwrap();
+            let mut sim = KernelSim::new(&comb).unwrap();
             let ins = comb.port("in").unwrap().bits().to_vec();
             let out = comb.port("out").unwrap().bits()[0];
             let mut acc = 0u64;
@@ -464,28 +465,28 @@ fn comb_transition_matches_two_cycle_reference() {
     }
 }
 
-/// Drives `nl` behaviorally with [`SeqSim`] and compacts the observed nets
-/// through a width-64 [`Misr`] exactly like the fault simulator's MISR
-/// observation mode: fold, absorb each cycle, read every `read` cycles plus
-/// a final read. Returns `(cycle, signature)` per read.
+/// Drives `nl` on the naive reference interpreter ([`RefMachine`], which
+/// shares no code with the fault simulator's kernel) and compacts the
+/// observed nets through a width-64 [`Misr`] exactly like the fault
+/// simulator's MISR observation mode: fold, absorb each cycle, read every
+/// `read` cycles plus a final read. Returns `(cycle, signature)` per read.
 fn misr64_trace(nl: &Netlist, obs: &[NetId], vectors: &[u64], read: u64) -> Vec<(u64, u64)> {
-    let mut sim = SeqSim::new(nl).unwrap();
-    let pis = nl.primary_inputs();
+    let mut rm = RefMachine::new(nl);
+    let width = nl.input_width();
     let mut misr = Misr::new(64);
     let mut out = Vec::new();
     let total = vectors.len() as u64;
     for (t, &v) in vectors.iter().enumerate() {
-        for (k, &pi) in pis.iter().enumerate() {
-            sim.set_input_bit(pi, (v >> k) & 1 == 1);
-        }
-        sim.eval_comb();
-        let bits: Vec<bool> = obs.iter().map(|&o| sim.get(o) & 1 == 1).collect();
+        let row: Vec<bool> = (0..width).map(|k| (v >> k) & 1 == 1).collect();
+        rm.set_inputs(&row);
+        rm.settle();
+        let bits: Vec<bool> = obs.iter().map(|&o| rm.value(o)).collect();
         misr.absorb_folded(&bits);
         let t = t as u64;
         if (t + 1).is_multiple_of(read) || t + 1 == total {
             out.push((t, misr.signature()));
         }
-        sim.clock();
+        rm.clock();
     }
     out
 }

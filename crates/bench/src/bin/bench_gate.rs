@@ -16,8 +16,8 @@
 //!
 //! - a module's `kernel_wall_s` grows past `median × 1.25` **and** the
 //!   absolute growth exceeds 20 ms (short quick-budget runs on a loaded
-//!   host jitter by more than any ratio; the floor matches the trace
-//!   -overhead gate's),
+//!   host jitter by more than any ratio; the floor matches the monitor
+//!   and profiler overhead gates' in `repro --bench-faultsim`),
 //! - a module's `faults_per_s` or the fleet's `dies_per_s` falls below
 //!   `median ÷ 1.25`, unless the absolute wall impact is under the same
 //!   20 ms floor,

@@ -1,12 +1,7 @@
 //! Regenerates every table and figure of the paper.
 //!
-//! ```text
-//! repro [--quick] [--bench-faultsim]
-//!       [--trace=FILE] [--metrics=FILE] [--vcd=FILE] [--report=FILE]
-//!       [--fleet --dies=N --seed=S [--defect-rate=R] [--workers=W]
-//!        [--monitor] [--batch=N] [--inject-drift=B:R] [--excursions=FILE]]
-//!       [table1 table2 table3 table4 table5 fig3 fig4 | all]
-//! ```
+//! The synopsis is [`USAGE`]. An unknown flag, a malformed flag value or
+//! an unknown table name prints the error and the usage and exits 2.
 //!
 //! `--quick` uses the reduced experiment budget (CI-sized); without it the
 //! paper's configuration runs (4,096 BIST patterns etc.) — build with
@@ -16,10 +11,10 @@
 //! fault-simulation hot path per module — one serial and one all-cores
 //! stuck-at campaign each, asserting bit-identical detection before timing
 //! is trusted — and writes the measurements to `BENCH_faultsim.json`,
-//! including traced-vs-untraced wall columns with a ≤ 2 % instrumentation
-//! overhead check, a health-monitor overhead column under the same gate,
-//! and the drift detection-latency column (an injected 3× defect-rate
-//! step must be flagged within 8 batches).
+//! including the fleet's health-monitor and profiler overhead gates (each
+//! ≤ 2 % or under a 20 ms floor against one shared plain baseline) and the
+//! drift detection-latency column (an injected 3× defect-rate step must be
+//! flagged within 8 batches).
 //!
 //! `--trace=FILE` / `--metrics=FILE` / `--vcd=FILE` skip the tables and
 //! run the observability demo instead: a fault-tolerant session against a
@@ -78,7 +73,8 @@
 //! With `--report=FILE` the cockpit report gains a Health section
 //! (control charts with signal markers, excursion table, verdict tiles).
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 use std::time::Instant;
 
 use soctest_bench::{
@@ -94,8 +90,8 @@ use soctest_core::health::HealthConfig;
 use soctest_core::robust::RobustSession;
 use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::{
-    json, CountingSink, JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot,
-    ProfileHandle, SamplerPolicy, TraceHandle, Tracer, VcdReader,
+    json, JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot, ProfileHandle,
+    SamplerPolicy, TraceHandle, Tracer, VcdReader,
 };
 use soctest_tech::Library;
 
@@ -106,8 +102,6 @@ struct FaultSimBench {
     faults: usize,
     serial_wall_s: f64,
     parallel_wall_s: f64,
-    untraced_wall_s: f64,
-    traced_wall_s: f64,
     /// Worker count the serial policy actually resolved to (always 1).
     serial_threads: usize,
     /// Worker count the default parallel policy actually resolved to —
@@ -140,19 +134,68 @@ impl FaultSimBench {
             0.0
         }
     }
+}
 
-    fn trace_overhead_pct(&self) -> f64 {
-        if self.untraced_wall_s > 0.0 {
-            100.0 * (self.traced_wall_s - self.untraced_wall_s) / self.untraced_wall_s
+/// Runs every job `rounds` times, interleaved (job 0, job 1, …, job 0, …),
+/// and returns each job's fastest wall in seconds. Interleaving keeps a
+/// load spike on the host from charging one job only.
+fn fastest_interleaved<const N: usize>(rounds: usize, jobs: [&dyn Fn() -> f64; N]) -> [f64; N] {
+    let mut fastest = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (best, job) in fastest.iter_mut().zip(jobs) {
+            *best = best.min(job());
+        }
+    }
+    fastest
+}
+
+/// One instrumentation-overhead measurement: the fastest wall with the
+/// instrumentation off vs on.
+struct Overhead {
+    off_s: f64,
+    on_s: f64,
+}
+
+impl Overhead {
+    fn delta_s(&self) -> f64 {
+        self.on_s - self.off_s
+    }
+
+    fn pct(&self) -> f64 {
+        if self.off_s > 0.0 {
+            100.0 * self.delta_s() / self.off_s
         } else {
             0.0
         }
     }
 
-    /// The overhead gate: within 2 % relative, or within the absolute
-    /// noise floor of short runs on a loaded host.
-    fn trace_overhead_ok(&self) -> bool {
-        self.trace_overhead_pct() <= 2.0 || self.traced_wall_s - self.untraced_wall_s < 0.02
+    /// The overhead rule: within 2 % relative, or under the 20 ms
+    /// absolute noise floor of short runs on a loaded host.
+    fn ok(&self) -> bool {
+        self.pct() <= 2.0 || self.delta_s() < 0.02
+    }
+
+    /// Prints the greppable `fleet: <what> overhead` line and asserts the
+    /// rule.
+    fn gate(&self, what: &str, dies: u64) {
+        println!(
+            "fleet: {what} overhead {dies} dies, off {:.4}s vs on {:.4}s ({:+.2}%) — {}",
+            self.off_s,
+            self.on_s,
+            self.pct(),
+            if self.ok() {
+                "within budget"
+            } else {
+                "OVER BUDGET"
+            }
+        );
+        assert!(
+            self.ok(),
+            "{what} overhead {:.2}% exceeds the 2% budget \
+             (absolute delta {:.4}s over the 0.02s floor)",
+            self.pct(),
+            self.delta_s()
+        );
     }
 }
 
@@ -186,17 +229,10 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
         println!("{name}: serial   {}", serial.stats);
         println!("{name}: parallel {}", parallel.stats);
 
-        // De-noise the headline walls the same way as the trace-overhead
-        // pair below: min-of-3, interleaved, so a load spike on this
-        // (possibly single-core) host cannot charge one policy only.
-        let mut serial_wall_s = serial.stats.wall.as_secs_f64();
-        let mut parallel_wall_s = parallel.stats.wall.as_secs_f64();
-        for _ in 0..2 {
-            serial_wall_s =
-                serial_wall_s.min(run(ParallelPolicy::serial()).stats.wall.as_secs_f64());
-            parallel_wall_s =
-                parallel_wall_s.min(run(ParallelPolicy::default()).stats.wall.as_secs_f64());
-        }
+        let serial_wall = || run(ParallelPolicy::serial()).stats.wall.as_secs_f64();
+        let parallel_wall = || run(ParallelPolicy::default()).stats.wall.as_secs_f64();
+        let [serial_wall_s, parallel_wall_s] =
+            fastest_interleaved(3, [&serial_wall, &parallel_wall]);
 
         // The bit-identity contract, asserted on real workloads: thread
         // count must not change results. (Correctness against the naive
@@ -218,43 +254,12 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
         println!("{name}: identical: {identical} (serial vs parallel)");
         let curve_summary = parallel.curve().summary();
 
-        // Instrumentation-overhead measurement: the same campaign with the
-        // trace handle disabled (the no-op path every production run takes)
-        // vs enabled with a counting sink. Min-of-5 each, interleaved, so a
-        // background-load spike cannot charge one side only (min-of-3 still
-        // flaked past the 2% gate on loaded single-core hosts).
-        let timed = |trace: &TraceHandle| {
-            let mut stim = pgen.stimulus(m, patterns);
-            let cfg = SeqFaultSimConfig {
-                trace: trace.clone(),
-                ..Default::default()
-            };
-            SeqFaultSim::new(&universe, cfg)
-                .run(&mut stim)
-                .expect("fault sim")
-                .stats
-                .wall
-                .as_secs_f64()
-        };
-        let disabled = TraceHandle::none();
-        let mut tracer = Tracer::new(64);
-        tracer.add_sink(Box::new(CountingSink::new()));
-        let enabled = TraceHandle::new(tracer);
-        let mut untraced_wall_s = f64::INFINITY;
-        let mut traced_wall_s = f64::INFINITY;
-        for _ in 0..5 {
-            untraced_wall_s = untraced_wall_s.min(timed(&disabled));
-            traced_wall_s = traced_wall_s.min(timed(&enabled));
-        }
-
         rows.push(FaultSimBench {
             name,
             patterns,
             faults: universe.len(),
             serial_wall_s,
             parallel_wall_s,
-            untraced_wall_s,
-            traced_wall_s,
             serial_threads: serial.stats.threads,
             threads: parallel.stats.threads,
             identical,
@@ -275,17 +280,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
                 r.threads
             );
         }
-        println!(
-            "{name}: trace overhead {:+.2}% (untraced {:.4}s, traced {:.4}s)",
-            r.trace_overhead_pct(),
-            untraced_wall_s,
-            traced_wall_s
-        );
-        assert!(
-            r.trace_overhead_ok(),
-            "{name}: tracing overhead {:.2}% exceeds the 2% budget",
-            r.trace_overhead_pct()
-        );
     }
 
     let mut json = String::from("{\n");
@@ -311,8 +305,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             "    {{\"name\": \"{}\", \"patterns\": {}, \"faults\": {}, \
              \"serial_wall_s\": {:.6}, \"parallel_wall_s\": {:.6}, \
              \"kernel_wall_s\": {:.6}, \
-             \"untraced_wall_s\": {:.6}, \"traced_wall_s\": {:.6}, \
-             \"trace_overhead_pct\": {:.3}, \"trace_overhead_ok\": {}, \
              \"serial_threads\": {}, \"threads\": {}, \
              \"speedup_comparable\": {}, \"speedup\": {}, \
              \"faults_per_s\": {:.1}, \
@@ -323,10 +315,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             r.serial_wall_s,
             r.parallel_wall_s,
             r.parallel_wall_s,
-            r.untraced_wall_s,
-            r.traced_wall_s,
-            r.trace_overhead_pct(),
-            r.trace_overhead_ok(),
             r.serial_threads,
             r.threads,
             r.speedup_comparable(),
@@ -365,51 +353,45 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
         "fleet throughput {:.0} dies/s is below the 1000 dies/s contract",
         fr.dies_per_sec()
     );
-    // The monitor-overhead column: the same flight with the health
-    // monitor off vs armed, min-of-3 interleaved so a load spike cannot
-    // charge one side only. Same gate discipline as the tracer and
-    // profiler: ≤ 2 % relative, or under the 20 ms noise floor.
-    let monitor_dies = 20_000u64;
-    let plain = Fleet::new(case, FleetConfig::new(monitor_dies, 42)).expect("fleet cache builds");
-    let monitored = Fleet::new(case, FleetConfig::new(monitor_dies, 42))
+    // The instrumentation-overhead gates: the same flight plain, with the
+    // health monitor armed, and with the profiler attached, each
+    // instrumented side measured against the one shared plain baseline.
+    let overhead_dies = 20_000u64;
+    let cfg = FleetConfig::new(overhead_dies, 42);
+    let plain = Fleet::new(case, cfg.clone()).expect("fleet cache builds");
+    let monitored = Fleet::new(case, cfg.clone())
         .expect("fleet cache builds")
         .with_monitor(HealthConfig::default());
-    let timed = |fleet: &Fleet| {
+    let profiled =
+        Fleet::new_profiled(case, cfg, ProfileHandle::enabled()).expect("fleet cache builds");
+    let flight_wall = |fleet: &Fleet| {
         let started = Instant::now();
         let outcome = fleet.run();
         assert_eq!(
-            outcome.report.dies, monitor_dies,
+            outcome.report.dies, overhead_dies,
             "flight must cover every die"
         );
         started.elapsed().as_secs_f64()
     };
-    let mut monitor_off_s = f64::INFINITY;
-    let mut monitor_on_s = f64::INFINITY;
-    for _ in 0..3 {
-        monitor_off_s = monitor_off_s.min(timed(&plain));
-        monitor_on_s = monitor_on_s.min(timed(&monitored));
-    }
-    let monitor_overhead_s = monitor_on_s - monitor_off_s;
-    let monitor_overhead_pct = if monitor_off_s > 0.0 {
-        100.0 * monitor_overhead_s / monitor_off_s
-    } else {
-        0.0
+    let [off_s, monitor_on_s, profiler_on_s] = fastest_interleaved(
+        3,
+        [
+            &|| flight_wall(&plain),
+            &|| flight_wall(&monitored),
+            &|| flight_wall(&profiled),
+        ],
+    );
+    let monitor = Overhead {
+        off_s,
+        on_s: monitor_on_s,
     };
-    let monitor_ok = monitor_overhead_pct <= 2.0 || monitor_overhead_s < 0.02;
-    println!(
-        "fleet: monitor overhead {monitor_dies} dies, off {monitor_off_s:.4}s vs on \
-         {monitor_on_s:.4}s ({monitor_overhead_pct:+.2}%) — {}",
-        if monitor_ok {
-            "within budget"
-        } else {
-            "OVER BUDGET"
-        }
-    );
-    assert!(
-        monitor_ok,
-        "health-monitor overhead {monitor_overhead_pct:.2}% exceeds the 2% budget \
-         (absolute delta {monitor_overhead_s:.4}s over the 0.02s floor)"
-    );
+    monitor.gate("monitor", overhead_dies);
+    Overhead {
+        off_s,
+        on_s: profiler_on_s,
+    }
+    .gate("profiler", overhead_dies);
+    let (monitor_overhead_s, monitor_overhead_pct) = (monitor.delta_s(), monitor.pct());
 
     // The detection-latency column: a drifted monitored flight (3× the
     // default defect rate stepped mid-run) must flag within 8 batches.
@@ -666,7 +648,7 @@ struct FleetArgs {
     /// Arm the streaming health monitor (`--monitor`).
     monitor: bool,
     /// `--inject-drift=BATCH:RATE` — step the defect rate at a batch.
-    inject_drift: Option<(u64, f64)>,
+    inject_drift: Option<Drift>,
     /// `--excursions=FILE` — write the excursion ledger JSONL.
     excursions_path: Option<String>,
 }
@@ -700,7 +682,7 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
     if let Some(b) = fa.batch {
         cfg.batch = b;
     }
-    if let Some((batch, rate)) = fa.inject_drift {
+    if let Some(Drift { batch, rate }) = fa.inject_drift {
         cfg.inject_drift = Some(DriftSpec {
             batch,
             mix: DefectMix {
@@ -817,14 +799,14 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
              (exact p50={} p95={} p99={})",
             r.tck.p50, r.tck.p95, r.tck.p99
         );
-        if let Some((drift_batch, drift_rate)) = fa.inject_drift {
-            println!("health: injected drift batch={drift_batch} defect-rate={drift_rate:.4}");
+        if let Some(Drift { batch, rate }) = fa.inject_drift {
+            println!("health: injected drift batch={batch} defect-rate={rate:.4}");
             assert!(
-                health.excursions.iter().all(|e| e.spc.batch >= drift_batch),
+                health.excursions.iter().all(|e| e.spc.batch >= batch),
                 "clean prefix before the injected drift must stay quiet"
             );
             let latency = health
-                .detection_latency(drift_batch)
+                .detection_latency(batch)
                 .expect("injected drift must be flagged");
             println!("health: detect_latency_batches={latency}");
             assert!(
@@ -1006,50 +988,6 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
             html.len()
         );
     }
-}
-
-/// The profiler-overhead gate behind `--profile-overhead`: the same
-/// fleet flight with the profiler disabled (the no-op handle every
-/// production run takes) vs enabled, min-of-3 interleaved so a load
-/// spike cannot charge one side only. The gate is the same discipline as
-/// the tracer's: ≤ 2 % relative, or under the 20 ms absolute noise floor
-/// of short runs on a loaded host.
-fn profile_overhead_gate(dies: u64, seed: u64) {
-    let case = CaseStudy::paper().expect("case study builds");
-    let cfg = FleetConfig::new(dies, seed);
-    let plain = Fleet::new(&case, cfg.clone()).expect("fleet cache builds");
-    let profiled =
-        Fleet::new_profiled(&case, cfg, ProfileHandle::enabled()).expect("fleet cache builds");
-
-    let timed = |fleet: &Fleet| {
-        let started = Instant::now();
-        let outcome = fleet.run();
-        assert!(outcome.report.dies == dies, "flight must cover every die");
-        started.elapsed().as_secs_f64()
-    };
-    let mut off_wall_s = f64::INFINITY;
-    let mut on_wall_s = f64::INFINITY;
-    for _ in 0..3 {
-        off_wall_s = off_wall_s.min(timed(&plain));
-        on_wall_s = on_wall_s.min(timed(&profiled));
-    }
-    let overhead_pct = if off_wall_s > 0.0 {
-        100.0 * (on_wall_s - off_wall_s) / off_wall_s
-    } else {
-        0.0
-    };
-    let ok = overhead_pct <= 2.0 || on_wall_s - off_wall_s < 0.02;
-    println!(
-        "profile-overhead: {dies} dies, off {off_wall_s:.4}s vs on {on_wall_s:.4}s \
-         ({overhead_pct:+.2}%) — {}",
-        if ok { "within budget" } else { "OVER BUDGET" }
-    );
-    assert!(
-        ok,
-        "profiler overhead {overhead_pct:.2}% exceeds the 2% budget \
-         (absolute delta {:.4}s over the 0.02s floor)",
-        on_wall_s - off_wall_s
-    );
 }
 
 /// The campaign cockpit behind `--report=FILE`: runs the full evaluation
@@ -1239,9 +1177,141 @@ fn autopilot_demo(
     }
 }
 
+/// The synopsis printed with every argument error.
+const USAGE: &str = "\
+usage: repro [--quick] [table1 table2 table3 table4 table5 fig3 fig4 | all]
+       repro [--quick] --bench-faultsim
+       repro [--quick] [--trace=FILE] [--metrics=FILE] [--vcd=FILE]
+       repro [--quick] --report=FILE
+       repro [--quick] --autopilot [--target=PCT] [--max-patterns=N] [--seed=S]
+             [--inject-hang=M] [--trail=FILE] [--report=FILE]
+       repro [--quick] --fleet [--dies=N] [--seed=S] [--defect-rate=R] [--workers=W]
+             [--batch=N] [--profile=FILE] [--sample-dies=N] [--traces=FILE]
+             [--monitor] [--inject-drift=BATCH:RATE] [--excursions=FILE] [--report=FILE]";
+
+/// Every flag `repro` knows; a trailing `=` marks a flag that takes a value.
+const FLAGS: &[&str] = &[
+    "--quick",
+    "--bench-faultsim",
+    "--autopilot",
+    "--fleet",
+    "--monitor",
+    "--trace=",
+    "--metrics=",
+    "--vcd=",
+    "--report=",
+    "--target=",
+    "--max-patterns=",
+    "--seed=",
+    "--inject-hang=",
+    "--trail=",
+    "--dies=",
+    "--defect-rate=",
+    "--workers=",
+    "--batch=",
+    "--profile=",
+    "--sample-dies=",
+    "--traces=",
+    "--inject-drift=",
+    "--excursions=",
+];
+
+/// What a positional argument may name.
+const TABLES: &[&str] = &[
+    "table1", "table2", "table3", "table4", "table5", "fig3", "fig4", "all",
+];
+
+/// Rejects any argument that is neither a known flag nor a table name.
+fn check_args(args: &[String]) -> Result<(), String> {
+    for a in args {
+        let known = if a.starts_with("--") {
+            FLAGS
+                .iter()
+                .any(|f| a == f || (f.ends_with('=') && a.starts_with(f)))
+        } else {
+            TABLES.contains(&a.as_str())
+        };
+        if !known {
+            return Err(format!("unknown argument `{a}`"));
+        }
+    }
+    Ok(())
+}
+
+/// The value after `prefix` (e.g. `--dies=`) parsed as `T`, or `None` when
+/// the flag is absent. A value that does not parse is an error, never a
+/// silent default.
+fn parse_flag<T: FromStr>(args: &[String], prefix: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    args.iter()
+        .find_map(|a| a.strip_prefix(prefix))
+        .map(|v| {
+            v.parse()
+                .map_err(|e| format!("bad value in `{prefix}{v}`: {e}"))
+        })
+        .transpose()
+}
+
+/// The `--inject-drift=BATCH:RATE` spec: step the defect rate to `rate`
+/// at `batch`.
+#[derive(Debug, PartialEq)]
+struct Drift {
+    batch: u64,
+    rate: f64,
+}
+
+impl FromStr for Drift {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (batch, rate) = s.split_once(':').ok_or("expected BATCH:RATE")?;
+        Ok(Drift {
+            batch: batch.parse().map_err(|e| format!("batch `{batch}`: {e}"))?,
+            rate: rate.parse().map_err(|e| format!("rate `{rate}`: {e}"))?,
+        })
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    if let Err(e) = run(&args) {
+        eprintln!("repro: {e}\n\n{USAGE}");
+        std::process::exit(2);
+    }
+}
+
+/// Parses every argument before any work starts, then runs the mode the
+/// flags select.
+fn run(args: &[String]) -> Result<(), String> {
+    check_args(args)?;
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let quick = has("--quick");
+    let seed: Option<u64> = parse_flag(args, "--seed=")?;
+    let report_path: Option<String> = parse_flag(args, "--report=")?;
+    let trace_path: Option<String> = parse_flag(args, "--trace=")?;
+    let metrics_path: Option<String> = parse_flag(args, "--metrics=")?;
+    let vcd_path: Option<String> = parse_flag(args, "--vcd=")?;
+    let target: f64 = parse_flag(args, "--target=")?.unwrap_or(50.0);
+    let max_patterns: u64 = parse_flag(args, "--max-patterns=")?.unwrap_or(512);
+    let inject_hang: Option<usize> = parse_flag(args, "--inject-hang=")?;
+    let trail_path: Option<String> = parse_flag(args, "--trail=")?;
+    let inject_drift: Option<Drift> = parse_flag(args, "--inject-drift=")?;
+    let fa = FleetArgs {
+        dies: parse_flag(args, "--dies=")?.unwrap_or(10_000),
+        seed: seed.unwrap_or(42),
+        defect_rate: parse_flag(args, "--defect-rate=")?,
+        workers: parse_flag(args, "--workers=")?,
+        batch: parse_flag(args, "--batch=")?,
+        report_path: report_path.clone(),
+        profile_path: parse_flag(args, "--profile=")?,
+        sample_dies: parse_flag(args, "--sample-dies=")?,
+        traces_path: parse_flag(args, "--traces=")?,
+        monitor: has("--monitor") || inject_drift.is_some(),
+        inject_drift,
+        excursions_path: parse_flag(args, "--excursions=")?,
+    };
     let wanted: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -1258,85 +1328,32 @@ fn main() {
     let lib = Library::cmos_130nm();
     let case = CaseStudy::paper().expect("case study builds");
 
-    if args.iter().any(|a| a == "--bench-faultsim") {
+    if has("--bench-faultsim") {
         let patterns = if quick { 192 } else { 4096 };
         println!("# soctest fault-sim bench — {patterns} patterns/module\n");
         bench_faultsim(&case, patterns);
-        return;
+        return Ok(());
     }
-
-    let flag_value = |prefix: &str| {
-        args.iter()
-            .find_map(|a| a.strip_prefix(prefix).map(str::to_owned))
-    };
-    if args.iter().any(|a| a == "--autopilot") {
-        let target = flag_value("--target=")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50.0);
-        let max_patterns = flag_value("--max-patterns=")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(512);
-        let seed = flag_value("--seed=")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0xA5EED);
-        let inject_hang = flag_value("--inject-hang=").and_then(|v| v.parse().ok());
+    if has("--autopilot") {
         autopilot_demo(
             &budget,
             target,
             max_patterns,
-            seed,
+            seed.unwrap_or(0xA5EED),
             inject_hang,
-            flag_value("--trail=").as_deref(),
-            flag_value("--report=").as_deref(),
+            trail_path.as_deref(),
+            report_path.as_deref(),
         );
-        return;
+        return Ok(());
     }
-    if args.iter().any(|a| a == "--profile-overhead") {
-        let dies = flag_value("--dies=")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000);
-        let seed = flag_value("--seed=")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        profile_overhead_gate(dies, seed);
-        return;
-    }
-    if args.iter().any(|a| a == "--fleet") {
-        let dies = flag_value("--dies=")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10_000);
-        let seed = flag_value("--seed=")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let inject_drift = flag_value("--inject-drift=").and_then(|v| {
-            let (b, r) = v.split_once(':')?;
-            Some((b.parse().ok()?, r.parse().ok()?))
-        });
-        let monitor = args.iter().any(|a| a == "--monitor") || inject_drift.is_some();
-        let fa = FleetArgs {
-            dies,
-            seed,
-            defect_rate: flag_value("--defect-rate=").and_then(|v| v.parse().ok()),
-            workers: flag_value("--workers=").and_then(|v| v.parse().ok()),
-            batch: flag_value("--batch=").and_then(|v| v.parse().ok()),
-            report_path: flag_value("--report="),
-            profile_path: flag_value("--profile="),
-            sample_dies: flag_value("--sample-dies=").and_then(|v| v.parse().ok()),
-            traces_path: flag_value("--traces="),
-            monitor,
-            inject_drift,
-            excursions_path: flag_value("--excursions="),
-        };
+    if has("--fleet") {
         fleet_demo(&budget, &fa);
-        return;
+        return Ok(());
     }
-    if let Some(path) = flag_value("--report=") {
+    if let Some(path) = report_path {
         report_demo(&budget, &path);
-        return;
+        return Ok(());
     }
-    let trace_path = flag_value("--trace=");
-    let metrics_path = flag_value("--metrics=");
-    let vcd_path = flag_value("--vcd=");
     if trace_path.is_some() || metrics_path.is_some() || vcd_path.is_some() {
         obs_demo(
             if quick { 64 } else { 256 },
@@ -1344,7 +1361,7 @@ fn main() {
             metrics_path.as_deref(),
             vcd_path.as_deref(),
         );
-        return;
+        return Ok(());
     }
 
     println!(
@@ -1393,6 +1410,61 @@ fn main() {
         {
             let curve = experiments::fig4(&case, m, max, 8).expect("fig 4");
             println!("{}", render_fig4(name, &curve));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn malformed_flag_value_is_an_error() {
+        assert_eq!(
+            parse_flag::<u64>(&args(&["--fleet", "--dies=4000"]), "--dies="),
+            Ok(Some(4000))
+        );
+        assert_eq!(parse_flag::<u64>(&args(&["--fleet"]), "--dies="), Ok(None));
+        let bad = args(&["--fleet", "--dies=1e4"]);
+        assert!(check_args(&bad).is_ok());
+        assert!(parse_flag::<u64>(&bad, "--dies=").is_err());
+        // Rejected before any work starts, whichever mode is selected.
+        assert!(run(&bad).is_err());
+        assert!(run(&args(&["--quick", "--seed=abc", "table1"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_or_table_is_an_error() {
+        assert!(check_args(&args(&["--quick", "table3", "fig4", "--seed=7"])).is_ok());
+        for bad in [
+            &["--quik"][..],
+            &["--quick", "tabel3"],
+            &["--fleet", "--dies", "4000"],
+            &["--quick=1"],
+        ] {
+            assert!(check_args(&args(bad)).is_err(), "{bad:?}");
+            assert!(run(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn bad_drift_spec_is_an_error() {
+        assert_eq!(
+            parse_flag(&args(&["--inject-drift=20:0.15"]), "--inject-drift="),
+            Ok(Some(Drift {
+                batch: 20,
+                rate: 0.15
+            }))
+        );
+        for bad in ["20:0.15x", "20", "x:0.15", "20:", ""] {
+            let a = args(&["--fleet", &format!("--inject-drift={bad}")]);
+            assert!(parse_flag::<Drift>(&a, "--inject-drift=").is_err(), "{bad}");
+            assert!(run(&a).is_err(), "{bad}");
         }
     }
 }

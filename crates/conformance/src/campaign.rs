@@ -78,7 +78,6 @@ pub fn case_study_leg(
                     observe: observe[o].clone(),
                     collect_syndromes: collect,
                     parallel: ParallelPolicy::serial(),
-                    ..Default::default()
                 };
                 let mut stim = (patterns, |t: u64, out: &mut [bool]| {
                     out.copy_from_slice(&rows[t as usize]);

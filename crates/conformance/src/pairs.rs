@@ -894,7 +894,6 @@ pub fn fault_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
                 observe: observe[m].clone(),
                 collect_syndromes: collect,
                 parallel: ParallelPolicy::serial(),
-                ..Default::default()
             };
             let got = SeqFaultSim::new(&universe, config)
                 .run(&mut VectorStimulus::new(words.clone()))

@@ -34,7 +34,7 @@
 use std::fmt;
 
 use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
-use soctest_obs::{CurveSummary, MemorySink, ProfileHandle, TraceEvent, TraceHandle, Tracer};
+use soctest_obs::{CurveSummary, MemorySink, TraceEvent, TraceHandle, Tracer};
 use soctest_p1500::{FaultyBackend, ProtocolError, TapDriver};
 
 use crate::casestudy::CaseStudy;
@@ -323,7 +323,6 @@ struct LoopState {
 pub struct Autopilot {
     config: AutopilotConfig,
     hang_modules: Vec<usize>,
-    profile: ProfileHandle,
 }
 
 impl Autopilot {
@@ -383,17 +382,7 @@ impl Autopilot {
         Ok(Autopilot {
             config,
             hang_modules: Vec::new(),
-            profile: ProfileHandle::none(),
         })
-    }
-
-    /// Attaches a self-profiler: `run` attributes its wall time to
-    /// `screen` / `converge` phases and counts rounds and simulated
-    /// patterns per module.
-    #[must_use]
-    pub fn with_profile(mut self, profile: ProfileHandle) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// The validated configuration.
@@ -449,21 +438,17 @@ impl Autopilot {
         let mut sim_patterns = 0u64;
         let mut modules = Vec::with_capacity(nmodules);
         for (m, name) in names.into_iter().enumerate() {
-            let screen = {
-                let _phase = self.profile.scope("screen");
-                if self.hang_modules.contains(&m) {
-                    self.injected_hang_screen()?
-                } else {
-                    // Per-module isolation: a screening error is that module's
-                    // problem, not the session's.
-                    screener
-                        .screen_module(reference, dut, m, self.config.screen_patterns)
-                        .unwrap_or(ScreenOutcome::Hung { cycles: 0 })
-                }
+            let screen = if self.hang_modules.contains(&m) {
+                self.injected_hang_screen()?
+            } else {
+                // Per-module isolation: a screening error is that module's
+                // problem, not the session's.
+                screener
+                    .screen_module(reference, dut, m, self.config.screen_patterns)
+                    .unwrap_or(ScreenOutcome::Hung { cycles: 0 })
             };
             let outcome = match screen {
                 ScreenOutcome::Passed => {
-                    let _phase = self.profile.scope("converge");
                     match self.converge_module(reference, m, &trace, &mut sim_patterns) {
                         Ok(c) => c,
                         // Mid-loop session errors degrade the module.
@@ -570,8 +555,6 @@ impl Autopilot {
             );
             let result = sim.run(&mut stim)?;
             *sim_patterns += state.patterns;
-            self.profile.count("rounds", 1);
-            self.profile.count("sim_patterns", state.patterns);
             let summary = result.curve().summary();
             let percent = result.coverage_percent();
             trace.emit(

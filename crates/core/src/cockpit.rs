@@ -15,9 +15,7 @@ use std::fmt::Write as _;
 use soctest_fault::{FaultUniverse, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::analyze::{self, AdvisorInput, CurveFacts, ToggleRow};
 use soctest_obs::svg::{self, escape, Bar, LineSeries, TimelinePoint};
-use soctest_obs::{
-    report, CoverageCurve, HtmlReport, MemorySink, ProfileHandle, Profiler, TraceHandle, Tracer,
-};
+use soctest_obs::{report, CoverageCurve, HtmlReport, MemorySink, Profiler, TraceHandle, Tracer};
 
 use crate::autopilot::AutopilotReport;
 use crate::casestudy::CaseStudy;
@@ -142,36 +140,14 @@ pub fn run_campaign(
     dut: &CaseStudy,
     budget: &Budget,
 ) -> Result<CampaignData, SessionError> {
-    run_campaign_profiled(reference, dut, budget, &ProfileHandle::none())
-}
-
-/// [`run_campaign`] with a self-profiler attached: each campaign stage
-/// (`step1`, `coverage`, `diagnosis`, `session`, `advise`) becomes a
-/// top-level phase on `profile` with pattern/module counters, so the
-/// report can attribute where the wall time went. The default
-/// [`ProfileHandle::none`] makes this identical to `run_campaign`.
-///
-/// # Errors
-///
-/// Propagates simulator and session errors from the underlying steps.
-pub fn run_campaign_profiled(
-    reference: &CaseStudy,
-    dut: &CaseStudy,
-    budget: &Budget,
-    profile: &ProfileHandle,
-) -> Result<CampaignData, SessionError> {
     let patterns = budget.bist_patterns;
-    let step1 = {
-        let _phase = profile.scope("step1");
-        eval::step1(reference, patterns)?
-    };
+    let step1 = eval::step1(reference, patterns)?;
 
     // Step 2 — the exact BIST-cell configuration of `experiments::table3`:
     // same stimulus, same default window, same parallel policy, so the
     // resulting coverage figures byte-match the rendered tables.
     let pgen = reference.pattern_generator();
     let mut curves = Vec::new();
-    let coverage_phase = profile.scope("coverage");
     for (m, module) in reference.modules().iter().enumerate() {
         for (model, label) in [
             (FaultModel::StuckAt, "SAF"),
@@ -204,17 +180,13 @@ pub fn run_campaign_profiled(
                 faults: universe.len(),
                 undetected,
             });
-            profile.count("campaigns", 1);
-            profile.count("patterns", patterns);
         }
     }
-    drop(coverage_phase);
 
     // Step 3 — diagnosis sweep: resolution vs pattern count, keeping the
     // full-budget run as each module's diagnosis.
     let mut diag = Vec::new();
     let mut resolution_points = Vec::new();
-    let diagnosis_phase = profile.scope("diagnosis");
     for (m, module) in reference.modules().iter().enumerate() {
         let mut last: Option<Step3Report> = None;
         for p in [
@@ -244,11 +216,9 @@ pub fn run_campaign_profiled(
             diag.push((module.name().to_owned(), r));
         }
     }
-    drop(diagnosis_phase);
 
     // The robust session, traced so the timeline can be reconstructed
     // from the JSONL stream.
-    let session_phase = profile.scope("session");
     let sink = MemorySink::new();
     let records = sink.shared();
     let mut tracer = Tracer::new(soctest_obs::DEFAULT_CAPACITY);
@@ -267,10 +237,8 @@ pub fn run_campaign_profiled(
         }
         s
     };
-    drop(session_phase);
 
     // The advisor: session outcome + curve summaries + toggle rows.
-    let _advise_phase = profile.scope("advise");
     let mut input: AdvisorInput = session.advisor_input();
     input.curves = curves
         .iter()
@@ -1233,26 +1201,25 @@ mod tests {
     #[test]
     fn attached_observatory_renders_phases_traces_and_throughput() {
         use crate::fleet::{Fleet, FleetConfig};
-        use soctest_obs::SamplerPolicy;
+        use soctest_obs::{ProfileHandle, SamplerPolicy};
 
         let (reference, dut) = planted_case();
         let mut budget = Budget::quick();
         budget.bist_patterns = 64;
         budget.diag_patterns = 32;
-        let profile = ProfileHandle::enabled();
-        let mut data = run_campaign_profiled(&reference, &dut, &budget, &profile).unwrap();
+        let mut data = run_campaign(&reference, &dut, &budget).unwrap();
         // No observatory attached → no section.
         assert!(!render_report(&data).contains(">Observatory<"));
 
         let mut cfg = FleetConfig::new(150, 9);
         cfg.workers = 1;
-        let fleet = Fleet::new_profiled(&reference, cfg, profile.clone())
+        let fleet = Fleet::new_profiled(&reference, cfg, ProfileHandle::enabled())
             .unwrap()
             .with_trace_sampling(SamplerPolicy::new(25, 1), 8);
         let outcome = fleet.run();
         assert!(!outcome.traces.is_empty());
         data.observatory = Some(ObservatoryData {
-            profiler: profile.snapshot(),
+            profiler: fleet.profile().snapshot(),
             traces: outcome.traces.clone(),
             batch_walls: outcome.batch_walls.clone(),
             trace_dropped_events: outcome.trace_dropped_events(),
@@ -1262,14 +1229,8 @@ mod tests {
         assert!(report::is_self_contained(&html));
         assert!(html.contains(">Observatory<"));
         assert!(html.contains("Phase attribution"));
-        // The campaign phases and the fleet phases share one profiler.
-        for phase in [
-            "coverage",
-            "diagnosis",
-            "session",
-            "cache_build",
-            "simulate",
-        ] {
+        // The profiled fleet's phases.
+        for phase in ["cache_build", "simulate"] {
             assert!(html.contains(phase), "missing phase {phase}");
         }
         assert!(html.contains("Sampled die"));

@@ -13,13 +13,13 @@
 //! The bookkeeping is per 64-pattern block, word by word: one propagation
 //! pass counted per excited block, first detection at the lowest absolute
 //! pattern index, syndrome events in canonical (pattern, output) order, and
-//! one window trace event per block. The `fault` conformance pair pins
-//! detections and syndromes against the naive reference interpreter.
+//! one survivor count per block in [`FaultSimStats`](crate::FaultSimStats).
+//! The `fault` conformance pair pins detections and syndromes against the
+//! naive reference interpreter.
 
 use std::time::Instant;
 
 use soctest_netlist::{CompiledNetlist, NetId, NetlistError, LANE_WORDS};
-use soctest_obs::TraceEvent;
 
 use crate::combsim::{CombCampaign, CombFaultSim, PatternSet};
 use crate::{FaultKind, Syndrome};
@@ -87,11 +87,6 @@ impl CombFaultSim<'_> {
             (0..nthreads).map(|_| ConeScratch::new(&kernel)).collect();
         let mut empty_syndromes: Vec<Syndrome> = Vec::new();
 
-        let (good0, faulty0, windows0) = (
-            campaign.stats.good_cycles,
-            campaign.stats.faulty_cycles,
-            campaign.stats.windows,
-        );
         let blocks = patterns.blocks();
         for g in 0..blocks.len().div_ceil(W) {
             let b0 = g * W;
@@ -102,31 +97,27 @@ impl CombFaultSim<'_> {
             }
             let base0 = offset + b0 as u64 * 64;
 
-            {
-                // Good evaluation, 256 lanes at once (launch pass for
-                // transition mode). Unused trailing words idle at zero.
-                let _p = self.profile.scope("good_trace");
-                for (i, &pi) in pis.iter().enumerate() {
-                    let slot = pi.index() * W;
+            // Good evaluation, 256 lanes at once (launch pass for
+            // transition mode). Unused trailing words idle at zero.
+            for (i, &pi) in pis.iter().enumerate() {
+                let slot = pi.index() * W;
+                for w in 0..W {
+                    values[slot + w] = if w < gw { blocks[b0 + w][i] } else { 0 };
+                }
+            }
+            kernel.eval_wide(&mut values);
+            campaign.stats.good_cycles += gw as u64;
+            if let Some(map) = transition {
+                launch.copy_from_slice(&values);
+                for &(ppi, ppo) in map {
                     for w in 0..W {
-                        values[slot + w] = if w < gw { blocks[b0 + w][i] } else { 0 };
+                        values[ppi.index() * W + w] = launch[ppo.index() * W + w];
                     }
                 }
                 kernel.eval_wide(&mut values);
                 campaign.stats.good_cycles += gw as u64;
-                if let Some(map) = transition {
-                    launch.copy_from_slice(&values);
-                    for &(ppi, ppo) in map {
-                        for w in 0..W {
-                            values[ppi.index() * W + w] = launch[ppo.index() * W + w];
-                        }
-                    }
-                    kernel.eval_wide(&mut values);
-                    campaign.stats.good_cycles += gw as u64;
-                }
             }
 
-            let eval_scope = self.profile.scope("chunk_eval");
             let syndromes: &mut [Syndrome] = match campaign.syndromes.as_mut() {
                 Some(s) => s,
                 None => &mut empty_syndromes,
@@ -192,18 +183,15 @@ impl CombFaultSim<'_> {
                         .sum::<u64>()
                 })
             };
-            drop(eval_scope);
-            let _p = self.profile.scope("merge");
             campaign.stats.faulty_cycles += propagations;
 
-            // One window trace event per 64-pattern block. The survivor
-            // count after block `b` is recoverable from the final detection
-            // array because detection indices are absolute: a fault still
+            // One survivor count per 64-pattern block. The count after
+            // block `b` is recoverable from the final detection array
+            // because detection indices are absolute: a fault still
             // survives block `b` iff it is undetected or first detected at
             // a later pattern index.
-            for (w, &mask) in masks.iter().enumerate().take(gw) {
-                let base = base0 + w as u64 * 64;
-                let boundary = base + 64;
+            for w in 0..gw {
+                let boundary = base0 + w as u64 * 64 + 64;
                 let survivors = campaign
                     .detection
                     .iter()
@@ -212,22 +200,11 @@ impl CombFaultSim<'_> {
                         Some(x) => *x >= boundary,
                     })
                     .count();
-                self.trace.emit(
-                    base + u64::from(mask.count_ones()),
-                    TraceEvent::FaultSimWindow {
-                        index: campaign.stats.windows,
-                        start_cycle: base,
-                        length: u64::from(mask.count_ones()),
-                        chunks: nthreads as u64,
-                        survivors: survivors as u64,
-                    },
-                );
                 campaign.stats.windows += 1;
                 campaign.stats.survivors.push(survivors);
             }
         }
 
-        self.count_profile(campaign, good0, faulty0, windows0);
         campaign.applied += patterns.len() as u64;
         campaign.stats.wall += start.elapsed();
         Ok(())

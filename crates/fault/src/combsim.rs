@@ -11,7 +11,6 @@
 //! detection = lowest absolute pattern index).
 
 use soctest_netlist::{NetId, NetlistError};
-use soctest_obs::{ProfileHandle, TraceHandle};
 
 use crate::{FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, Syndrome};
 
@@ -168,8 +167,6 @@ pub struct CombFaultSim<'a> {
     pub(crate) universe: &'a FaultUniverse,
     pub(crate) collect_syndromes: bool,
     pub(crate) parallel: ParallelPolicy,
-    pub(crate) trace: TraceHandle,
-    pub(crate) profile: ProfileHandle,
 }
 
 impl<'a> CombFaultSim<'a> {
@@ -179,24 +176,7 @@ impl<'a> CombFaultSim<'a> {
             universe,
             collect_syndromes: false,
             parallel: ParallelPolicy::default(),
-            trace: TraceHandle::none(),
-            profile: ProfileHandle::none(),
         }
-    }
-
-    /// Attaches a trace handle: one `FaultSimWindow` event per 64-pattern
-    /// block, emitted from the coordinating thread (disabled by default).
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Attaches a profiler handle: per-block `good_trace` / `chunk_eval` /
-    /// `merge` phase attribution plus cycle counters, recorded from the
-    /// coordinating thread (disabled by default).
-    pub fn with_profile(mut self, profile: ProfileHandle) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// Enables per-fault syndrome collection (disables fault dropping).
@@ -291,26 +271,6 @@ impl<'a> CombFaultSim<'a> {
     ) -> Result<(), NetlistError> {
         self.run(patterns, Some(state_map), campaign)
     }
-
-    /// Folds this run's scheduling-counter deltas into the profiler.
-    pub(crate) fn count_profile(
-        &self,
-        campaign: &CombCampaign,
-        good0: u64,
-        faulty0: u64,
-        windows0: u64,
-    ) {
-        if !self.profile.is_enabled() {
-            return;
-        }
-        self.profile.count("faults", self.universe.len() as u64);
-        self.profile
-            .count("good_cycles", campaign.stats.good_cycles - good0);
-        self.profile
-            .count("faulty_cycles", campaign.stats.faulty_cycles - faulty0);
-        self.profile
-            .count("windows", campaign.stats.windows - windows0);
-    }
 }
 
 #[cfg(test)]
@@ -358,6 +318,22 @@ mod tests {
         assert_eq!(r.stats.windows, 1);
         assert_eq!(r.stats.survivors.last(), Some(&0));
         assert!(r.stats.threads >= 1);
+    }
+
+    #[test]
+    fn a_detection_on_the_last_pattern_of_a_block_is_not_a_survivor() {
+        // 63 all-zero patterns, then all-ones as pattern 63: faults only
+        // the all-ones pattern excites are first detected on the block's
+        // last pattern and must not count as survivors of that block.
+        let nl = comb_block();
+        let u = FaultUniverse::stuck_at(&nl);
+        let mut rows = vec![vec![false; 3]; 63];
+        rows.push(vec![true; 3]);
+        let r = CombFaultSim::new(&u)
+            .run_stuck_at(&PatternSet::from_rows(3, &rows))
+            .unwrap();
+        assert!(r.detection.contains(&Some(63)));
+        assert_eq!(r.stats.survivors, vec![r.undetected().len()]);
     }
 
     #[test]

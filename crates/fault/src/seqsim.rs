@@ -22,7 +22,6 @@
 use std::time::Instant;
 
 use soctest_netlist::{NetId, NetlistError};
-use soctest_obs::{ProfileHandle, TraceEvent, TraceHandle};
 
 use crate::seqkernel::KernelEngine;
 use crate::stimulus::StimulusMatrix;
@@ -86,14 +85,6 @@ pub struct SeqFaultSimConfig {
     pub collect_syndromes: bool,
     /// Worker-thread policy for the per-window fault chunks.
     pub parallel: ParallelPolicy,
-    /// Trace handle: one `FaultSimWindow` event per retired window and a
-    /// final `FaultSimDone`, all emitted from the coordinating thread
-    /// (disabled by default).
-    pub trace: TraceHandle,
-    /// Profiler handle: per-window `good_trace` / `chunk_eval` / `merge`
-    /// phase attribution plus cycle counters, recorded from the
-    /// coordinating thread (disabled by default).
-    pub profile: ProfileHandle,
 }
 
 impl Default for SeqFaultSimConfig {
@@ -103,8 +94,6 @@ impl Default for SeqFaultSimConfig {
             observe: ObserveMode::Outputs,
             collect_syndromes: false,
             parallel: ParallelPolicy::default(),
-            trace: TraceHandle::none(),
-            profile: ProfileHandle::none(),
         }
     }
 }
@@ -301,14 +290,10 @@ impl<'a> SeqFaultSim<'a> {
         let mut window_start = 0u64;
         while window_start < cycles && !active.is_empty() {
             let wlen = self.config.window.min(cycles - window_start);
-            let trace = {
-                let _p = self.config.profile.scope("good_trace");
-                engine.good_window(ctx, &good_state, window_start, wlen, &mut good_scratch)
-            };
+            let trace = engine.good_window(ctx, &good_state, window_start, wlen, &mut good_scratch);
             stats.good_cycles += wlen;
             stats.faulty_cycles += wlen * active.chunks(64).count() as u64;
 
-            let eval_scope = self.config.profile.scope("chunk_eval");
             let mut chunk_slices: Vec<&mut [ActiveFault]> = active.chunks_mut(64).collect();
             let nchunks = chunk_slices.len();
             let workers = nthreads.min(nchunks.max(1));
@@ -360,21 +345,17 @@ impl<'a> SeqFaultSim<'a> {
                         .collect()
                 })
             };
-            drop(eval_scope);
             // Deterministic merge: workers in spawn order, chunks in chunk
             // order; each fault lives in exactly one chunk, so per-fault
             // event order is exactly the serial order.
-            {
-                let _p = self.config.profile.scope("merge");
-                for out in outs.into_iter().flatten() {
-                    for (idx, t) in out.detections {
-                        if detection[idx].is_none() {
-                            detection[idx] = Some(t);
-                        }
+            for out in outs.into_iter().flatten() {
+                for (idx, t) in out.detections {
+                    if detection[idx].is_none() {
+                        detection[idx] = Some(t);
                     }
-                    for (idx, when, what) in out.events {
-                        syndromes[idx].record(when, what);
-                    }
+                }
+                for (idx, when, what) in out.events {
+                    syndromes[idx].record(when, what);
                 }
             }
 
@@ -383,39 +364,12 @@ impl<'a> SeqFaultSim<'a> {
                 active.retain(|af| detection[af.idx].is_none());
             }
             let survivors = detection.iter().filter(|d| d.is_none()).count();
-            self.config.trace.emit(
-                window_start + wlen,
-                TraceEvent::FaultSimWindow {
-                    index: stats.windows,
-                    start_cycle: window_start,
-                    length: wlen,
-                    chunks: nchunks as u64,
-                    survivors: survivors as u64,
-                },
-            );
             stats.windows += 1;
             stats.survivors.push(survivors);
             window_start += wlen;
         }
 
         stats.wall = start.elapsed();
-        if self.config.profile.is_enabled() {
-            self.config.profile.count("faults", faults.len() as u64);
-            self.config.profile.count("good_cycles", stats.good_cycles);
-            self.config
-                .profile
-                .count("faulty_cycles", stats.faulty_cycles);
-            self.config.profile.count("windows", stats.windows);
-        }
-        self.config.trace.emit(
-            cycles,
-            TraceEvent::FaultSimDone {
-                faults: faults.len() as u64,
-                detected: detection.iter().filter(|d| d.is_some()).count() as u64,
-                windows: stats.windows,
-                threads: nthreads as u64,
-            },
-        );
         Ok(FaultSimResult {
             detection,
             cycles,
@@ -679,7 +633,6 @@ mod tests {
                             observe: observe.clone(),
                             collect_syndromes: true,
                             parallel: ParallelPolicy::with_threads(threads),
-                            ..Default::default()
                         },
                     );
                     sim.run(&mut stim).unwrap()

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use soctest_obs::{MetricsRegistry, TraceEvent, TraceHandle};
+use soctest_obs::MetricsRegistry;
 
 use crate::channel::LLR_MAX;
 use crate::code::LdpcCode;
@@ -156,7 +156,6 @@ fn sat(v: i32) -> (i32, bool) {
 pub struct SerialDecoder {
     code: LdpcCode,
     config: DecoderConfig,
-    trace: TraceHandle,
     /// Interleaving memory A: bit→check messages, edge-indexed.
     mem_a: Vec<i32>,
     /// Interleaving memory B: check→bit messages, edge-indexed.
@@ -185,18 +184,11 @@ impl SerialDecoder {
         SerialDecoder {
             code: code.clone(),
             config,
-            trace: TraceHandle::none(),
             mem_a: vec![0; next_edge as usize],
             mem_b: vec![0; next_edge as usize],
             check_edges,
             bit_edges,
         }
-    }
-
-    /// Attaches a trace handle: one `DecodeIteration` event per iteration
-    /// (stamped with the serial-cycle estimate) and a closing `DecodeDone`.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// The bound code.
@@ -228,15 +220,7 @@ impl SerialDecoder {
             iterations += 1;
             self.check_phase(&mut stats);
             hard = self.bit_phase(llrs, &mut stats);
-            let unsatisfied = self.code.syndrome_weight(&hard);
-            success = unsatisfied == 0;
-            self.trace.emit(
-                stats.serial_cycles,
-                TraceEvent::DecodeIteration {
-                    iteration: iterations.into(),
-                    unsatisfied: unsatisfied as u64,
-                },
-            );
+            success = self.code.syndrome_weight(&hard) == 0;
             if success {
                 stats.bump("cu_stop_syndrome");
             }
@@ -244,13 +228,6 @@ impl SerialDecoder {
         if !success && iterations == max_iters {
             stats.bump("cu_stop_maxiter");
         }
-        self.trace.emit(
-            stats.serial_cycles,
-            TraceEvent::DecodeDone {
-                iterations: iterations.into(),
-                success,
-            },
-        );
         DecodeOutput {
             bits: hard,
             iterations,
@@ -464,8 +441,6 @@ mod tests {
 
     #[test]
     fn traced_decode_reports_iterations_and_metrics() {
-        use soctest_obs::{MemorySink, MetricsRegistry, Tracer};
-
         let c = code();
         let mut dec = SerialDecoder::new(
             &c,
@@ -473,43 +448,10 @@ mod tests {
                 variant: MinSumVariant::ScaleThreeQuarters,
             },
         );
-        let sink = MemorySink::new();
-        let records = sink.shared();
-        let mut tracer = Tracer::new(64);
-        tracer.add_sink(Box::new(sink));
-        dec.set_trace(TraceHandle::new(tracer));
-
         let mut llrs = vec![16i32; c.n()];
         llrs[3] = -16;
         let out = dec.decode(&llrs, 30);
         assert!(out.success);
-
-        let recs = records.lock().unwrap();
-        let iters = recs
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::DecodeIteration { .. }))
-            .count();
-        assert_eq!(iters as u32, out.iterations);
-        match recs.last().map(|r| r.event) {
-            Some(TraceEvent::DecodeDone {
-                iterations,
-                success,
-            }) => {
-                assert_eq!(iterations, u64::from(out.iterations));
-                assert!(success);
-            }
-            other => panic!("expected a closing DecodeDone, got {other:?}"),
-        }
-        // The last iteration satisfies every check.
-        let last_iter = recs
-            .iter()
-            .filter_map(|r| match r.event {
-                TraceEvent::DecodeIteration { unsatisfied, .. } => Some(unsatisfied),
-                _ => None,
-            })
-            .next_back();
-        assert_eq!(last_iter, Some(0));
-        drop(recs);
 
         let registry = MetricsRegistry::new();
         out.stats.export_metrics(&registry);

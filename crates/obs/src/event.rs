@@ -140,44 +140,6 @@ pub enum TraceEvent {
         /// Module index.
         module: u8,
     },
-    /// One fault-simulation window (or PPSFP block) retired.
-    FaultSimWindow {
-        /// Window index within the campaign.
-        index: u64,
-        /// First cycle of the window.
-        start_cycle: u64,
-        /// Window length in cycles (or patterns in the block).
-        length: u64,
-        /// 64-fault lane chunks simulated in the window.
-        chunks: u64,
-        /// Faults still undetected after the window.
-        survivors: u64,
-    },
-    /// A fault-simulation campaign finished.
-    FaultSimDone {
-        /// Faults simulated.
-        faults: u64,
-        /// Faults detected.
-        detected: u64,
-        /// Windows/blocks processed.
-        windows: u64,
-        /// Worker threads used.
-        threads: u64,
-    },
-    /// One LDPC decode iteration finished.
-    DecodeIteration {
-        /// Iteration number (1-based).
-        iteration: u64,
-        /// Unsatisfied parity checks after the iteration.
-        unsatisfied: u64,
-    },
-    /// An LDPC decode attempt finished.
-    DecodeDone {
-        /// Iterations used.
-        iterations: u64,
-        /// Whether the syndrome reached zero.
-        success: bool,
-    },
     /// The autopilot opened a closed-loop coverage session.
     AutopilotStart {
         /// Modules under control.
@@ -246,10 +208,6 @@ impl TraceEvent {
             TraceEvent::WatchdogFired { .. } => "WatchdogFired",
             TraceEvent::Quarantine { .. } => "Quarantine",
             TraceEvent::ModuleCleared { .. } => "ModuleCleared",
-            TraceEvent::FaultSimWindow { .. } => "FaultSimWindow",
-            TraceEvent::FaultSimDone { .. } => "FaultSimDone",
-            TraceEvent::DecodeIteration { .. } => "DecodeIteration",
-            TraceEvent::DecodeDone { .. } => "DecodeDone",
             TraceEvent::AutopilotStart { .. } => "AutopilotStart",
             TraceEvent::AutopilotDecision { .. } => "AutopilotDecision",
             TraceEvent::AutopilotLeverDemoted { .. } => "AutopilotLeverDemoted",
@@ -311,41 +269,6 @@ impl TraceEvent {
             TraceEvent::Quarantine { module } | TraceEvent::ModuleCleared { module } => {
                 vec![("module", U64(module.into()))]
             }
-            TraceEvent::FaultSimWindow {
-                index,
-                start_cycle,
-                length,
-                chunks,
-                survivors,
-            } => vec![
-                ("index", U64(index)),
-                ("start_cycle", U64(start_cycle)),
-                ("length", U64(length)),
-                ("chunks", U64(chunks)),
-                ("survivors", U64(survivors)),
-            ],
-            TraceEvent::FaultSimDone {
-                faults,
-                detected,
-                windows,
-                threads,
-            } => vec![
-                ("faults", U64(faults)),
-                ("detected", U64(detected)),
-                ("windows", U64(windows)),
-                ("threads", U64(threads)),
-            ],
-            TraceEvent::DecodeIteration {
-                iteration,
-                unsatisfied,
-            } => vec![
-                ("iteration", U64(iteration)),
-                ("unsatisfied", U64(unsatisfied)),
-            ],
-            TraceEvent::DecodeDone {
-                iterations,
-                success,
-            } => vec![("iterations", U64(iterations)), ("success", Bool(success))],
             TraceEvent::AutopilotStart { modules, target_bp } => vec![
                 ("modules", U64(modules.into())),
                 ("target_bp", U64(target_bp)),
@@ -436,12 +359,12 @@ mod tests {
                 done: true,
                 signature: 0xBEEF,
             },
-            TraceEvent::FaultSimWindow {
-                index: 0,
-                start_cycle: 0,
-                length: 256,
-                chunks: 3,
-                survivors: 17,
+            TraceEvent::AutopilotDecision {
+                module: 1,
+                round: 2,
+                lever: "reseed",
+                coverage_bp: 3_660,
+                patterns: 192,
             },
         ];
         for e in events {

@@ -5,7 +5,7 @@
 //! 1. **Structured tracing** ([`Tracer`], [`TraceHandle`], [`TraceEvent`]):
 //!    typed, cycle-stamped events from every layer of the test stack (TAP
 //!    pin edges, wrapper instruction loads, MISR snapshots, retry-ladder
-//!    escalations, fault-simulation windows), kept in a bounded ring
+//!    escalations, autopilot decisions), kept in a bounded ring
 //!    buffer and fanned out to pluggable [`sink::TraceSink`]s — in-memory
 //!    for tests, JSON Lines for tooling, pretty text for humans.
 //!    Instrumentation points take a [`TraceHandle`]; the default handle is

@@ -1,9 +1,5 @@
-//! The perf-regression gate over the committed bench history.
-//!
-//! ```text
-//! bench_gate [--history=BENCH_history.jsonl] [--current=BENCH_current.json]
-//!            [--max-regression-pct=25] [--self-test]
-//! ```
+//! The perf-regression gate over the committed bench history. The
+//! synopsis is [`USAGE`].
 //!
 //! Reads the slim throughput records `repro --bench-faultsim` emits —
 //! one JSON line per run with per-module `kernel_wall_s` / `faults_per_s`
@@ -25,7 +21,11 @@
 //!   `max(median × 1.25, 2 %)` with the absolute overhead over the 20 ms
 //!   floor, or its `detect_latency_batches` grows past
 //!   `max(median × 1.25, 8)` — both compared only when the history
-//!   carries the columns, so pre-monitor history lines stay valid.
+//!   carries the columns, so pre-monitor history lines stay valid,
+//! - the current record lacks a column the history carries
+//!   (`monitor_overhead_s`, `monitor_overhead_pct`,
+//!   `detect_latency_batches`): a record that drops one would otherwise
+//!   pass unchecked.
 //!
 //! Only history records with the same `patterns` budget as the current
 //! run are compared; with no comparable history the gate passes with a
@@ -35,6 +35,9 @@
 //! run that is exactly 2× slower than the history median on every
 //! metric. The gate must reject it; the self-test exits 0 **iff** the
 //! rejection fired, proving the gate can actually fail.
+//!
+//! An unknown argument or a malformed `--max-regression-pct=` value
+//! prints the error and the usage and exits 2.
 
 use std::process::ExitCode;
 
@@ -213,30 +216,33 @@ fn gate(base: &Baseline, current: &Record, max_regression_pct: f64) -> usize {
             current.fleet_dies_per_s, base.fleet_dies_per_s
         ),
     );
-    // Health-monitor columns, compared only when both sides carry them.
-    // The overhead gate has an absolute ceiling too: whatever the history
-    // says, the monitor may never cost more than 2 % — unless the whole
-    // delta is under the wall-clock noise floor.
-    if let (Some(pct), Some(base_pct)) = (current.monitor_overhead_pct, base.monitor_overhead_pct) {
-        let under_floor = current.monitor_overhead_s.unwrap_or(f64::INFINITY) < ABS_FLOOR_S;
-        let monitor_ok = pct <= (base_pct * ratio).max(2.0) || under_floor;
-        check(
-            "fleet.monitor_overhead_pct",
-            monitor_ok,
-            format!("current {pct:.2}% vs median {base_pct:.2}% (ceiling 2%)"),
-        );
+    // Health-monitor columns, compared when the history carries them; the
+    // current record must then carry them too. The overhead gate has an
+    // absolute ceiling as well: whatever the history says, the monitor may
+    // never cost more than 2 % — unless the whole delta is under the
+    // wall-clock noise floor.
+    const MISSING: &str = "missing from the current record, which the history carries";
+    if let Some(base_pct) = base.monitor_overhead_pct {
+        match (current.monitor_overhead_pct, current.monitor_overhead_s) {
+            (Some(pct), Some(delta_s)) => check(
+                "fleet.monitor_overhead_pct",
+                pct <= (base_pct * ratio).max(2.0) || delta_s < ABS_FLOOR_S,
+                format!("current {pct:.2}% vs median {base_pct:.2}% (ceiling 2%)"),
+            ),
+            _ => check("fleet.monitor_overhead_pct", false, MISSING.into()),
+        }
     }
     // Detection latency is measured in batches — deterministic, no noise
     // floor needed. The 8-batch contract is the absolute ceiling.
-    if let (Some(lat), Some(base_lat)) =
-        (current.detect_latency_batches, base.detect_latency_batches)
-    {
-        let latency_ok = lat <= (base_lat * ratio).max(8.0);
-        check(
-            "fleet.detect_latency_batches",
-            latency_ok,
-            format!("current {lat:.0} vs median {base_lat:.0} (ceiling 8)"),
-        );
+    if let Some(base_lat) = base.detect_latency_batches {
+        match current.detect_latency_batches {
+            Some(lat) => check(
+                "fleet.detect_latency_batches",
+                lat <= (base_lat * ratio).max(8.0),
+                format!("current {lat:.0} vs median {base_lat:.0} (ceiling 8)"),
+            ),
+            None => check("fleet.detect_latency_batches", false, MISSING.into()),
+        }
     }
     failures
 }
@@ -262,18 +268,57 @@ fn synthetic_slowdown(base: &Baseline, patterns: u64) -> Record {
     }
 }
 
+/// The synopsis printed with every argument error.
+const USAGE: &str = "\
+usage: bench_gate [--history=BENCH_history.jsonl] [--current=BENCH_current.json]
+                  [--max-regression-pct=25] [--self-test]";
+
+/// The gate's arguments, every one checked before any file is read.
+struct Args {
+    history_path: String,
+    current_path: String,
+    max_regression_pct: f64,
+    self_test: bool,
+}
+
+/// Parses the arguments; an unknown one or a malformed value is an error,
+/// never a silent default.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        history_path: "BENCH_history.jsonl".into(),
+        current_path: "BENCH_current.json".into(),
+        max_regression_pct: 25.0,
+        self_test: false,
+    };
+    for a in args {
+        match a.split_once('=') {
+            Some(("--history", v)) => parsed.history_path = v.into(),
+            Some(("--current", v)) => parsed.current_path = v.into(),
+            Some(("--max-regression-pct", v)) => {
+                parsed.max_regression_pct =
+                    v.parse().map_err(|e| format!("bad value in `{a}`: {e}"))?;
+            }
+            None if a == "--self-test" => parsed.self_test = true,
+            _ => return Err(format!("unknown argument `{a}`")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |prefix: &str| {
-        args.iter()
-            .find_map(|a| a.strip_prefix(prefix).map(str::to_owned))
+    let Args {
+        history_path,
+        current_path,
+        max_regression_pct,
+        self_test,
+    } = match parse_args(&args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("bench-gate: {e}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let history_path = flag_value("--history=").unwrap_or_else(|| "BENCH_history.jsonl".into());
-    let current_path = flag_value("--current=").unwrap_or_else(|| "BENCH_current.json".into());
-    let max_regression_pct: f64 = flag_value("--max-regression-pct=")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
-    let self_test = args.iter().any(|a| a == "--self-test");
 
     let Ok(history_text) = std::fs::read_to_string(&history_path) else {
         eprintln!("bench-gate: cannot read history at {history_path}");
@@ -351,5 +396,87 @@ fn main() -> ExitCode {
     } else {
         eprintln!("bench-gate: FAIL — {failures} metric(s) regressed");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A record `slowdown` times slower than the reference run, with or
+    /// without the health-monitor columns.
+    fn record(slowdown: f64, monitor: bool) -> Record {
+        Record {
+            patterns: 192,
+            modules: [
+                ("BIT_NODE", 0.016, 190_000.0),
+                ("CHECK_NODE", 0.105, 130_000.0),
+            ]
+            .iter()
+            .map(|&(n, wall, rate)| (n.to_owned(), wall * slowdown, rate / slowdown))
+            .collect(),
+            fleet_dies_per_s: 100_000.0 / slowdown,
+            monitor_overhead_s: monitor.then_some(0.003),
+            monitor_overhead_pct: monitor.then_some(1.5),
+            detect_latency_batches: monitor.then_some(2.0),
+        }
+    }
+
+    /// A three-run history around the reference run.
+    fn history(monitor: bool) -> Vec<Record> {
+        [0.9, 1.0, 1.1].map(|s| record(s, monitor)).to_vec()
+    }
+
+    #[test]
+    fn a_run_at_the_median_passes() {
+        let base = baseline(&history(true), 192).expect("comparable history");
+        assert_eq!(gate(&base, &record(1.0, true), 25.0), 0);
+    }
+
+    #[test]
+    fn a_2x_slowdown_fails() {
+        let base = baseline(&history(true), 192).expect("comparable history");
+        // CHECK_NODE's wall and rate and the fleet rate; BIT_NODE's 16 ms
+        // of growth stays under the 20 ms noise floor.
+        assert_eq!(gate(&base, &record(2.0, true), 25.0), 3);
+    }
+
+    #[test]
+    fn a_monitor_column_the_history_carries_must_be_in_the_current_record() {
+        let base = baseline(&history(true), 192).expect("comparable history");
+        let drops: [fn(&mut Record); 3] = [
+            |r| r.monitor_overhead_s = None,
+            |r| r.monitor_overhead_pct = None,
+            |r| r.detect_latency_batches = None,
+        ];
+        for drop in drops {
+            let mut current = record(1.0, true);
+            drop(&mut current);
+            assert_eq!(gate(&base, &current, 25.0), 1);
+        }
+    }
+
+    #[test]
+    fn a_history_without_monitor_columns_passes_a_record_without_them() {
+        let base = baseline(&history(false), 192).expect("comparable history");
+        assert_eq!(gate(&base, &record(1.0, false), 25.0), 0);
+    }
+
+    #[test]
+    fn unknown_flag_or_malformed_value_is_an_error() {
+        let args = |list: &[&str]| list.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        let parsed = parse_args(&args(&["--self-test", "--max-regression-pct=10"]));
+        assert_eq!(
+            parsed.map(|a| (a.self_test, a.max_regression_pct)),
+            Ok((true, 10.0))
+        );
+        for bad in [
+            "--max-regression-pct=abc",
+            "--max-regresion-pct=10",
+            "--self-tset",
+            "--history",
+        ] {
+            assert!(parse_args(&args(&[bad])).is_err(), "{bad}");
+        }
     }
 }

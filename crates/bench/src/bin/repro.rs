@@ -1,7 +1,11 @@
 //! Regenerates every table and figure of the paper.
 //!
-//! The synopsis is [`USAGE`]. An unknown flag, a malformed flag value or
-//! an unknown table name prints the error and the usage and exits 2.
+//! The synopsis is [`USAGE`]; [`MODES`] lists the flags each mode reads.
+//! An unknown flag or table name, more than one mode flag, a flag or table
+//! name the selected mode does not read, or a malformed or out-of-range
+//! value prints the error and the usage and exits 2 before any work.
+//! Every mode asserts its own contract, so a violation panics and the
+//! process exits non-zero.
 //!
 //! `--quick` uses the reduced experiment budget (CI-sized); without it the
 //! paper's configuration runs (4,096 BIST patterns etc.) — build with
@@ -9,11 +13,12 @@
 //!
 //! `--bench-faultsim` skips the tables and instead benchmarks the
 //! fault-simulation hot path per module — one serial and one all-cores
-//! stuck-at campaign each, asserting bit-identical detection before timing
-//! is trusted — and writes the measurements to `BENCH_faultsim.json`,
-//! including the fleet's health-monitor and profiler overhead gates (each
-//! ≤ 2 % or under a 20 ms floor against one shared plain baseline) and the
-//! drift detection-latency column (an injected 3× defect-rate step must be
+//! stuck-at campaign each, asserting bit-identical detections, per-window
+//! survivors and coverage curves before timing is trusted — and writes
+//! the measurements to `BENCH_faultsim.json`, including the fleet's
+//! health-monitor and profiler overhead gates (each ≤ 2 % or under a
+//! 20 ms floor against one shared plain baseline) and the drift
+//! detection-latency column (an injected 3× defect-rate step must be
 //! flagged within 8 batches).
 //!
 //! `--trace=FILE` / `--metrics=FILE` / `--vcd=FILE` skip the tables and
@@ -39,7 +44,8 @@
 //! `--max-patterns=` (per-round ceiling), `--seed=` (master seed),
 //! `--inject-hang=M` (drive module M's screen against a backend that
 //! never finishes, to drill the quarantine degradation), `--trail=FILE`
-//! (write the decision trail as validated JSONL). Composes with
+//! (write the decision trail as validated JSONL; the trail must hold the
+//! start, decision and verdict events either way). Composes with
 //! `--report=FILE`: the cockpit report then carries an Autopilot section
 //! with the verdicts, the decision table, and the greppable trail.
 //!
@@ -89,9 +95,10 @@ use soctest_core::fleet::{DefectMix, DriftSpec, Fleet, FleetConfig};
 use soctest_core::health::HealthConfig;
 use soctest_core::robust::RobustSession;
 use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
+use soctest_obs::json::{self, JsonValue};
 use soctest_obs::{
-    json, JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot, ProfileHandle,
-    SamplerPolicy, TraceHandle, Tracer, VcdReader,
+    JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot, ProfileHandle, SamplerPolicy,
+    TraceHandle, Tracer, VcdReader,
 };
 use soctest_tech::Library;
 
@@ -108,7 +115,6 @@ struct FaultSimBench {
     /// equal to `serial_threads` on a single-core host, in which case the
     /// serial-vs-parallel "speedup" is just measurement noise.
     threads: usize,
-    identical: bool,
     curve: soctest_obs::CurveSummary,
 }
 
@@ -235,14 +241,12 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             fastest_interleaved(3, [&serial_wall, &parallel_wall]);
 
         // The bit-identity contract, asserted on real workloads: thread
-        // count must not change results. (Correctness against the naive
-        // reference is `difftest`'s case-study leg.)
+        // count must not change the detections or the per-window survivor
+        // trajectory. (Correctness against the naive reference is
+        // `difftest`'s case-study leg.)
         let identical = serial.detection == parallel.detection
             && serial.stats.survivors == parallel.stats.survivors;
-        assert!(
-            serial.detection == parallel.detection,
-            "{name}: parallel run diverged from serial"
-        );
+        assert!(identical, "{name}: parallel run diverged from serial");
         // The coverage curves must also compare bit-identical — detection
         // indices are absolute, so thread count cannot reshape the curve.
         assert_eq!(
@@ -250,7 +254,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             parallel.curve(),
             "{name}: parallel coverage curve diverged from serial"
         );
-        // CI greps for one of these per module.
         println!("{name}: identical: {identical} (serial vs parallel)");
         let curve_summary = parallel.curve().summary();
 
@@ -262,7 +265,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             parallel_wall_s,
             serial_threads: serial.stats.threads,
             threads: parallel.stats.threads,
-            identical,
             curve: curve_summary,
         });
         let r = rows.last().expect("just pushed");
@@ -308,7 +310,7 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
              \"serial_threads\": {}, \"threads\": {}, \
              \"speedup_comparable\": {}, \"speedup\": {}, \
              \"faults_per_s\": {:.1}, \
-             \"identical\": {}, \"knee\": {}, \"curve\": {}}}",
+             \"identical\": true, \"knee\": {}, \"curve\": {}}}",
             r.name,
             r.patterns,
             r.faults,
@@ -320,7 +322,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             r.speedup_comparable(),
             speedup,
             r.faults_per_s(),
-            r.identical,
             knee,
             r.curve.to_json(),
         );
@@ -538,6 +539,7 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
 /// Each requested artifact is written, re-read, and validated with the
 /// in-tree parsers before the process exits.
 fn obs_demo(
+    reference: &CaseStudy,
     case_patterns: u64,
     trace_path: Option<&str>,
     metrics_path: Option<&str>,
@@ -546,11 +548,7 @@ fn obs_demo(
     use std::fs;
     use std::io::BufWriter;
 
-    let reference = CaseStudy::paper().expect("case study builds");
-    let mut dut = CaseStudy::paper().expect("case study builds");
-    let victim = dut.modules()[2].primary_outputs()[0];
-    dut.module_mut(2).force_constant(victim, true);
-
+    let dut = planted_dut(reference);
     let mut session = RobustSession::default().with_vcd(vcd_path.is_some());
     if let Some(path) = trace_path {
         let file = fs::File::create(path).expect("create trace file");
@@ -564,7 +562,7 @@ fn obs_demo(
     }
 
     let report = session
-        .run(&reference, &dut, case_patterns)
+        .run(reference, &dut, case_patterns)
         .expect("robust session");
     println!(
         "observability demo: {case_patterns} patterns, {} TCK, quarantined: {:?}",
@@ -579,28 +577,18 @@ fn obs_demo(
 
     if let Some(path) = trace_path {
         let text = fs::read_to_string(path).expect("read trace back");
-        let mut names = Vec::new();
-        for line in text.lines() {
-            let v = json::parse(line).expect("every trace line is valid JSON");
-            let event = v
-                .get("event")
-                .and_then(|e| e.as_str())
-                .expect("trace line carries an event name")
-                .to_owned();
-            names.push(event);
-        }
-        for needed in [
-            "SessionStart",
-            "AttemptResult",
-            "RetryEscalation",
-            "Quarantine",
-        ] {
-            assert!(
-                names.iter().any(|n| n == needed),
-                "trace must contain {needed}"
-            );
-        }
-        println!("wrote {path} ({} events, JSONL validated)", names.len());
+        let events = jsonl_artifact(
+            "trace",
+            &text,
+            &[
+                "SessionStart",
+                "AttemptResult",
+                "RetryEscalation",
+                "Quarantine",
+            ],
+            None,
+        );
+        println!("wrote {path} ({events} events, JSONL validated)");
     }
 
     if let Some(path) = metrics_path {
@@ -633,12 +621,11 @@ fn obs_demo(
     }
 }
 
-/// Everything `--fleet` accepts, parsed once in `main`.
-#[derive(Default)]
+/// Everything `--fleet` accepts, parsed before any work starts.
 struct FleetArgs {
     dies: u64,
     seed: u64,
-    defect_rate: Option<f64>,
+    defect_rate: Option<Rate>,
     workers: Option<usize>,
     batch: Option<u64>,
     report_path: Option<String>,
@@ -668,13 +655,10 @@ struct FleetArgs {
 /// and the demo asserts detection within 8 batches, zero excursions on
 /// the clean prefix, and a `stuck_at` attribution (the dominant class of
 /// the default mix).
-fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
-    let (dies, seed) = (fa.dies, fa.seed);
-    let report_path = fa.report_path.as_deref();
-    let case = CaseStudy::paper().expect("case study builds");
-    let mut cfg = FleetConfig::new(dies, seed);
-    if let Some(rate) = fa.defect_rate {
-        cfg.mix.defect_rate = rate.clamp(0.0, 1.0);
+fn fleet_demo(case: &CaseStudy, budget: &Budget, fa: &FleetArgs) {
+    let mut cfg = FleetConfig::new(fa.dies, fa.seed);
+    if let Some(Rate(rate)) = fa.defect_rate {
+        cfg.mix.defect_rate = rate;
     }
     if let Some(w) = fa.workers {
         cfg.workers = w;
@@ -686,7 +670,7 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
         cfg.inject_drift = Some(DriftSpec {
             batch,
             mix: DefectMix {
-                defect_rate: rate.clamp(0.0, 1.0),
+                defect_rate: rate.0,
                 ..cfg.mix
             },
         });
@@ -698,7 +682,7 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
     };
     let wall_started = Instant::now();
     let build_started = Instant::now();
-    let mut fleet = Fleet::new_profiled(&case, cfg, profile.clone()).expect("fleet cache builds");
+    let mut fleet = Fleet::new_profiled(case, cfg, profile.clone()).expect("fleet cache builds");
     if let Some(every) = fa.sample_dies {
         // Stride sampling plus a per-class quota of 2, so rare Hung /
         // StuckAt dies are always captured even when the stride misses
@@ -799,7 +783,11 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
              (exact p50={} p95={} p99={})",
             r.tck.p50, r.tck.p95, r.tck.p99
         );
-        if let Some(Drift { batch, rate }) = fa.inject_drift {
+        if let Some(Drift {
+            batch,
+            rate: Rate(rate),
+        }) = fa.inject_drift
+        {
             println!("health: injected drift batch={batch} defect-rate={rate:.4}");
             assert!(
                 health.excursions.iter().all(|e| e.spc.batch >= batch),
@@ -832,17 +820,12 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
                 "a 3x defect-rate step must flag the yield chart"
             );
         }
-        if let Some(path) = fa.excursions_path.as_deref() {
-            let ledger = health.to_jsonl();
-            for line in ledger.lines() {
-                json::parse(line).expect("every excursion ledger line is valid JSON");
-            }
-            std::fs::write(path, &ledger).expect("write excursion ledger");
-            println!(
-                "wrote {path} ({} excursion(s), JSONL validated)",
-                ledger.lines().count()
-            );
-        }
+        jsonl_artifact(
+            "excursion",
+            &health.to_jsonl(),
+            &[],
+            fa.excursions_path.as_deref(),
+        );
     }
 
     // The aggregate streams into the unified metrics registry, same as
@@ -927,28 +910,12 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
             outcome.trace_dropped_events()
         );
     }
-    if let Some(path) = fa.traces_path.as_deref() {
-        let mut out = String::new();
-        for t in &outcome.traces {
-            out.push_str(&t.to_jsonl());
-        }
-        for line in out.lines() {
-            json::parse(line).expect("every sampled-trace line is valid JSON");
-        }
-        std::fs::write(path, &out).expect("write traces");
-        println!(
-            "wrote {path} ({} sampled dies, {} lines, JSONL validated)",
-            outcome.traces.len(),
-            out.lines().count()
-        );
-    }
+    let traces: String = outcome.traces.iter().map(|t| t.to_jsonl()).collect();
+    jsonl_artifact("sampled-trace", &traces, &[], fa.traces_path.as_deref());
 
-    if let Some(path) = report_path {
-        let reference = CaseStudy::paper().expect("case study builds");
-        let mut dut = CaseStudy::paper().expect("case study builds");
-        let victim = dut.modules()[2].primary_outputs()[0];
-        dut.module_mut(2).force_constant(victim, true);
-        let mut data = cockpit::run_campaign(&reference, &dut, budget).expect("campaign runs");
+    if let Some(path) = fa.report_path.as_deref() {
+        let mut data =
+            cockpit::run_campaign(case, &planted_dut(case), budget).expect("campaign runs");
         data.fleet = Some(r.clone());
         data.observatory = Some(cockpit::ObservatoryData {
             profiler: fleet.profile().snapshot(),
@@ -957,36 +924,14 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
             trace_dropped_events: outcome.trace_dropped_events(),
         });
         data.health = outcome.health.clone();
-        let html = cockpit::render_report(&data);
-        assert!(
-            soctest_obs::report::is_self_contained(&html),
-            "report carries an external reference"
-        );
-        assert!(
-            html.contains(">Fleet<") && html.contains("Yield per batch"),
-            "report must carry the fleet section"
-        );
-        assert!(
-            html.contains(">Observatory<"),
-            "report must carry the observatory section"
-        );
+        let mut sections = vec![">Fleet<", "Yield per batch", ">Observatory<"];
         if data.health.is_some() {
-            assert!(
-                html.contains(">Health<") && html.contains("control chart"),
-                "report must carry the health section"
-            );
+            sections.extend([">Health<", "control chart"]);
         }
         if !outcome.traces.is_empty() {
-            assert!(
-                html.contains("Sampled die"),
-                "report must carry a sampled-die timeline"
-            );
+            sections.push("Sampled die");
         }
-        std::fs::write(path, &html).expect("write report");
-        println!(
-            "wrote {path} ({} bytes; fleet + observatory sections, self-containment validated)",
-            html.len()
-        );
+        write_report(path, &data, &sections);
     }
 }
 
@@ -994,13 +939,8 @@ fn fleet_demo(budget: &Budget, fa: &FleetArgs) {
 /// loop against the planted-defect DUT and writes one self-contained HTML
 /// report. The curve endpoints, the advisor's verdict, and the document's
 /// self-containment are all asserted before the process exits.
-fn report_demo(budget: &Budget, path: &str) {
-    let reference = CaseStudy::paper().expect("case study builds");
-    let mut dut = CaseStudy::paper().expect("case study builds");
-    let victim = dut.modules()[2].primary_outputs()[0];
-    dut.module_mut(2).force_constant(victim, true);
-
-    let data = cockpit::run_campaign(&reference, &dut, budget).expect("campaign runs");
+fn report_demo(case: &CaseStudy, budget: &Budget, path: &str) {
+    let data = cockpit::run_campaign(case, &planted_dut(case), budget).expect("campaign runs");
 
     // The streaming curve's endpoint is the coverage figure — exactly, to
     // the bit, per module and fault model.
@@ -1030,53 +970,29 @@ fn report_demo(budget: &Budget, path: &str) {
     for a in &data.advice {
         println!("advice: [{}] {} — {}", a.strategy, a.module, a.reason);
     }
-
-    let html = cockpit::render_report(&data);
-    assert!(
-        soctest_obs::report::is_self_contained(&html),
-        "report carries an external reference"
-    );
-    std::fs::write(path, &html).expect("write report");
-    println!(
-        "wrote {path} ({} bytes; self-containment, curve endpoints, and advisor validated)",
-        html.len()
-    );
+    write_report(path, &data, &[]);
 }
 
 /// The closed-loop demo behind `--autopilot`: screen, iterate, verdict —
 /// no human in the loop. Prints one greppable line per module, runs the
-/// weighted-CG attack on CHECK_NODE's quick-coverage baseline, and
-/// optionally writes the decision trail (`--trail=`) and a cockpit report
-/// with the Autopilot section (`--report=`).
-#[allow(clippy::too_many_arguments)]
+/// weighted-CG attack on CHECK_NODE's quick-coverage baseline, checks the
+/// decision trail, and optionally writes it (`--trail=`) and a cockpit
+/// report with the Autopilot section (`--report=`). `pilot` was built and
+/// validated, `inject_hang` included, before any work started.
 fn autopilot_demo(
+    case: &CaseStudy,
     budget: &Budget,
-    target: f64,
-    max_patterns: u64,
-    seed: u64,
+    pilot: &Autopilot,
     inject_hang: Option<usize>,
     trail_path: Option<&str>,
     report_path: Option<&str>,
 ) {
-    let reference = CaseStudy::paper().expect("case study builds");
-    let dut = CaseStudy::paper().expect("case study builds");
-
-    let mut pilot = Autopilot::new(AutopilotConfig {
-        target_percent: target,
-        max_patterns,
-        seed,
-        parallel: budget.parallel,
-        ..Default::default()
-    })
-    .expect("valid autopilot config");
-    if let Some(m) = inject_hang {
-        pilot = pilot.with_injected_hang(m);
-    }
-
     let started = Instant::now();
-    let flight = pilot.run(&reference, &dut).expect("autopilot terminates");
+    let flight = pilot.run(case, case).expect("autopilot terminates");
+    let cfg = pilot.config();
     println!(
-        "# autopilot — target {target:.1}%, max {max_patterns} patterns/round, seed {seed:#x}\n"
+        "# autopilot — target {:.1}%, max {} patterns/round, seed {:#x}\n",
+        cfg.target_percent, cfg.max_patterns, cfg.seed
     );
     for m in &flight.modules {
         let levers: Vec<&str> = m.rounds.iter().map(|r| r.lever.name()).collect();
@@ -1116,7 +1032,7 @@ fn autopilot_demo(
 
     // The weighted-CG attack: CHECK_NODE's 192-pattern quick-coverage
     // baseline vs the same budget under learned per-input 1-probabilities.
-    let universe = FaultUniverse::stuck_at(&reference.modules()[1]);
+    let universe = FaultUniverse::stuck_at(&case.modules()[1]);
     let coverage = |pgen: &soctest_bist::PatternGenerator| {
         let mut stim = pgen.stimulus(1, 192);
         SeqFaultSim::new(
@@ -1130,12 +1046,11 @@ fn autopilot_demo(
         .expect("fault sim")
         .coverage_percent()
     };
-    let base = coverage(&reference.pattern_generator());
-    let weights =
-        soctest_core::eval::learn_input_weights(&reference, 1, 192).expect("weights learn");
+    let base = coverage(&case.pattern_generator());
+    let weights = soctest_core::eval::learn_input_weights(case, 1, 192).expect("weights learn");
     let weighted = coverage(
-        &reference
-            .weighted_pattern_generator(1, &weights, seed)
+        &case
+            .weighted_pattern_generator(1, &weights, cfg.seed)
             .expect("weighted generator builds"),
     );
     println!(
@@ -1147,34 +1062,78 @@ fn autopilot_demo(
         "the learned weights must beat the plain ALFSR baseline on CHECK_NODE"
     );
 
-    if let Some(path) = trail_path {
-        std::fs::write(path, &flight.trail_jsonl).expect("write trail");
-        let mut events = 0usize;
-        for line in flight.trail_jsonl.lines() {
-            json::parse(line).expect("every trail line is valid JSON");
-            events += 1;
-        }
-        println!("wrote {path} ({events} decisions, JSONL validated)");
-    }
+    jsonl_artifact(
+        "decision",
+        &flight.trail_jsonl,
+        &["AutopilotStart", "AutopilotDecision", "AutopilotVerdict"],
+        trail_path,
+    );
 
     if let Some(path) = report_path {
-        let mut data = cockpit::run_campaign(&reference, &dut, budget).expect("campaign runs");
+        let mut data = cockpit::run_campaign(case, case, budget).expect("campaign runs");
         data.autopilot = Some(flight);
-        let html = cockpit::render_report(&data);
-        assert!(
-            soctest_obs::report::is_self_contained(&html),
-            "report carries an external reference"
-        );
-        assert!(
-            html.contains("AutopilotDecision") && html.contains("AutopilotVerdict"),
-            "the report must carry the greppable decision trail"
-        );
-        std::fs::write(path, &html).expect("write report");
+        write_report(path, &data, &["AutopilotDecision", "AutopilotVerdict"]);
+    }
+}
+
+/// The demos' DUT: the case study with CONTROL_UNIT's first output stuck
+/// at 1, so a session shows the full watchdog/retry/quarantine story.
+fn planted_dut(case: &CaseStudy) -> CaseStudy {
+    let mut dut = case.clone();
+    let victim = dut.modules()[2].primary_outputs()[0];
+    dut.module_mut(2).force_constant(victim, true);
+    dut
+}
+
+/// Renders the cockpit report, asserts it is self-contained and carries
+/// every named section marker, writes it to `path` and says so.
+fn write_report(path: &str, data: &cockpit::CampaignData, sections: &[&str]) {
+    let html = cockpit::render_report(data);
+    assert!(
+        soctest_obs::report::is_self_contained(&html),
+        "report carries an external reference"
+    );
+    for s in sections {
+        assert!(html.contains(s), "report must carry `{s}`");
+    }
+    std::fs::write(path, &html).expect("write report");
+    println!(
+        "wrote {path} ({} bytes; self-containment and {} section marker(s) validated)",
+        html.len(),
+        sections.len()
+    );
+}
+
+/// Checks a JSONL artifact before anything is written: every line parses
+/// as JSON, and when `events` is not empty every line names its event and
+/// each of `events` occurs. Given a path, writes the artifact there and
+/// says so. Returns the line count.
+fn jsonl_artifact(what: &str, text: &str, events: &[&str], path: Option<&str>) -> usize {
+    let lines: Vec<JsonValue> = text
+        .lines()
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("{what} line is not JSON: {e}")))
+        .collect();
+    if !events.is_empty() {
+        let names: Vec<&str> = lines
+            .iter()
+            .map(|v| {
+                v.get("event")
+                    .and_then(JsonValue::as_str)
+                    .unwrap_or_else(|| panic!("a {what} line names no event"))
+            })
+            .collect();
+        for e in events {
+            assert!(names.contains(e), "the {what} lines hold no {e} event");
+        }
+    }
+    if let Some(path) = path {
+        std::fs::write(path, text).expect("write JSONL artifact");
         println!(
-            "wrote {path} ({} bytes; Autopilot section + trail validated)",
-            html.len()
+            "wrote {path} ({} {what} line(s), JSONL validated)",
+            lines.len()
         );
     }
+    lines.len()
 }
 
 /// The synopsis printed with every argument error.
@@ -1189,31 +1148,57 @@ usage: repro [--quick] [table1 table2 table3 table4 table5 fig3 fig4 | all]
              [--batch=N] [--profile=FILE] [--sample-dies=N] [--traces=FILE]
              [--monitor] [--inject-drift=BATCH:RATE] [--excursions=FILE] [--report=FILE]";
 
-/// Every flag `repro` knows; a trailing `=` marks a flag that takes a value.
-const FLAGS: &[&str] = &[
-    "--quick",
-    "--bench-faultsim",
-    "--autopilot",
-    "--fleet",
-    "--monitor",
-    "--trace=",
-    "--metrics=",
-    "--vcd=",
-    "--report=",
-    "--target=",
-    "--max-patterns=",
-    "--seed=",
-    "--inject-hang=",
-    "--trail=",
-    "--dies=",
-    "--defect-rate=",
-    "--workers=",
-    "--batch=",
-    "--profile=",
-    "--sample-dies=",
-    "--traces=",
-    "--inject-drift=",
-    "--excursions=",
+/// Which work `repro` does; [`MODES`] lists the flags each one reads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    BenchFaultsim,
+    Autopilot,
+    Fleet,
+    Report,
+    Obs,
+    Tables,
+}
+
+/// The mode table, in selection order: each mode, the flags that select
+/// it, and every other flag it reads (a trailing `=` marks a flag that
+/// takes a value). Every mode also reads `--quick`. The first mode with a
+/// selector present runs; the tables mode has none, and only it takes
+/// table names.
+const MODES: [(Mode, &[&str], &[&str]); 6] = [
+    (Mode::BenchFaultsim, &["--bench-faultsim"], &[]),
+    (
+        Mode::Autopilot,
+        &["--autopilot"],
+        &[
+            "--target=",
+            "--max-patterns=",
+            "--seed=",
+            "--inject-hang=",
+            "--trail=",
+            "--report=",
+        ],
+    ),
+    (
+        Mode::Fleet,
+        &["--fleet"],
+        &[
+            "--dies=",
+            "--seed=",
+            "--defect-rate=",
+            "--workers=",
+            "--batch=",
+            "--profile=",
+            "--sample-dies=",
+            "--traces=",
+            "--monitor",
+            "--inject-drift=",
+            "--excursions=",
+            "--report=",
+        ],
+    ),
+    (Mode::Report, &["--report="], &[]),
+    (Mode::Obs, &["--trace=", "--metrics=", "--vcd="], &[]),
+    (Mode::Tables, &[], &[]),
 ];
 
 /// What a positional argument may name.
@@ -1221,21 +1206,38 @@ const TABLES: &[&str] = &[
     "table1", "table2", "table3", "table4", "table5", "fig3", "fig4", "all",
 ];
 
-/// Rejects any argument that is neither a known flag nor a table name.
-fn check_args(args: &[String]) -> Result<(), String> {
+/// Selects the mode from the table and rejects every argument it does not
+/// read: an unknown flag or table name, a second mode flag, or a flag of
+/// another mode.
+fn select_mode(args: &[String]) -> Result<Mode, String> {
+    let reads = |flags: &[&str], a: &str| {
+        flags
+            .iter()
+            .any(|f| a == *f || (f.ends_with('=') && a.starts_with(f)))
+    };
+    let (mode, selectors, flags) = MODES
+        .iter()
+        .find(|(_, sel, _)| sel.is_empty() || args.iter().any(|a| reads(sel, a)))
+        .expect("the tables mode has no selector");
     for a in args {
-        let known = if a.starts_with("--") {
-            FLAGS
-                .iter()
-                .any(|f| a == f || (f.ends_with('=') && a.starts_with(f)))
+        let read = if a.starts_with("--") {
+            a == "--quick" || reads(selectors, a) || reads(flags, a)
         } else {
-            TABLES.contains(&a.as_str())
+            *mode == Mode::Tables && TABLES.contains(&a.as_str())
         };
-        if !known {
-            return Err(format!("unknown argument `{a}`"));
+        if !read {
+            let known = TABLES.contains(&a.as_str())
+                || MODES
+                    .iter()
+                    .any(|(_, sel, fl)| reads(sel, a) || reads(fl, a));
+            return Err(if known {
+                format!("the {mode:?} mode does not read `{a}`")
+            } else {
+                format!("unknown argument `{a}`")
+            });
         }
     }
-    Ok(())
+    Ok(*mode)
 }
 
 /// The value after `prefix` (e.g. `--dies=`) parsed as `T`, or `None` when
@@ -1254,12 +1256,29 @@ where
         .transpose()
 }
 
+/// A defect rate: a probability, so a value outside [0, 1] does not parse.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Rate(f64);
+
+impl FromStr for Rate {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let rate: f64 = s.parse().map_err(|e| format!("rate `{s}`: {e}"))?;
+        if (0.0..=1.0).contains(&rate) {
+            Ok(Rate(rate))
+        } else {
+            Err(format!("rate {rate} is outside [0, 1]"))
+        }
+    }
+}
+
 /// The `--inject-drift=BATCH:RATE` spec: step the defect rate to `rate`
 /// at `batch`.
 #[derive(Debug, PartialEq)]
 struct Drift {
     batch: u64,
-    rate: f64,
+    rate: Rate,
 }
 
 impl FromStr for Drift {
@@ -1269,7 +1288,7 @@ impl FromStr for Drift {
         let (batch, rate) = s.split_once(':').ok_or("expected BATCH:RATE")?;
         Ok(Drift {
             batch: batch.parse().map_err(|e| format!("batch `{batch}`: {e}"))?,
-            rate: rate.parse().map_err(|e| format!("rate `{rate}`: {e}"))?,
+            rate: rate.parse()?,
         })
     }
 }
@@ -1282,36 +1301,96 @@ fn main() {
     }
 }
 
-/// Parses every argument before any work starts, then runs the mode the
-/// flags select.
+/// Selects the mode, parses and checks every value it reads before any
+/// work starts, then runs it.
 fn run(args: &[String]) -> Result<(), String> {
-    check_args(args)?;
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let quick = has("--quick");
+    let mode = select_mode(args)?;
+    let quick = args.iter().any(|a| a == "--quick");
+    let budget = if quick {
+        Budget::quick()
+    } else {
+        Budget::paper()
+    };
     let seed: Option<u64> = parse_flag(args, "--seed=")?;
     let report_path: Option<String> = parse_flag(args, "--report=")?;
-    let trace_path: Option<String> = parse_flag(args, "--trace=")?;
-    let metrics_path: Option<String> = parse_flag(args, "--metrics=")?;
-    let vcd_path: Option<String> = parse_flag(args, "--vcd=")?;
-    let target: f64 = parse_flag(args, "--target=")?.unwrap_or(50.0);
-    let max_patterns: u64 = parse_flag(args, "--max-patterns=")?.unwrap_or(512);
-    let inject_hang: Option<usize> = parse_flag(args, "--inject-hang=")?;
-    let trail_path: Option<String> = parse_flag(args, "--trail=")?;
-    let inject_drift: Option<Drift> = parse_flag(args, "--inject-drift=")?;
-    let fa = FleetArgs {
-        dies: parse_flag(args, "--dies=")?.unwrap_or(10_000),
-        seed: seed.unwrap_or(42),
-        defect_rate: parse_flag(args, "--defect-rate=")?,
-        workers: parse_flag(args, "--workers=")?,
-        batch: parse_flag(args, "--batch=")?,
-        report_path: report_path.clone(),
-        profile_path: parse_flag(args, "--profile=")?,
-        sample_dies: parse_flag(args, "--sample-dies=")?,
-        traces_path: parse_flag(args, "--traces=")?,
-        monitor: has("--monitor") || inject_drift.is_some(),
-        inject_drift,
-        excursions_path: parse_flag(args, "--excursions=")?,
-    };
+    let case = CaseStudy::paper().expect("case study builds");
+
+    match mode {
+        Mode::BenchFaultsim => {
+            let patterns = if quick { 192 } else { 4096 };
+            println!("# soctest fault-sim bench — {patterns} patterns/module\n");
+            bench_faultsim(&case, patterns);
+        }
+        Mode::Autopilot => {
+            let mut pilot = Autopilot::new(AutopilotConfig {
+                target_percent: parse_flag(args, "--target=")?.unwrap_or(50.0),
+                max_patterns: parse_flag(args, "--max-patterns=")?.unwrap_or(512),
+                seed: seed.unwrap_or(0xA5EED),
+                parallel: budget.parallel,
+                ..Default::default()
+            })
+            .map_err(|e| e.to_string())?;
+            let inject_hang: Option<usize> = parse_flag(args, "--inject-hang=")?;
+            if let Some(m) = inject_hang {
+                let modules = case.modules().len();
+                if m >= modules {
+                    return Err(format!(
+                        "`--inject-hang={m}` names no module: the case study has {modules}"
+                    ));
+                }
+                pilot = pilot.with_injected_hang(m);
+            }
+            let trail_path: Option<String> = parse_flag(args, "--trail=")?;
+            autopilot_demo(
+                &case,
+                &budget,
+                &pilot,
+                inject_hang,
+                trail_path.as_deref(),
+                report_path.as_deref(),
+            );
+        }
+        Mode::Fleet => {
+            let inject_drift: Option<Drift> = parse_flag(args, "--inject-drift=")?;
+            let fa = FleetArgs {
+                dies: parse_flag(args, "--dies=")?.unwrap_or(10_000),
+                seed: seed.unwrap_or(42),
+                defect_rate: parse_flag(args, "--defect-rate=")?,
+                workers: parse_flag(args, "--workers=")?,
+                batch: parse_flag(args, "--batch=")?,
+                report_path,
+                profile_path: parse_flag(args, "--profile=")?,
+                sample_dies: parse_flag(args, "--sample-dies=")?,
+                traces_path: parse_flag(args, "--traces=")?,
+                monitor: args.iter().any(|a| a == "--monitor") || inject_drift.is_some(),
+                inject_drift,
+                excursions_path: parse_flag(args, "--excursions=")?,
+            };
+            fleet_demo(&case, &budget, &fa);
+        }
+        Mode::Report => {
+            let path = report_path.expect("--report= selects the report mode");
+            report_demo(&case, &budget, &path);
+        }
+        Mode::Obs => {
+            let trace_path: Option<String> = parse_flag(args, "--trace=")?;
+            let metrics_path: Option<String> = parse_flag(args, "--metrics=")?;
+            let vcd_path: Option<String> = parse_flag(args, "--vcd=")?;
+            obs_demo(
+                &case,
+                if quick { 64 } else { 256 },
+                trace_path.as_deref(),
+                metrics_path.as_deref(),
+                vcd_path.as_deref(),
+            );
+        }
+        Mode::Tables => tables(&case, &budget, quick, args),
+    }
+    Ok(())
+}
+
+/// The paper's tables and figures: every one, or the ones `args` names.
+fn tables(case: &CaseStudy, budget: &Budget, quick: bool, args: &[String]) {
     let wanted: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -1319,50 +1398,7 @@ fn run(args: &[String]) -> Result<(), String> {
         .collect();
     let all = wanted.is_empty() || wanted.contains(&"all");
     let want = |name: &str| all || wanted.contains(&name);
-
-    let budget = if quick {
-        Budget::quick()
-    } else {
-        Budget::paper()
-    };
     let lib = Library::cmos_130nm();
-    let case = CaseStudy::paper().expect("case study builds");
-
-    if has("--bench-faultsim") {
-        let patterns = if quick { 192 } else { 4096 };
-        println!("# soctest fault-sim bench — {patterns} patterns/module\n");
-        bench_faultsim(&case, patterns);
-        return Ok(());
-    }
-    if has("--autopilot") {
-        autopilot_demo(
-            &budget,
-            target,
-            max_patterns,
-            seed.unwrap_or(0xA5EED),
-            inject_hang,
-            trail_path.as_deref(),
-            report_path.as_deref(),
-        );
-        return Ok(());
-    }
-    if has("--fleet") {
-        fleet_demo(&budget, &fa);
-        return Ok(());
-    }
-    if let Some(path) = report_path {
-        report_demo(&budget, &path);
-        return Ok(());
-    }
-    if trace_path.is_some() || metrics_path.is_some() || vcd_path.is_some() {
-        obs_demo(
-            if quick { 64 } else { 256 },
-            trace_path.as_deref(),
-            metrics_path.as_deref(),
-            vcd_path.as_deref(),
-        );
-        return Ok(());
-    }
 
     println!(
         "# soctest repro — budget: {} ({} BIST patterns)\n",
@@ -1371,25 +1407,25 @@ fn run(args: &[String]) -> Result<(), String> {
     );
 
     if want("table1") {
-        println!("{}", render_table1(&experiments::table1(&case)));
+        println!("{}", render_table1(&experiments::table1(case)));
     }
     if want("table2") {
-        let t = experiments::table2(&case, &lib).expect("table 2");
+        let t = experiments::table2(case, &lib).expect("table 2");
         println!("{}", render_table2(&t));
     }
     if want("table3") {
         let started = Instant::now();
-        let rows = experiments::table3(&case, &budget).expect("table 3");
+        let rows = experiments::table3(case, budget).expect("table 3");
         println!("{}", render_table3(&rows));
         println!("(table 3 total wall time: {:.1?})\n", started.elapsed());
     }
     if want("table4") {
-        let t = experiments::table4(&case, &lib).expect("table 4");
+        let t = experiments::table4(case, &lib).expect("table 4");
         println!("{}", render_table4(&t));
     }
     if want("table5") {
         let started = Instant::now();
-        let rows = experiments::table5(&case, &budget).expect("table 5");
+        let rows = experiments::table5(case, budget).expect("table 5");
         println!("{}", render_table5(&rows));
         println!("(table 5 total wall time: {:.1?})\n", started.elapsed());
     }
@@ -1399,7 +1435,7 @@ fn run(args: &[String]) -> Result<(), String> {
         } else {
             vec![256, 512, 1024, 2048, 4096]
         };
-        let pts = experiments::fig3(&case, &checkpoints).expect("fig 3");
+        let pts = experiments::fig3(case, &checkpoints).expect("fig 3");
         println!("{}", render_fig3(&pts));
     }
     if want("fig4") {
@@ -1408,11 +1444,10 @@ fn run(args: &[String]) -> Result<(), String> {
             .iter()
             .enumerate()
         {
-            let curve = experiments::fig4(&case, m, max, 8).expect("fig 4");
+            let curve = experiments::fig4(case, m, max, 8).expect("fig 4");
             println!("{}", render_fig4(name, &curve));
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1431,24 +1466,85 @@ mod tests {
         );
         assert_eq!(parse_flag::<u64>(&args(&["--fleet"]), "--dies="), Ok(None));
         let bad = args(&["--fleet", "--dies=1e4"]);
-        assert!(check_args(&bad).is_ok());
+        assert_eq!(select_mode(&bad), Ok(Mode::Fleet));
         assert!(parse_flag::<u64>(&bad, "--dies=").is_err());
         // Rejected before any work starts, whichever mode is selected.
         assert!(run(&bad).is_err());
-        assert!(run(&args(&["--quick", "--seed=abc", "table1"])).is_err());
+        assert!(run(&args(&["--quick", "--seed=abc", "--fleet"])).is_err());
     }
 
     #[test]
     fn unknown_flag_or_table_is_an_error() {
-        assert!(check_args(&args(&["--quick", "table3", "fig4", "--seed=7"])).is_ok());
+        assert_eq!(
+            select_mode(&args(&["--quick", "table3", "fig4"])),
+            Ok(Mode::Tables)
+        );
         for bad in [
             &["--quik"][..],
             &["--quick", "tabel3"],
             &["--fleet", "--dies", "4000"],
             &["--quick=1"],
         ] {
-            assert!(check_args(&args(bad)).is_err(), "{bad:?}");
+            let e = select_mode(&args(bad)).expect_err("rejected");
+            assert!(e.starts_with("unknown argument"), "{bad:?}: {e}");
             assert!(run(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_flag_the_selected_mode_does_not_read_is_an_error() {
+        for (bad, mode) in [
+            // A flag or table name of another mode, or a second mode flag.
+            (
+                &[
+                    "--quick",
+                    "--fleet",
+                    "--dies=10",
+                    "--target=40",
+                    "--trail=t.jsonl",
+                ][..],
+                Mode::Fleet,
+            ),
+            (
+                &["--quick", "--fleet", "--autopilot", "--dies=10"],
+                Mode::Autopilot,
+            ),
+            (&["--quick", "--fleet", "--dies=10", "table3"], Mode::Fleet),
+            (
+                &["--quick", "--report=r.html", "--trace=t.jsonl"],
+                Mode::Report,
+            ),
+            (&["--bench-faultsim", "--seed=7"], Mode::BenchFaultsim),
+            (&["--quick", "--seed=7", "table1"], Mode::Tables),
+        ] {
+            let e = select_mode(&args(bad)).expect_err("rejected");
+            assert!(
+                e.starts_with(&format!("the {mode:?} mode does not read")),
+                "{bad:?}: {e}"
+            );
+            assert!(run(&args(bad)).is_err(), "{bad:?}");
+        }
+        // Every mode's own flags pass, `--report=` included where it is read.
+        for (ok, mode) in [
+            (&["--quick", "--bench-faultsim"][..], Mode::BenchFaultsim),
+            (
+                &["--autopilot", "--seed=42", "--trail=t", "--report=r"],
+                Mode::Autopilot,
+            ),
+            (
+                &[
+                    "--fleet",
+                    "--monitor",
+                    "--inject-drift=20:0.15",
+                    "--report=r",
+                ],
+                Mode::Fleet,
+            ),
+            (&["--report=r"], Mode::Report),
+            (&["--trace=t", "--metrics=m", "--vcd=v"], Mode::Obs),
+            (&["all"], Mode::Tables),
+        ] {
+            assert_eq!(select_mode(&args(ok)), Ok(mode), "{ok:?}");
         }
     }
 
@@ -1458,13 +1554,42 @@ mod tests {
             parse_flag(&args(&["--inject-drift=20:0.15"]), "--inject-drift="),
             Ok(Some(Drift {
                 batch: 20,
-                rate: 0.15
+                rate: Rate(0.15)
             }))
         );
-        for bad in ["20:0.15x", "20", "x:0.15", "20:", ""] {
+        for bad in ["20:0.15x", "20", "x:0.15", "20:", "", "20:9", "20:-0.1"] {
             let a = args(&["--fleet", &format!("--inject-drift={bad}")]);
             assert!(parse_flag::<Drift>(&a, "--inject-drift=").is_err(), "{bad}");
             assert!(run(&a).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn defect_rate_outside_the_unit_interval_is_an_error() {
+        for ok in ["0", "0.5", "1"] {
+            assert!(ok.parse::<Rate>().is_ok(), "{ok}");
+        }
+        for bad in ["7", "-0.01", "1.5", "NaN"] {
+            let a = args(&["--fleet", &format!("--defect-rate={bad}")]);
+            assert!(parse_flag::<Rate>(&a, "--defect-rate=").is_err(), "{bad}");
+            assert!(run(&a).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn invalid_autopilot_config_is_an_error() {
+        for bad in [
+            &["--autopilot", "--target=150"][..],
+            &["--autopilot", "--target=0"],
+            &["--autopilot", "--max-patterns=0"],
+            &["--autopilot", "--inject-hang=3"],
+            &["--autopilot", "--inject-hang=5"],
+        ] {
+            let e = run(&args(bad)).expect_err("rejected before the flight");
+            assert!(
+                e.contains("inject-hang") || e.contains("autopilot config"),
+                "{bad:?}: {e}"
+            );
         }
     }
 }

@@ -402,6 +402,27 @@ mod tests {
         mb.finish().unwrap()
     }
 
+    /// A chain of XOR/AND/OR gates over four inputs, each stage
+    /// registered: enough faults for three or more 64-fault chunks.
+    fn wide_seq() -> Netlist {
+        let mut mb = ModuleBuilder::new("wide");
+        let a = mb.input_bus("a", 4);
+        let mut stages = Vec::new();
+        let mut prev = a[0];
+        for i in 0..36 {
+            let other = a[(i + 1) % 4];
+            prev = match i % 3 {
+                0 => mb.xor(prev, other),
+                1 => mb.and(prev, other),
+                _ => mb.or(prev, other),
+            };
+            stages.push(prev);
+        }
+        let q = mb.register(&stages);
+        mb.output_bus("q", &q);
+        mb.finish().unwrap()
+    }
+
     fn exhaustive_patterns(width: u32, repeats: usize) -> Vec<u64> {
         let mut v: Vec<u64> = (0..(1u64 << width)).collect();
         for _ in 0..repeats {
@@ -621,8 +642,11 @@ mod tests {
 
     #[test]
     fn parallel_run_is_bit_identical_to_serial() {
-        let nl = small_seq();
+        let nl = wide_seq();
         for universe in [FaultUniverse::stuck_at(&nl), FaultUniverse::transition(&nl)] {
+            // Three or more chunks, so every thread count above runs on
+            // at least two workers.
+            assert!(universe.len() > 128, "{} faults", universe.len());
             for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 8)] {
                 let run = |threads: usize| {
                     let mut stim = VectorStimulus::new(exhaustive_patterns(4, 2));
@@ -641,6 +665,7 @@ mod tests {
                 assert!(serial.detected_count() > 0);
                 for threads in [2, 4] {
                     let par = run(threads);
+                    assert!(par.stats.threads >= 2, "threads={threads} ran serially");
                     assert_eq!(par.detection, serial.detection, "threads={threads}");
                     assert_eq!(par.syndromes, serial.syndromes, "threads={threads}");
                     assert_eq!(par.stats.windows, serial.stats.windows);

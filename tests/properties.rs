@@ -338,6 +338,7 @@ fn comb_parallel_fault_sim_matches_serial() {
 #[test]
 fn seq_parallel_fault_sim_matches_serial() {
     let mut rng = SplitMix64::new(0x5eb9a);
+    let mut parallel_cases = 0;
     for _ in 0..CASES / 8 {
         let nl = random_registered(&mut rng, 3, 26);
         let u = FaultUniverse::stuck_at(&nl);
@@ -361,11 +362,15 @@ fn seq_parallel_fault_sim_matches_serial() {
         let serial = run(1);
         for threads in [2, 4] {
             let par = run(threads);
+            parallel_cases += usize::from(par.stats.threads >= 2);
             assert_eq!(serial.detection, par.detection);
             assert_eq!(serial.syndromes, par.syndromes);
             assert_eq!(serial.stats.survivors, par.stats.survivors);
         }
     }
+    // A universe of one 64-fault chunk runs on one worker whatever the
+    // policy, so at least one case must be large enough to fan out.
+    assert!(parallel_cases > 0, "no case ran on two or more threads");
 }
 
 /// Full re-evaluation of the netlist with a fault override at one site — a

@@ -19,8 +19,10 @@
 //!   including a full `insert_bist` assembly run against a hand-rolled
 //!   behavioral twin of its schedule.
 //! * **`p1500`** — the `TapDriver` protocol stack (WIR/WBY/WCDR/WDR
-//!   sequences) vs a directly-commanded backend, and `wrap_core`'s
-//!   boundary chain (WBR) vs a reference shift/update/capture model.
+//!   sequences) vs a directly-commanded backend, the driver's whole-scan
+//!   path vs its per-TCK path under random scripts and pin faults, and
+//!   `wrap_core`'s boundary chain (WBR) vs a reference shift/update/capture
+//!   model.
 
 use soctest_bist::structural::BistSpec;
 use soctest_bist::{
@@ -32,8 +34,10 @@ use soctest_fault::{
     SeqFaultSimConfig, VectorStimulus,
 };
 use soctest_netlist::{compile, Netlist};
+use soctest_obs::{TraceHandle, Tracer};
 use soctest_p1500::{
-    structural as p1500_structural, BistBackend, MockBackend, TapDriver, TapInstruction,
+    structural as p1500_structural, BistBackend, MockBackend, PinFault, PinFaults, TapDriver,
+    TapInstruction, WrapperInstruction,
 };
 use soctest_prng::SplitMix64;
 use soctest_sim::{KernelSim, VcdProbe};
@@ -679,6 +683,186 @@ fn driver_divergence(seed: u64) -> Option<String> {
     compare(usize::MAX, got, want)
 }
 
+/// One step of a [`scan_path_divergence`] script.
+#[derive(Debug, Clone)]
+enum ScanStep {
+    Reset,
+    LoadIr(TapInstruction),
+    Shift(Vec<bool>),
+    Wir(WrapperInstruction),
+    WirVerified(WrapperInstruction),
+    Command(BistCommand),
+    Status,
+    VotedStatus(u32),
+    Functional(u64),
+    Wait(u64, u32),
+    Faults(PinFaults),
+}
+
+impl ScanStep {
+    const TAP_INSTRUCTIONS: [TapInstruction; 4] = [
+        TapInstruction::Bypass,
+        TapInstruction::Idcode,
+        TapInstruction::WrapperInstr,
+        TapInstruction::WrapperData,
+    ];
+    const WRAPPER_INSTRUCTIONS: [WrapperInstruction; 5] = [
+        WrapperInstruction::Bypass,
+        WrapperInstruction::Extest,
+        WrapperInstruction::Intest,
+        WrapperInstruction::CommandReg,
+        WrapperInstruction::StatusReg,
+    ];
+
+    fn random_pin_fault(rng: &mut SplitMix64) -> PinFault {
+        if rng.gen_bool(0.3) {
+            PinFault::StuckAt(rng.gen_bool(0.5))
+        } else {
+            PinFault::FlipEvery(rng.gen_below(72))
+        }
+    }
+
+    /// Draws a step; `faults` is the interposer currently armed, which a
+    /// fault step edits.
+    fn draw(rng: &mut SplitMix64, faults: PinFaults) -> ScanStep {
+        match rng.gen_index(13) {
+            0 => ScanStep::Reset,
+            1 => ScanStep::LoadIr(Self::TAP_INSTRUCTIONS[rng.gen_index(4)]),
+            2 | 3 => {
+                // Mostly 0..=64 bits; now and then longer than a word.
+                let n = if rng.gen_bool(0.1) {
+                    65 + rng.gen_index(16)
+                } else {
+                    rng.gen_index(65)
+                };
+                ScanStep::Shift((0..n).map(|_| rng.gen_bool(0.5)).collect())
+            }
+            4 => ScanStep::Wir(Self::WRAPPER_INSTRUCTIONS[rng.gen_index(5)]),
+            5 => ScanStep::WirVerified(Self::WRAPPER_INSTRUCTIONS[rng.gen_index(5)]),
+            6 => ScanStep::Command(match rng.gen_index(4) {
+                0 => BistCommand::Reset,
+                1 => BistCommand::LoadPatternCount(rng.gen_below(300)),
+                2 => BistCommand::Start,
+                _ => BistCommand::SelectResult(rng.gen_index(4) as u8),
+            }),
+            7 => ScanStep::Status,
+            8 => ScanStep::VotedStatus(1 + rng.gen_index(3) as u32),
+            9 => ScanStep::Functional(rng.gen_below(64)),
+            10 => ScanStep::Wait(1 + rng.gen_below(32), rng.gen_index(4) as u32),
+            11 => ScanStep::Faults(PinFaults {
+                tdo: Some(Self::random_pin_fault(rng)),
+                ..faults
+            }),
+            _ => {
+                // A fault on the FSM's path; the script clears it later.
+                let fault = Self::random_pin_fault(rng);
+                ScanStep::Faults(match rng.gen_index(3) {
+                    0 => PinFaults {
+                        tms: Some(fault),
+                        ..faults
+                    },
+                    1 => PinFaults {
+                        tdi: Some(fault),
+                        ..faults
+                    },
+                    _ => PinFaults {
+                        drop_tck_every: Some(1 + rng.gen_below(40)),
+                        ..faults
+                    },
+                })
+            }
+        }
+    }
+
+    /// Runs the step; returns what the ATE read back.
+    fn apply(&self, drv: &mut TapDriver<MockBackend>) -> String {
+        match self {
+            ScanStep::Reset => drv.reset(),
+            ScanStep::LoadIr(ir) => drv.load_tap_ir(*ir),
+            ScanStep::Shift(bits) => return format!("{:?}", drv.shift_dr(bits)),
+            ScanStep::Wir(wi) => drv.wrapper_instruction(*wi),
+            ScanStep::WirVerified(wi) => {
+                return format!("{:?}", drv.wrapper_instruction_verified(*wi))
+            }
+            ScanStep::Command(cmd) => drv.bist_command(*cmd),
+            ScanStep::Status => return format!("{:?}", drv.read_status()),
+            ScanStep::VotedStatus(votes) => return format!("{:?}", drv.read_status_voted(*votes)),
+            ScanStep::Functional(k) => drv.run_functional(*k),
+            ScanStep::Wait(burst, max) => return format!("{:?}", drv.wait_for_done(*burst, *max)),
+            ScanStep::Faults(faults) => drv.inject_pin_faults(*faults),
+        }
+        String::new()
+    }
+}
+
+/// Everything of a driver the two scan paths must agree on besides what
+/// the ATE reads back.
+fn driver_state(drv: &TapDriver<MockBackend>) -> String {
+    let tap = drv.tap();
+    format!(
+        "tck {} state {:?} ir {:?} wir {:?} functional {} end_test {} signature {:#x}",
+        drv.tck(),
+        tap.state(),
+        tap.instruction(),
+        tap.wrapper().instruction(),
+        drv.functional_cycles(),
+        drv.backend().end_test(),
+        drv.backend().selected_signature()
+    )
+}
+
+/// Drives one random script through an untraced driver, which runs every
+/// clean scan from Run-Test/Idle as one register operation, and a traced
+/// one, which steps every TCK: after each step both must agree on every
+/// TDO bit read, the TCK bill, the TAP state and instruction, the WIR, and
+/// the backend status. The script covers every TAP instruction and
+/// wrapper register, scans of 0..=64 bits (and a few longer), functional
+/// bursts and resets; it arms TDO faults and TMS/TDI/dropped-TCK faults,
+/// clearing the latter a few steps later.
+fn scan_path_divergence(seed: u64) -> Option<String> {
+    let mut rng = rng_for(seed, 18);
+    // WDRs of 2..=64 bits.
+    let sig_width = 1 + rng.gen_index(63);
+    let needed = 1 + rng.gen_below(200);
+    let mut whole = TapDriver::new(MockBackend::new(sig_width, needed));
+    let mut ticked = TapDriver::new(MockBackend::new(sig_width, needed));
+    ticked.set_trace(TraceHandle::new(Tracer::new(1)));
+    let mut script = vec![ScanStep::Reset];
+    let mut faults = PinFaults::none();
+    // Where the script clears the TMS/TDI/dropped-TCK faults it armed.
+    let mut clear_at = None;
+    while script.len() < 64 {
+        let step = if clear_at == Some(script.len()) {
+            clear_at = None;
+            ScanStep::Faults(PinFaults {
+                tdo: faults.tdo,
+                ..PinFaults::none()
+            })
+        } else {
+            ScanStep::draw(&mut rng, faults)
+        };
+        if let ScanStep::Faults(f) = step {
+            faults = f;
+            let on_path = f.tms.is_some() || f.tdi.is_some() || f.drop_tck_every.is_some();
+            if on_path && clear_at.is_none() {
+                clear_at = Some(script.len() + 2 + rng.gen_index(4));
+            }
+        }
+        script.push(step);
+    }
+    for (i, step) in script.iter().enumerate() {
+        let (got, want) = (step.apply(&mut whole), step.apply(&mut ticked));
+        let (got_state, want_state) = (driver_state(&whole), driver_state(&ticked));
+        if got != want || got_state != want_state {
+            return Some(format!(
+                "scan path step {i} {step:?} (sig width {sig_width}): whole scans read {got:?} \
+                 leaving {got_state}; per-TCK read {want:?} leaving {want_state}"
+            ));
+        }
+    }
+    None
+}
+
 fn wrap_core_divergence(seed: u64, max_gates: usize) -> Option<String> {
     let mut rng = rng_for(seed, 13);
     let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(40)).comb();
@@ -779,6 +963,13 @@ fn pair_p1500(seed: u64, max_gates: usize) -> Vec<Mismatch> {
             pair: "p1500",
             seed,
             detail: format!("driver: {d}"),
+        });
+    }
+    if let Some(d) = scan_path_divergence(seed) {
+        out.push(Mismatch {
+            pair: "p1500",
+            seed,
+            detail: d,
         });
     }
     if let Some(d) = wrap_core_divergence(seed, max_gates) {

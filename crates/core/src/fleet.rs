@@ -10,9 +10,13 @@
 //! [`ReplayCore`] — a protocol-exact backend that embeds a genuine
 //! [`ControlUnit`] (so `end_test` timing bit-matches the gate-level
 //! [`crate::session::WrappedCore`]) but presents precomputed signatures
-//! instead of re-simulating gates. Per-die cost is dominated by the TAP
-//! session protocol, which is the point: the fleet measures *test-time*
-//! behavior at population scale.
+//! instead of re-simulating gates. The TAP session protocol is still the
+//! largest per-die cost, which is the point: the fleet measures
+//! *test-time* behavior at population scale. A traced single-thread run
+//! of 20,000-die flights (release, 2-vCPU Xeon) puts 56 % of a clean
+//! die's ~2 µs in the TAP protocol (606.6 TCK at 1.9 ns each) and the
+//! rest in robust-session bookkeeping and the replay core's functional
+//! clocks.
 //!
 //! Each die draws a [`DefectProfile`] from a seed-deterministic
 //! [`DefectSampler`]: clean, a permanent stuck-at from the site pool, a

@@ -3,9 +3,11 @@
 use soctest_bist::BistCommand;
 use soctest_obs::{MetricsHandle, TraceEvent, TraceHandle};
 
+use crate::tap::{DR_SCAN_OVERHEAD_TCKS, IR_SCAN_TCKS};
+use crate::wrapper::WCDR_BITS;
 use crate::{
-    BistBackend, PinFaults, ProtocolError, TapController, TapInstruction, WaitStats, Wrapper,
-    WrapperInstruction,
+    BistBackend, PinFaults, ProtocolError, TapController, TapInstruction, TapState, WaitStats,
+    Wrapper, WrapperInstruction,
 };
 
 /// Drives a [`TapController`] the way an external tester would: composing
@@ -13,6 +15,13 @@ use crate::{
 /// through the wrapper's WCDR, and reading status/signatures through the
 /// WDR. Every operation pays its true cost in TCK cycles, which the driver
 /// counts — this is where the protocol-level test-time numbers come from.
+///
+/// The driver steps the TAP one TCK at a time only when something observes
+/// single edges: an attached trace or metrics handle, or an armed TMS, TDI
+/// or dropped-TCK pin fault, which change the FSM's path. Otherwise each
+/// IR or DR scan of at most 64 bits from Run-Test/Idle runs as one
+/// operation on the TAP and wrapper registers, billed the same TCKs and
+/// pin cycles and leaving the same state.
 ///
 /// A [`PinFaults`] interposer can be armed between the ATE and the TAP to
 /// model boundary-level defects (stuck/flipped TMS/TDI/TDO, dropped TCK
@@ -140,6 +149,34 @@ impl<B: BistBackend> TapDriver<B> {
         tdo
     }
 
+    /// Whether the next scan may run as one register operation instead of
+    /// TCK by TCK: nothing observes single edges, no armed pin fault
+    /// changes the FSM's path, and the TAP sits in Run-Test/Idle, where
+    /// the scan's TMS sequence starts.
+    fn scans_whole(&self) -> bool {
+        self.tap.state() == TapState::RunTestIdle
+            && !self.trace.is_enabled()
+            && !self.metrics.is_enabled()
+            && self.pin_faults.tms.is_none()
+            && self.pin_faults.tdi.is_none()
+            && self.pin_faults.drop_tck_every.is_none()
+    }
+
+    /// The armed TDO fault applied to the `n` bits a whole DR scan shifted
+    /// out, as the ATE reads them: shift bit `i` of a scan that starts
+    /// after pin cycle `c` leaves on pin cycle `c + 4 + i`, and the TDO of
+    /// the other TCKs is never read.
+    fn tdo_faulted(&self, out: u64, n: usize) -> u64 {
+        let Some(fault) = self.pin_faults.tdo else {
+            return out;
+        };
+        let first = self.pin_cycle + 4;
+        (0..n).fold(0, |acc, i| {
+            let bit = fault.apply((out >> i) & 1 == 1, first + i as u64);
+            acc | u64::from(bit) << i
+        })
+    }
+
     /// Hardware reset: five TMS-high cycles, then into Run-Test/Idle.
     pub fn reset(&mut self) {
         for _ in 0..5 {
@@ -150,17 +187,24 @@ impl<B: BistBackend> TapDriver<B> {
 
     /// Loads a TAP instruction (assumes Run-Test/Idle; returns there).
     pub fn load_tap_ir(&mut self, instr: TapInstruction) {
-        self.tick(true, false); // SelectDrScan
-        self.tick(true, false); // SelectIrScan
-        self.tick(false, false); // CaptureIr
-        self.tick(false, false); // capture; -> ShiftIr
         let code = instr.encode();
-        for i in 0..TapInstruction::LENGTH {
-            let last = i == TapInstruction::LENGTH - 1;
-            self.tick(last, (code >> i) & 1 == 1);
+        if self.scans_whole() {
+            // The ATE never reads TDO during an IR scan, so an armed TDO
+            // fault has nothing to corrupt.
+            self.pin_cycle += IR_SCAN_TCKS;
+            self.tap.scan_ir(code);
+        } else {
+            self.tick(true, false); // SelectDrScan
+            self.tick(true, false); // SelectIrScan
+            self.tick(false, false); // CaptureIr
+            self.tick(false, false); // capture; -> ShiftIr
+            for i in 0..TapInstruction::LENGTH {
+                let last = i == TapInstruction::LENGTH - 1;
+                self.tick(last, (code >> i) & 1 == 1);
+            }
+            self.tick(true, false); // Exit1Ir -> UpdateIr
+            self.tick(false, false); // update; -> RTI
         }
-        self.tick(true, false); // Exit1Ir -> UpdateIr
-        self.tick(false, false); // update; -> RTI
         self.metrics.inc("tap_ir_loads_total", 1);
         self.trace.emit(
             self.tap.tck(),
@@ -173,30 +217,56 @@ impl<B: BistBackend> TapDriver<B> {
     /// Performs a DR scan of `bits`, returning the bits shifted out.
     /// (Assumes Run-Test/Idle; returns there.)
     pub fn shift_dr(&mut self, bits: &[bool]) -> Vec<bool> {
+        let n = bits.len();
+        if n > 64 {
+            let mut out = Vec::with_capacity(n);
+            self.tick_dr(n, |i| bits[i], |_, b| out.push(b));
+            return out;
+        }
+        let word = bits
+            .iter()
+            .rev()
+            .fold(0u64, |acc, &b| acc << 1 | u64::from(b));
+        let out = self.scan_dr(word, n);
+        (0..n).map(|i| (out >> i) & 1 == 1).collect()
+    }
+
+    /// A DR scan of the low `n <= 64` bits of `word`, bit 0 first,
+    /// returning the bits shifted out, bit 0 first (assumes Run-Test/Idle;
+    /// returns there).
+    fn scan_dr(&mut self, word: u64, n: usize) -> u64 {
+        if self.scans_whole() {
+            let out = self.tap.scan_dr(word, n);
+            let out = self.tdo_faulted(out, n);
+            self.pin_cycle += n as u64 + DR_SCAN_OVERHEAD_TCKS;
+            return out;
+        }
+        let mut out = 0u64;
+        self.tick_dr(n, |i| (word >> i) & 1 == 1, |i, b| out |= u64::from(b) << i);
+        out
+    }
+
+    /// The per-TCK DR scan from Run-Test/Idle back to it: `n + 5` TCKs,
+    /// shift `i` driving `tdi(i)` and handing its TDO to `tdo(i, bit)`.
+    fn tick_dr(&mut self, n: usize, tdi: impl Fn(usize) -> bool, mut tdo: impl FnMut(usize, bool)) {
         self.tick(true, false); // SelectDrScan
         self.tick(false, false); // -> CaptureDr
-        self.tick(false, false); // capture; -> ShiftDr
-        let mut out = Vec::with_capacity(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            let last = i == bits.len() - 1;
-            out.push(self.tick(last, b));
+        self.tick(n == 0, false); // capture; -> ShiftDr, or Exit1Dr if nothing shifts
+        for i in 0..n {
+            let b = self.tick(i + 1 == n, tdi(i));
+            tdo(i, b);
         }
         self.tick(true, false); // Exit1Dr -> UpdateDr
         self.tick(false, false); // update; -> RTI
         self.metrics.inc("tap_dr_scans_total", 1);
-        self.metrics.observe("tap_dr_scan_bits", bits.len() as u64);
-        out
+        self.metrics.observe("tap_dr_scan_bits", n as u64);
     }
 
     /// Loads a *wrapper* instruction through the WIR path, leaving the TAP
     /// pointed at the selected wrapper data register.
     pub fn wrapper_instruction(&mut self, wi: WrapperInstruction) {
         self.load_tap_ir(TapInstruction::WrapperInstr);
-        let code = wi.encode();
-        let bits: Vec<bool> = (0..WrapperInstruction::LENGTH)
-            .map(|i| (code >> i) & 1 == 1)
-            .collect();
-        self.shift_dr(&bits);
+        self.scan_dr(wi.encode().into(), WrapperInstruction::LENGTH);
         self.emit_wir_load(wi);
         self.load_tap_ir(TapInstruction::WrapperData);
     }
@@ -226,17 +296,10 @@ impl<B: BistBackend> TapDriver<B> {
     ) -> Result<(), ProtocolError> {
         self.load_tap_ir(TapInstruction::WrapperInstr);
         let code = wi.encode();
-        let bits: Vec<bool> = (0..WrapperInstruction::LENGTH)
-            .map(|i| (code >> i) & 1 == 1)
-            .collect();
-        self.shift_dr(&bits);
+        self.scan_dr(code.into(), WrapperInstruction::LENGTH);
         // The WIR shift stage still holds what actually arrived; scanning
         // the same code in again streams it back out.
-        let readback = self.shift_dr(&bits);
-        let got = readback
-            .iter()
-            .enumerate()
-            .fold(0u8, |acc, (i, &b)| acc | ((b as u8) << i));
+        let got = self.scan_dr(code.into(), WrapperInstruction::LENGTH) as u8;
         if got != code {
             self.metrics.inc("wir_readback_mismatches_total", 1);
             return Err(ProtocolError::WirReadbackMismatch {
@@ -253,8 +316,7 @@ impl<B: BistBackend> TapDriver<B> {
     /// if needed).
     pub fn bist_command(&mut self, cmd: BistCommand) {
         self.select_wrapper_dr(WrapperInstruction::CommandReg);
-        let bits = Wrapper::<B>::encode_command(cmd);
-        self.shift_dr(&bits);
+        self.scan_dr(Wrapper::<B>::encode_command(cmd), WCDR_BITS);
         self.metrics.inc("bist_commands_total", 1);
         self.trace.emit(
             self.tap.tck(),
@@ -305,12 +367,9 @@ impl<B: BistBackend> TapDriver<B> {
     pub fn read_status(&mut self) -> (bool, u64) {
         self.select_wrapper_dr(WrapperInstruction::StatusReg);
         let n = self.tap.wrapper().wdr_length();
-        let out = self.shift_dr(&vec![false; n]);
-        let done = out[0];
-        let sig = out[1..]
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i));
+        let out = self.scan_dr(0, n);
+        let done = out & 1 == 1;
+        let sig = out >> 1;
         self.metrics.inc("wdr_captures_total", 1);
         self.trace.emit(
             self.tap.tck(),
@@ -540,6 +599,132 @@ mod tests {
         assert_eq!(snap.counters["functional_cycles_total"], 8);
         assert!(snap.counters["bist_commands_total"] >= 2);
         assert!(snap.histograms["tap_dr_scan_bits"].count >= 2);
+    }
+
+    /// A driver whose trace handle makes it step every TCK: the reference
+    /// the whole-scan path must match.
+    fn traced<B: BistBackend>(backend: B) -> TapDriver<B> {
+        let mut drv = TapDriver::new(backend);
+        drv.set_trace(TraceHandle::new(soctest_obs::Tracer::new(1)));
+        drv
+    }
+
+    #[test]
+    fn whole_scans_need_an_unobserved_idle_tap() {
+        let mut drv = TapDriver::new(MockBackend::new(8, 1));
+        assert!(!drv.scans_whole(), "Test-Logic-Reset is not a scan start");
+        drv.reset();
+        assert!(drv.scans_whole());
+        drv.inject_pin_faults(PinFaults {
+            tdo: Some(PinFault::FlipEvery(3)),
+            ..PinFaults::none()
+        });
+        assert!(drv.scans_whole(), "a TDO fault is a mask over the window");
+        for faults in [
+            PinFaults {
+                tms: Some(PinFault::StuckAt(false)),
+                ..PinFaults::none()
+            },
+            PinFaults {
+                tdi: Some(PinFault::FlipEvery(2)),
+                ..PinFaults::none()
+            },
+            PinFaults {
+                drop_tck_every: Some(7),
+                ..PinFaults::none()
+            },
+        ] {
+            drv.inject_pin_faults(faults);
+            assert!(!drv.scans_whole(), "{faults:?} changes the FSM path");
+        }
+        drv.clear_pin_faults();
+        let mut observed = traced(MockBackend::new(8, 1));
+        observed.reset();
+        assert!(!observed.scans_whole(), "a trace records every TCK");
+        drv.set_metrics(soctest_obs::MetricsHandle::new(Default::default()));
+        assert!(!drv.scans_whole(), "metrics count every TCK");
+    }
+
+    #[test]
+    fn empty_dr_scan_returns_to_run_test_idle() {
+        for mut drv in [
+            TapDriver::new(MockBackend::new(8, 1)),
+            traced(MockBackend::new(8, 1)),
+        ] {
+            drv.reset();
+            drv.load_tap_ir(TapInstruction::Idcode);
+            let t0 = drv.tck();
+            assert!(drv.shift_dr(&[]).is_empty());
+            assert_eq!(drv.tck() - t0, 5, "an empty scan still costs n + 5 TCKs");
+            assert_eq!(drv.tap().state(), TapState::RunTestIdle);
+            drv.load_tap_ir(TapInstruction::Bypass);
+            assert_eq!(drv.tap().state(), TapState::RunTestIdle);
+            assert_eq!(drv.tap().instruction(), TapInstruction::Bypass);
+        }
+    }
+
+    /// Reset (6 TCKs) and a bypass IR load (10) end on pin cycle 16, so the
+    /// 16-bit bypass scan below reaches Capture-DR on pin cycle 19, shifts
+    /// bits 0..16 out on pin cycles 20..=35 and passes Exit1-DR on 36. The
+    /// WIR load, commands and status read after it run under the same
+    /// fault.
+    fn window_script<B: BistBackend>(
+        drv: &mut TapDriver<B>,
+        tdo: Option<PinFault>,
+    ) -> (Vec<bool>, (bool, u64)) {
+        const PATTERN: [bool; 16] = [
+            true, false, false, true, true, true, false, true, false, false, true, false, true,
+            true, false, true,
+        ];
+        drv.reset();
+        drv.load_tap_ir(TapInstruction::Bypass);
+        drv.inject_pin_faults(PinFaults {
+            tdo,
+            ..PinFaults::none()
+        });
+        let out = drv.shift_dr(&PATTERN);
+        drv.bist_load_pattern_count(3);
+        drv.bist_start();
+        drv.run_functional(3);
+        (out, drv.read_status())
+    }
+
+    #[test]
+    fn tdo_fault_mask_matches_the_per_tck_path_at_the_window_edges() {
+        let (clean, _) = window_script(&mut TapDriver::new(MockBackend::new(16, 3)), None);
+        // (fault, bypass-scan bits the fault flips)
+        let cases: [(PinFault, Vec<usize>); 9] = [
+            (PinFault::FlipEvery(1), (0..16).collect()),
+            (PinFault::FlipEvery(20), vec![0]),
+            (PinFault::FlipEvery(35), vec![15]),
+            (PinFault::FlipEvery(19), vec![]),
+            (PinFault::FlipEvery(36), vec![]),
+            (PinFault::FlipEvery(1000), vec![]),
+            (PinFault::FlipEvery(0), vec![]),
+            (PinFault::StuckAt(true), vec![]),
+            (PinFault::StuckAt(false), vec![]),
+        ];
+        for (fault, flipped) in cases {
+            let mut whole = TapDriver::new(MockBackend::new(16, 3));
+            let mut reference = traced(MockBackend::new(16, 3));
+            let got = window_script(&mut whole, Some(fault));
+            let want = window_script(&mut reference, Some(fault));
+            assert_eq!(got, want, "{fault:?}: TDO words");
+            assert_eq!(whole.tck(), reference.tck(), "{fault:?}: TCK bill");
+            assert_eq!(whole.tap().state(), reference.tap().state());
+            assert_eq!(whole.tap().instruction(), reference.tap().instruction());
+            assert_eq!(
+                whole.tap().wrapper().instruction(),
+                reference.tap().wrapper().instruction()
+            );
+            let expected: Vec<bool> = match fault {
+                PinFault::StuckAt(v) => vec![v; 16],
+                PinFault::FlipEvery(_) => {
+                    (0..16).map(|i| clean[i] ^ flipped.contains(&i)).collect()
+                }
+            };
+            assert_eq!(got.0, expected, "{fault:?}: flipped bits");
+        }
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //!   route DR scans either to the wrapper's WIR (`SelectWIR` high) or to
 //!   the register the WIR currently selects.
 //!
-//! Both layers exist as cycle-accurate behavioral models here (the
-//! [`TapDriver`] plays the ATE: it wiggles TMS/TDI and counts TCK cycles,
-//! which is how test-time numbers are derived), and as structural gate
-//! netlists in [`structural`] for the area/frequency rows of Tables 2
-//! and 4.
+//! Both layers exist as cycle-accurate behavioral models here, and as
+//! structural gate netlists in [`structural`] for the area/frequency rows
+//! of Tables 2 and 4. The [`TapDriver`] plays the ATE: it counts every TCK
+//! cycle, which is how test-time numbers are derived, and steps the TAP
+//! through each one only when something observes it — a trace or metrics
+//! handle, or a TMS, TDI or dropped-TCK pin fault. Otherwise each IR or DR
+//! scan runs as one operation on the TAP and wrapper registers, billed
+//! the same TCKs.
 //!
 //! # Example: a full TAP-driven BIST session against a mock backend
 //!

@@ -1,6 +1,7 @@
 //! The IEEE 1149.1 TAP controller (16-state FSM) routing to the P1500
 //! wrapper.
 
+use crate::wrapper::shift_register;
 use crate::{BistBackend, Wrapper, WrapperPins};
 
 /// The sixteen TAP controller states.
@@ -140,6 +141,15 @@ impl TapInstruction {
 /// The IDCODE value presented by this model.
 pub(crate) const IDCODE: u32 = 0x5050_1501;
 
+/// TCKs of an IR scan from Run-Test/Idle back to it: one in each of
+/// Run-Test/Idle, Select-DR, Select-IR, Capture-IR, Exit1-IR and
+/// Update-IR, plus the shifts.
+pub(crate) const IR_SCAN_TCKS: u64 = TapInstruction::LENGTH as u64 + 6;
+
+/// TCKs of a DR scan beyond its shifts: one in each of Run-Test/Idle,
+/// Select-DR, Capture-DR, Exit1-DR and Update-DR.
+pub(crate) const DR_SCAN_OVERHEAD_TCKS: u64 = 5;
+
 /// A TAP controller connected to a P1500 wrapper.
 #[derive(Debug, Clone)]
 pub struct TapController<B> {
@@ -267,6 +277,42 @@ impl<B: BistBackend> TapController<B> {
         }
         self.state = self.state.next(tms);
         tdo
+    }
+
+    /// One whole IR scan of `code` from Run-Test/Idle back to it, as the
+    /// [`IR_SCAN_TCKS`] ticks of a clean pin sequence would run it: capture,
+    /// the shifts, and the update into the instruction register.
+    pub(crate) fn scan_ir(&mut self, code: u8) {
+        debug_assert_eq!(self.state, TapState::RunTestIdle);
+        self.tck += IR_SCAN_TCKS;
+        self.ir_shift = code & 0b1111;
+        self.ir = TapInstruction::decode(self.ir_shift);
+    }
+
+    /// One whole DR scan of the low `n <= 64` bits of `word` from
+    /// Run-Test/Idle back to it, as the `n + 5` ticks of a clean pin
+    /// sequence would run it: the Capture-DR action once, the `n` shifts
+    /// as one shift of the register the instruction selects, and the
+    /// Update-DR action once. Returns the `n` bits shifted out on TDO
+    /// (bit 0 first).
+    pub(crate) fn scan_dr(&mut self, word: u64, n: usize) -> u64 {
+        debug_assert!(self.state == TapState::RunTestIdle && n <= 64);
+        self.tck += n as u64 + DR_SCAN_OVERHEAD_TCKS;
+        match self.ir {
+            TapInstruction::Bypass => {
+                let (reg, out) = shift_register(0, 1, word, n);
+                self.bypass = reg == 1;
+                out
+            }
+            TapInstruction::Idcode => {
+                let (reg, out) = shift_register(IDCODE.into(), 32, word, n);
+                self.idcode_shift = reg as u32;
+                out
+            }
+            ir => self
+                .wrapper
+                .scan(ir == TapInstruction::WrapperInstr, word, n),
+        }
     }
 }
 

@@ -20,7 +20,8 @@ pub trait BistBackend {
     /// The signature currently exposed by the BIST output selector.
     fn selected_signature(&self) -> u64;
 
-    /// Width of the signature registers in bits.
+    /// Width of the signature registers in bits, at most 63: the WDR holds
+    /// the done bit and the signature in one 64-bit word.
     fn signature_width(&self) -> usize;
 }
 
@@ -171,7 +172,18 @@ const WCDR_OP_BITS: usize = 3;
 /// WCDR operand field width (covers the 12-bit pattern counter).
 const WCDR_ARG_BITS: usize = 16;
 /// Total WCDR length.
-const WCDR_BITS: usize = WCDR_OP_BITS + WCDR_ARG_BITS;
+pub(crate) const WCDR_BITS: usize = WCDR_OP_BITS + WCDR_ARG_BITS;
+
+/// Shifts the low `n` bits of `word` (bit 0 first) through a shift
+/// register of length `len` holding `reg`, as `n` single-bit shifts in at
+/// the MSB end and out of the LSB end would: returns the new register and
+/// the `n` bits shifted out (bit 0 first). Both `n` and `len` are at most
+/// 64.
+pub(crate) fn shift_register(reg: u64, len: usize, word: u64, n: usize) -> (u64, u64) {
+    let stream = u128::from(reg) | u128::from(word) << len;
+    let low = |bits: usize| (1u128 << bits) - 1;
+    (((stream >> n) & low(len)) as u64, (stream & low(n)) as u64)
+}
 
 /// The P1500 wrapper around a [`BistBackend`].
 ///
@@ -234,16 +246,17 @@ impl<B: BistBackend> Wrapper<B> {
         self.wdr_bits
     }
 
-    /// Encodes a command for the WCDR scan path.
-    pub fn encode_command(cmd: BistCommand) -> Vec<bool> {
+    /// Encodes a command as the WCDR scan word: its low
+    /// [`Wrapper::selected_dr_length`] bits with the WCDR selected, bit 0
+    /// shifted first.
+    pub fn encode_command(cmd: BistCommand) -> u64 {
         let (op, arg) = match cmd {
             BistCommand::Reset => (0u32, 0u64),
             BistCommand::LoadPatternCount(n) => (1, n),
             BistCommand::Start => (2, 0),
             BistCommand::SelectResult(s) => (3, s as u64),
         };
-        let word = (op << WCDR_ARG_BITS) as u64 | (arg & ((1 << WCDR_ARG_BITS) - 1));
-        (0..WCDR_BITS).map(|i| (word >> i) & 1 == 1).collect()
+        (op << WCDR_ARG_BITS) as u64 | (arg & ((1 << WCDR_ARG_BITS) - 1))
     }
 
     fn decode_command(word: u32) -> BistCommand {
@@ -316,6 +329,43 @@ impl<B: BistBackend> Wrapper<B> {
         }
     }
 
+    /// One whole scan of the WIR (`select_wir`) or of the selected data
+    /// register: the capture action, `n <= 64` shifts of the low bits of
+    /// `word` as one register shift, and the update action — what the
+    /// capture-WRCK, `n` shift-WRCKs and update-WRCK of [`Wrapper::clock`]
+    /// do. Returns the `n` bits shifted out on WSO (bit 0 first).
+    pub(crate) fn scan(&mut self, select_wir: bool, word: u64, n: usize) -> u64 {
+        if select_wir {
+            let (reg, out) =
+                shift_register(self.wir_shift.into(), WrapperInstruction::LENGTH, word, n);
+            self.wir_shift = reg as u8;
+            self.wir = WrapperInstruction::decode(self.wir_shift);
+            return out;
+        }
+        match self.wir {
+            WrapperInstruction::Bypass
+            | WrapperInstruction::Extest
+            | WrapperInstruction::Intest => {
+                let (reg, out) = shift_register(self.wby.into(), 1, word, n);
+                self.wby = reg == 1;
+                out
+            }
+            WrapperInstruction::CommandReg => {
+                let (reg, out) = shift_register(self.wcdr_shift.into(), WCDR_BITS, word, n);
+                self.wcdr_shift = reg as u32;
+                self.backend.command(Self::decode_command(self.wcdr_shift));
+                out
+            }
+            WrapperInstruction::StatusReg => {
+                let sig = self.backend.selected_signature();
+                let done = self.backend.end_test() as u64;
+                let (reg, out) = shift_register(done | (sig << 1), self.wdr_bits, word, n);
+                self.wdr_shift = reg;
+                out
+            }
+        }
+    }
+
     /// Advances the core-side logic by `cycles` functional clocks (the
     /// at-speed test burst between TAP operations).
     pub fn run_functional(&mut self, cycles: u64) {
@@ -345,6 +395,11 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    fn command_bits(cmd: BistCommand) -> Vec<bool> {
+        let word = Wrapper::<MockBackend>::encode_command(cmd);
+        (0..WCDR_BITS).map(|i| (word >> i) & 1 == 1).collect()
     }
 
     fn load_instruction<B: BistBackend>(w: &mut Wrapper<B>, instr: WrapperInstruction) {
@@ -392,14 +447,14 @@ mod tests {
     fn command_register_drives_backend() {
         let mut w = Wrapper::new(MockBackend::new(8, 4));
         load_instruction(&mut w, WrapperInstruction::CommandReg);
-        let cmd = Wrapper::<MockBackend>::encode_command(BistCommand::LoadPatternCount(37));
+        let cmd = command_bits(BistCommand::LoadPatternCount(37));
         shift_bits(&mut w, &cmd, false);
         w.clock(WrapperPins {
             update_wr: true,
             wrstn: true,
             ..Default::default()
         });
-        let cmd = Wrapper::<MockBackend>::encode_command(BistCommand::Start);
+        let cmd = command_bits(BistCommand::Start);
         shift_bits(&mut w, &cmd, false);
         w.clock(WrapperPins {
             update_wr: true,
@@ -415,7 +470,7 @@ mod tests {
         let mut w = Wrapper::new(MockBackend::new(8, 2));
         load_instruction(&mut w, WrapperInstruction::CommandReg);
         for cmd in [BistCommand::LoadPatternCount(5), BistCommand::Start] {
-            let bits = Wrapper::<MockBackend>::encode_command(cmd);
+            let bits = command_bits(cmd);
             shift_bits(&mut w, &bits, false);
             w.clock(WrapperPins {
                 update_wr: true,

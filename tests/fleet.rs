@@ -1,7 +1,7 @@
 //! Population-level pins for the fleet campaign service: determinism
-//! across runs and worker counts, the defect sampler's statistics, the
-//! escape/overkill extremes, re-entrancy under concurrent use, and the
-//! fleet-vs-standalone conformance leg.
+//! across runs, worker counts and trace sampling, the defect sampler's
+//! statistics, the escape/overkill extremes, re-entrancy under concurrent
+//! use, and the fleet-vs-standalone conformance leg.
 
 use soctest::core::casestudy::CaseStudy;
 use soctest::core::fleet::{DefectClass, DefectMix, DefectProfile, DieVerdict, Fleet, FleetConfig};
@@ -222,6 +222,31 @@ fn sampled_traces_are_byte_deterministic_and_cover_rare_classes() {
             class.name()
         );
     }
+}
+
+/// Trace sampling never changes a die record. A sampled die steps the TAP
+/// TCK by TCK under its tracer while an unsampled one runs each scan as
+/// one register operation, so this is also the end-to-end check that the
+/// two scan paths agree on every verdict and TCK bill.
+#[test]
+fn trace_sampling_never_changes_a_die_record() {
+    let mut cfg = FleetConfig::new(2000, 42);
+    cfg.mix.defect_rate = 0.5;
+    let plain = paper_fleet(cfg.clone()).run();
+    let traced = paper_fleet(cfg)
+        .with_trace_sampling(SamplerPolicy::new(1, 0), 0)
+        .run();
+    assert_eq!(traced.traces.len(), 2000, "stride 1 samples every die");
+    assert!(plain.traces.is_empty());
+    for class in DefectClass::ALL {
+        assert!(
+            plain.dies.iter().any(|d| d.profile.class() == class),
+            "class {} was never drawn",
+            class.name()
+        );
+    }
+    assert_eq!(plain.dies, traced.dies, "sampling changed a die record");
+    assert_eq!(plain.report.to_json(), traced.report.to_json());
 }
 
 /// Overflowing a deliberately tiny trace ring surfaces the drop count as

@@ -190,14 +190,16 @@ impl<'a> Podem<'a> {
     /// Nine-valued implication: full forward evaluation with the fault
     /// injected at `site`.
     fn imply(&mut self, assign: &[Option<bool>], site: NetId, stuck: bool) {
+        let pi_value = |pi: usize| match assign[pi] {
+            Some(b) => V9::known(b),
+            None => V9::X,
+        };
         for (id, gate) in self.view.iter() {
             let v = match gate.kind {
+                // An input outside every port cannot be assigned, so it
+                // stays X like an unassignable one.
                 GateKind::Input => {
-                    let pi = self.pi_index[id.index()].expect("input registered") as usize;
-                    match assign[pi] {
-                        Some(b) => V9::known(b),
-                        None => V9::X,
-                    }
+                    self.pi_index[id.index()].map_or(V9::X, |pi| pi_value(pi as usize))
                 }
                 GateKind::Const0 => V9::ZERO,
                 GateKind::Const1 => V9::ONE,

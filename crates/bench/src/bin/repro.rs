@@ -69,8 +69,8 @@
 //! (phase attribution, sampled-die timeline, dies/s per batch).
 //!
 //! Health flags (compose with `--fleet`): `--monitor` arms the streaming
-//! SPC health monitor (EWMA + CUSUM on yield and recovered rate, P²
-//! TCK quantile sketch) and prints greppable `health:` lines;
+//! SPC health monitor (EWMA + CUSUM on yield and recovered rate) and
+//! prints greppable `health:` lines;
 //! `--batch=N` overrides the monitoring batch size;
 //! `--inject-drift=BATCH:RATE` steps the defect rate at that batch
 //! (implies `--monitor`) and asserts detection within 8 batches with a
@@ -648,9 +648,9 @@ struct FleetArgs {
 /// aggregate JSON is a pure function of `(dies, seed, config)`.
 ///
 /// With `--monitor` the streaming health monitor rides along: greppable
-/// `health:` lines (baseline, excursion count, per-excursion attribution,
-/// sketch-vs-exact TCK percentiles), the excursion ledger
-/// (`--excursions=FILE`), and a Health section in the cockpit report.
+/// `health:` lines (baseline, excursion count, per-excursion attribution),
+/// the excursion ledger (`--excursions=FILE`), and a Health section in the
+/// cockpit report.
 /// With `--inject-drift=BATCH:RATE` the defect rate steps at that batch
 /// and the demo asserts detection within 8 batches, zero excursions on
 /// the clean prefix, and a `stuck_at` attribution (the dominant class of
@@ -777,12 +777,6 @@ fn fleet_demo(case: &CaseStudy, budget: &Budget, fa: &FleetArgs) {
             );
             println!("health: advice {}", e.advice);
         }
-        let (p50, p95, p99) = health.tck_sketch;
-        println!(
-            "health: tck sketch p50={p50:.1} p95={p95:.1} p99={p99:.1} \
-             (exact p50={} p95={} p99={})",
-            r.tck.p50, r.tck.p95, r.tck.p99
-        );
         if let Some(Drift {
             batch,
             rate: Rate(rate),
@@ -840,8 +834,7 @@ fn fleet_demo(case: &CaseStudy, budget: &Budget, fa: &FleetArgs) {
     );
     if outcome.health.is_some() {
         assert!(
-            snap.gauges.contains_key("fleet_health_in_control")
-                && snap.gauges.contains_key("fleet_tck_p95_sketch"),
+            snap.gauges.contains_key("fleet_health_in_control"),
             "metrics registry must carry the fleet_health_* family"
         );
         println!(

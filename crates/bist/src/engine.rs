@@ -48,7 +48,7 @@ pub struct ModuleHookup {
 /// engine.begin(n);
 /// while !done {
 ///     for m in modules { apply engine.inputs(m); capture outputs[m]; }
-///     done = engine.clock(&outputs);
+///     done = engine.try_clock(&outputs)?;
 /// }
 /// ```
 #[derive(Debug)]
@@ -177,31 +177,13 @@ impl BistEngine {
         self.pgen.row_from_state(m, self.alfsr.state(), self.cycle)
     }
 
-    /// Completes the current cycle: absorbs every module's response into
-    /// its MISR and advances the pattern counter and ALFSR. Returns `true`
-    /// when the test has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outputs` does not provide one response row per module of
-    /// the declared width; see [`BistEngine::try_clock`] for the
-    /// non-panicking variant.
-    pub fn clock(&mut self, outputs: &[Vec<bool>]) -> bool {
-        match self.try_clock(outputs) {
-            Ok(done) => done,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`BistEngine::clock`], but reports malformed response rows as
-    /// [`EngineError::ResponseArity`] instead of panicking. The engine state
-    /// is untouched when an error is returned.
+    /// Checks that `outputs` provides one response row per module of the
+    /// declared width — the rows [`BistEngine::try_clock`] accepts.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::ResponseArity`] if `outputs` does not provide
-    /// one response row per module of the declared width.
-    pub fn try_clock(&mut self, outputs: &[Vec<bool>]) -> Result<bool, EngineError> {
+    /// Returns [`EngineError::ResponseArity`] on the first mismatch.
+    pub fn check_arity(&self, outputs: &[Vec<bool>]) -> Result<(), EngineError> {
         if outputs.len() != self.misrs.len() {
             return Err(EngineError::ResponseArity {
                 expected: self.misrs.len(),
@@ -216,6 +198,20 @@ impl BistEngine {
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Completes the current cycle: absorbs every module's response into
+    /// its MISR and advances the pattern counter and ALFSR. Returns `true`
+    /// when the test has finished. The engine state is untouched when an
+    /// error is returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::ResponseArity`] if `outputs` does not provide
+    /// one response row per module of the declared width.
+    pub fn try_clock(&mut self, outputs: &[Vec<bool>]) -> Result<bool, EngineError> {
+        self.check_arity(outputs)?;
         if self.control.test_enable() {
             for (misr, out) in self.misrs.iter_mut().zip(outputs) {
                 misr.absorb_folded(out);
@@ -310,7 +306,7 @@ mod tests {
             let o0 = fake_module(&e.inputs(0), 3);
             let o1 = fake_module(&e.inputs(1), 20);
             cycles += 1;
-            if e.clock(&[o0, o1]) {
+            if e.try_clock(&[o0, o1]).unwrap() {
                 break;
             }
         }

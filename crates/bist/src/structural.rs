@@ -26,8 +26,16 @@ pub struct ControlSignals {
 /// Builds an XNOR-form ALFSR inline; `en` gates stepping. Returns the state
 /// word (every stage is visible, as the pattern generator taps all of
 /// them).
-pub fn build_alfsr(mb: &mut ModuleBuilder, en: NetId, width: usize) -> Word {
-    let template = Alfsr::new(width).expect("supported ALFSR width");
+///
+/// # Errors
+///
+/// Returns [`NetlistError::UnsupportedWidth`] for a width outside the
+/// polynomial table ([`Alfsr::new`]).
+pub fn build_alfsr(mb: &mut ModuleBuilder, en: NetId, width: usize) -> Result<Word, NetlistError> {
+    let template = Alfsr::new(width).ok_or(NetlistError::UnsupportedWidth {
+        block: "ALFSR",
+        width,
+    })?;
     let taps = template.taps_mask();
     let q = mb.dff_bank(width);
     let tapped: Vec<NetId> = (0..width)
@@ -41,7 +49,7 @@ pub fn build_alfsr(mb: &mut ModuleBuilder, en: NetId, width: usize) -> Word {
     shifted.extend_from_slice(&q[..width - 1]);
     let next = mb.mux_w(en, &q, &shifted);
     mb.connect(&q, &next);
-    q
+    Ok(q)
 }
 
 /// Builds a MISR inline: absorbs `data` while `en` is high, clears on
@@ -165,7 +173,7 @@ pub fn build_control_unit(
 pub fn alfsr(width: usize) -> Result<Netlist, NetlistError> {
     let mut mb = ModuleBuilder::new(format!("alfsr{width}"));
     let en = mb.input("en");
-    let q = build_alfsr(&mut mb, en, width);
+    let q = build_alfsr(&mut mb, en, width)?;
     mb.output_bus("q", &q);
     mb.finish()
 }
@@ -255,7 +263,7 @@ pub fn insert_bist(modules: &[&Netlist], spec: &BistSpec) -> Result<Netlist, Net
 
     let cu = build_control_unit(&mut mb, start, rst, &npat);
     let test_en = cu.test_enable;
-    let alfsr_q = build_alfsr(&mut mb, test_en, spec.alfsr_width);
+    let alfsr_q = build_alfsr(&mut mb, test_en, spec.alfsr_width)?;
     let cg_values: Vec<Word> = spec
         .cgs
         .iter()

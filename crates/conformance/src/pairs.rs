@@ -549,7 +549,10 @@ fn engine_divergence(seed: u64, max_gates: usize) -> Option<String> {
         }
         let response = reference::eval_comb(&module, &erow);
         ref_misr.absorb(fold_xor(&response, misr_width));
-        let done = engine.clock(&[response]);
+        let done = match engine.try_clock(&[response]) {
+            Ok(done) => done,
+            Err(e) => return Some(format!("engine cycle {t}: {e}")),
+        };
         stream.step();
         if done != (t + 1 == npat) {
             return Some(format!("engine cycle {t}: done={done} npat={npat}"));

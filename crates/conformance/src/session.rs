@@ -61,7 +61,7 @@ pub fn reference_rehearsal(
                     outs
                 })
                 .collect();
-            engine.clock(&responses);
+            engine.try_clock(&responses)?;
         }
         spent += 1;
     }

@@ -417,7 +417,7 @@ impl CaseStudy {
             let b_sel = mb.input_bus("bist_sel", 2);
             let cu = build_control_unit(&mut mb, b_start, b_rst, &b_npat);
             let test_en = cu.test_enable;
-            let alfsr_q = build_alfsr(&mut mb, test_en, self.spec.alfsr_width);
+            let alfsr_q = build_alfsr(&mut mb, test_en, self.spec.alfsr_width)?;
             let cg_vals: Vec<Word> = self
                 .spec
                 .cgs

@@ -100,7 +100,7 @@ pub struct CampaignData {
 /// throughput moved over the campaign.
 #[derive(Debug, Clone, Default)]
 pub struct ObservatoryData {
-    /// The merged self-profiler snapshot (phase-attributed wall time).
+    /// The self-profiler snapshot (phase-attributed wall time).
     pub profiler: Option<Profiler>,
     /// Sampled-die traces, each a bounded JSONL stream.
     pub traces: Vec<DieTrace>,
@@ -713,14 +713,6 @@ fn health_section(health: &HealthReport) -> String {
             "baseline recovered".into(),
             format!("{:.2}%", health.baseline_recovered * 100.0),
         ),
-        (
-            "tck p95 (sketch)".into(),
-            format!("{:.0}", health.tck_sketch.1),
-        ),
-        (
-            "tck p99 (sketch)".into(),
-            format!("{:.0}", health.tck_sketch.2),
-        ),
     ]));
 
     body.push_str(&control_chart(
@@ -778,7 +770,7 @@ fn observatory_section(obs: &ObservatoryData) -> String {
     let mut body = String::new();
 
     // Where the wall time went: top-level phase attribution, table +
-    // share chart, straight from the merged profiler snapshot.
+    // share chart, straight from the profiler snapshot.
     if let Some(prof) = &obs.profiler {
         let total = prof.total_wall_ns().max(1);
         let phases = prof.phases();

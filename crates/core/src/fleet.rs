@@ -33,15 +33,22 @@
 //! byte-identical [`FleetReport::to_json`], and the worker count never
 //! changes any record (dies are simulated independently and reassembled in
 //! index order). Wall-clock numbers live outside the JSON for that reason.
+//!
+//! Workers take chunks of at most 256 dies that never straddle a report
+//! batch, and time each chunk once. The owning thread charges that wall to
+//! the chunk's batch ([`FleetOutcome::batch_walls`]) and, under
+//! [`Fleet::new_profiled`], records it as one `chunk` entry (with the
+//! chunk's `dies`/`tck` counters) under the `simulate` phase. Nothing reads
+//! the clock per die, so the profiler's cost grows with chunks, not dies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use soctest_bist::{BistCommand, ControlUnit, EngineError};
 use soctest_netlist::{GateKind, NetId};
 use soctest_obs::{
-    MetricsRegistry, ProfileHandle, Profiler, SamplerPolicy, TraceHandle, TraceSampler, Tracer,
+    MetricsRegistry, ProfileHandle, SamplerPolicy, TraceHandle, TraceSampler, Tracer,
 };
 use soctest_p1500::{BistBackend, PinFault, PinFaults, TapDriver};
 use soctest_prng::SplitMix64;
@@ -605,7 +612,7 @@ impl BatchSummary {
 
 /// The aggregate outcome of a fleet campaign. Everything in
 /// [`FleetReport::to_json`] is a pure function of the [`FleetConfig`];
-/// wall-clock fields (`elapsed_ns`, `wall_ns`) are carried alongside but
+/// the one wall-clock field (`elapsed_ns`) is carried alongside but
 /// excluded from the JSON so it stays byte-reproducible.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -641,10 +648,6 @@ pub struct FleetReport {
     /// Session-cost percentiles in TCK cycles (protocol-error dies
     /// excluded — their sessions abort at an undefined point).
     pub tck: Percentiles,
-    /// Session-cost percentiles in nanoseconds, derived from the TCK
-    /// distribution at the fleet-average TCK rate of this run. Indicative
-    /// only; not part of the deterministic JSON.
-    pub wall_ns: Percentiles,
     /// Wall-clock time of the whole campaign (not in the JSON).
     pub elapsed_ns: u64,
     /// Dies per batch.
@@ -866,17 +869,18 @@ struct ChunkOut {
     lo: u64,
     records: Vec<DieRecord>,
     traces: Vec<DieTrace>,
-    prof: Option<Profiler>,
     wall_ns: u64,
 }
 
 /// Wall-clock time spent on one report batch's dies — kept beside (not
 /// inside) the deterministic report, for dies/s-over-batches sparklines.
+/// Chunks never straddle a batch boundary, so each figure is the measured
+/// wall of exactly that batch's chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchWall {
     /// Batch index (matches [`BatchSummary::batch`]).
     pub batch: u64,
-    /// Dies attributed to the batch.
+    /// Dies in the batch.
     pub dies: u64,
     /// Wall nanoseconds spent on those dies (summed worker time).
     pub wall_ns: u64,
@@ -903,8 +907,8 @@ pub struct FleetOutcome {
     /// Sampled per-die session traces, in die order (empty unless
     /// [`Fleet::with_trace_sampling`] armed a plan).
     pub traces: Vec<DieTrace>,
-    /// Per-batch wall time (worker-time attribution; non-deterministic,
-    /// so kept out of the report JSON like every other wall number).
+    /// Per-batch wall time (summed chunk walls; non-deterministic, so
+    /// kept out of the report JSON like every other wall number).
     pub batch_walls: Vec<BatchWall>,
     /// The streaming health monitor's report (None unless
     /// [`Fleet::with_monitor`] armed it).
@@ -1187,29 +1191,13 @@ impl Fleet {
     /// returns its deterministic record. Takes `&self`: safe to call from
     /// any number of threads concurrently.
     pub fn simulate_die(&self, die: u64) -> DieRecord {
-        self.simulate_die_observed(die, None, &TraceHandle::none())
+        self.simulate_die_traced(die, &TraceHandle::none())
     }
 
-    /// [`Fleet::simulate_die`] with observability attached: per-phase
-    /// wall (`sample` / `replay_session` / `score`) and `dies`/`tck`
-    /// counters into a worker-local profiler, and the session's trace
-    /// into `trace`. Neither changes the returned record.
-    fn simulate_die_observed(
-        &self,
-        die: u64,
-        mut prof: Option<&mut Profiler>,
-        trace: &TraceHandle,
-    ) -> DieRecord {
-        let mut stamp = prof.as_ref().map(|_| Instant::now());
-        let lap = |prof: &mut Option<&mut Profiler>, stamp: &mut Option<Instant>, name| {
-            if let (Some(p), Some(t0)) = (prof.as_deref_mut(), stamp.as_mut()) {
-                let now = Instant::now();
-                p.record_ns(name, now.duration_since(*t0).as_nanos() as u64);
-                *t0 = now;
-            }
-        };
+    /// [`Fleet::simulate_die`] with the session's trace recorded into
+    /// `trace`, which never changes the returned record.
+    fn simulate_die_traced(&self, die: u64, trace: &TraceHandle) -> DieRecord {
         let profile = self.profile_of(die);
-        lap(&mut prof, &mut stamp, "sample");
         let mut session = RobustSession::new(self.config.budget);
         if trace.is_enabled() {
             session = session.with_trace(trace.clone());
@@ -1240,18 +1228,12 @@ impl Fleet {
                 ReplayCore::new(self.counter_bits, finals, self.misr_width, hang),
             ))
         });
-        lap(&mut prof, &mut stamp, "replay_session");
         let verdict = verdict_of(&result);
         let tck = match (&result, verdict) {
             (Ok(report), _) => report.tck_spent,
             (_, DieVerdict::Hung) => self.hung_tck,
             _ => 0,
         };
-        lap(&mut prof, &mut stamp, "score");
-        if let Some(p) = prof {
-            p.count("dies", 1);
-            p.count("tck", tck);
-        }
         DieRecord {
             die,
             profile,
@@ -1260,18 +1242,16 @@ impl Fleet {
         }
     }
 
-    /// Runs one chunk of dies, capturing sampled traces and (when the
-    /// fleet is profiled) a chunk-local profiler that the caller folds in
-    /// deterministically by chunk index.
-    fn run_chunk(&self, lo: u64, hi: u64, plan: Option<&TraceSampler>) -> ChunkOut {
+    /// Runs one chunk of dies, capturing sampled traces and the chunk's
+    /// wall time.
+    fn run_chunk(&self, (lo, hi): (u64, u64), plan: Option<&TraceSampler>) -> ChunkOut {
         let t0 = Instant::now();
-        let mut prof = self.profile.is_enabled().then(Profiler::new);
         let mut records = Vec::with_capacity((hi - lo) as usize);
         let mut traces = Vec::new();
         for die in lo..hi {
             if plan.is_some_and(|p| p.is_sampled(die)) {
                 let trace = TraceHandle::new(Tracer::new(self.trace_capacity));
-                let rec = self.simulate_die_observed(die, prof.as_mut(), &trace);
+                let rec = self.simulate_die_traced(die, &trace);
                 let (jsonl, total, dropped) = trace
                     .with(|t| {
                         let mut s = String::new();
@@ -1292,14 +1272,13 @@ impl Fleet {
                 });
                 records.push(rec);
             } else {
-                records.push(self.simulate_die_observed(die, prof.as_mut(), &TraceHandle::none()));
+                records.push(self.simulate_die(die));
             }
         }
         ChunkOut {
             lo,
             records,
             traces,
-            prof,
             wall_ns: t0.elapsed().as_nanos() as u64,
         }
     }
@@ -1328,33 +1307,41 @@ impl Fleet {
         });
 
         // Chunked execution on 1..N workers: a shared atomic cursor hands
-        // out fixed-size die ranges; chunks are reassembled by index so
-        // records, traces, and profile fingerprints are identical for any
-        // worker count.
+        // out die ranges of at most CHUNK dies that never straddle a report
+        // batch, so each chunk's wall belongs to exactly one batch; chunks
+        // are reassembled by index so records, traces, and profile
+        // fingerprints are identical for any worker count.
         const CHUNK: u64 = 256;
-        let nchunks = dies.div_ceil(CHUNK).max(1);
+        let batch_size = self.config.effective_batch();
+        let ranges: Vec<(u64, u64)> = (0..dies)
+            .step_by(batch_size as usize)
+            .flat_map(|b| {
+                let end = b.saturating_add(batch_size).min(dies);
+                (b..end)
+                    .step_by(CHUNK as usize)
+                    .map(move |lo| (lo, (lo + CHUNK).min(end)))
+            })
+            .collect();
         let simulate_scope = self.profile.scope("simulate");
         let mut chunks: Vec<ChunkOut> = if workers <= 1 {
-            (0..nchunks)
-                .map(|c| self.run_chunk(c * CHUNK, (c * CHUNK + CHUNK).min(dies), plan.as_ref()))
+            ranges
+                .iter()
+                .map(|&range| self.run_chunk(range, plan.as_ref()))
                 .collect()
         } else {
-            let cursor = AtomicU64::new(0);
-            let done: Mutex<Vec<ChunkOut>> = Mutex::new(Vec::with_capacity(nchunks as usize));
+            let cursor = AtomicUsize::new(0);
+            let done: Mutex<Vec<ChunkOut>> = Mutex::new(Vec::with_capacity(ranges.len()));
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     let plan = plan.as_ref();
-                    let cursor = &cursor;
-                    let done = &done;
-                    scope.spawn(move || loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= nchunks {
-                            break;
-                        }
-                        let lo = c * CHUNK;
-                        let out = self.run_chunk(lo, (lo + CHUNK).min(dies), plan);
-                        if let Ok(mut guard) = done.lock() {
-                            guard.push(out);
+                    let (cursor, done, ranges) = (&cursor, &done, &ranges);
+                    scope.spawn(move || {
+                        while let Some(&range) = ranges.get(cursor.fetch_add(1, Ordering::Relaxed))
+                        {
+                            let out = self.run_chunk(range, plan);
+                            if let Ok(mut guard) = done.lock() {
+                                guard.push(out);
+                            }
                         }
                     });
                 }
@@ -1366,9 +1353,8 @@ impl Fleet {
         };
         chunks.sort_by_key(|c| c.lo);
 
-        // Fold chunk-local profilers in chunk order (deterministic) and
-        // attribute chunk walls to report batches for the sparkline.
-        let batch_size = self.config.effective_batch();
+        // One profiler entry per chunk, recorded here on the owning thread
+        // in chunk order, and each chunk's wall charged to its batch.
         let nbatches = dies.div_ceil(batch_size).max(1);
         let mut batch_walls: Vec<BatchWall> = (0..nbatches)
             .map(|b| BatchWall {
@@ -1380,12 +1366,14 @@ impl Fleet {
         let mut records: Vec<DieRecord> = Vec::with_capacity(dies as usize);
         let mut traces: Vec<DieTrace> = Vec::new();
         for chunk in chunks {
-            if let Some(p) = &chunk.prof {
-                self.profile.absorb(p);
-            }
-            let bi = ((chunk.lo / batch_size) as usize).min(batch_walls.len() - 1);
-            batch_walls[bi].dies += chunk.records.len() as u64;
-            batch_walls[bi].wall_ns += chunk.wall_ns;
+            self.profile.with(|p| {
+                p.record_ns("chunk", chunk.wall_ns);
+                p.count("dies", chunk.records.len() as u64);
+                p.count("tck", chunk.records.iter().map(|r| r.tck).sum());
+            });
+            let bw = &mut batch_walls[(chunk.lo / batch_size) as usize];
+            bw.dies += chunk.records.len() as u64;
+            bw.wall_ns += chunk.wall_ns;
             records.extend(chunk.records);
             traces.extend(chunk.traces);
         }
@@ -1469,19 +1457,6 @@ impl Fleet {
             }
         }
 
-        let total_tck: u64 = tcks.iter().sum();
-        let tck = Percentiles::from_samples(tcks);
-        let ns_per_tck = if total_tck == 0 {
-            0.0
-        } else {
-            elapsed_ns as f64 / total_tck as f64
-        };
-        let wall_ns = Percentiles {
-            p50: (tck.p50 as f64 * ns_per_tck) as u64,
-            p95: (tck.p95 as f64 * ns_per_tck) as u64,
-            p99: (tck.p99 as f64 * ns_per_tck) as u64,
-        };
-
         FleetReport {
             dies: records.len() as u64,
             seed: self.config.seed,
@@ -1496,8 +1471,7 @@ impl Fleet {
             overkill,
             recovered,
             quarantine_by_module,
-            tck,
-            wall_ns,
+            tck: Percentiles::from_samples(tcks),
             elapsed_ns,
             batch_size,
             batches,

@@ -1,6 +1,5 @@
 //! Streaming fleet health monitoring: online SPC over per-batch fleet
-//! deltas, quantile sketches over per-die test time, and excursion
-//! attribution in the advisor's vocabulary.
+//! deltas and excursion attribution in the advisor's vocabulary.
 //!
 //! This is the paper's detect → attribute → act feedback loop lifted one
 //! level above the die. [`FleetHealthMonitor`] consumes [`DieRecord`]s in
@@ -14,11 +13,9 @@
 //!   ladder saw past; an environment-noise excursion moves it *up*
 //!   without touching hard yield much.
 //!
-//! Per-die TCK feeds a fixed-size [`QuantileTrio`] (P² sketches), so
-//! p50/p95/p99 of test time are available *during* the run without
-//! buffering the population; the exact nearest-rank percentiles stay in
-//! the post-hoc report and both are exported side by side
-//! (`fleet_tck_p95` vs `fleet_tck_p95_sketch`).
+//! Test-time percentiles are not the monitor's job: the fleet keeps every
+//! die record, so [`crate::fleet::FleetReport::tck`] carries the exact
+//! nearest-rank p50/p95/p99 (exported as `fleet_tck_p*`).
 //!
 //! When a chart signals, the monitor runs **attribution**: the signaling
 //! batch's defect-class mix and per-module quarantine mix are compared
@@ -36,10 +33,10 @@
 //! byte-identical across runs and worker counts, drift or no drift.
 
 use soctest_obs::{
-    analyze::strategy, MetricsRegistry, QuantileTrio, SpcChart, SpcConfig, SpcExcursion, SpcPoint,
+    analyze::strategy, MetricsRegistry, SpcChart, SpcConfig, SpcExcursion, SpcPoint,
 };
 
-use crate::fleet::{BatchSummary, DefectClass, DieRecord, DieVerdict};
+use crate::fleet::{BatchSummary, DefectClass, DieRecord};
 
 /// Health-monitor configuration: one SPC tuning shared by both charts.
 #[derive(Debug, Clone, Default)]
@@ -125,9 +122,6 @@ pub struct HealthReport {
     pub yield_points: Vec<SpcPoint>,
     /// The recovered-rate chart's per-batch trajectory.
     pub recovered_points: Vec<SpcPoint>,
-    /// Streaming P² estimates of the per-die TCK percentiles
-    /// `(p50, p95, p99)`.
-    pub tck_sketch: (f64, f64, f64),
 }
 
 impl HealthReport {
@@ -159,7 +153,7 @@ impl HealthReport {
     }
 
     /// Folds the health record into the metrics registry as the
-    /// `fleet_health_*` family plus the sketch-vs-exact TCK gauges.
+    /// `fleet_health_*` family.
     pub fn export_metrics(&self, registry: &MetricsRegistry) {
         registry.inc("fleet_health_batches_total", self.batches);
         registry.inc(
@@ -175,9 +169,6 @@ impl HealthReport {
             "fleet_health_baseline_recovered_rate",
             self.baseline_recovered,
         );
-        registry.set_gauge("fleet_tck_p50_sketch", self.tck_sketch.0);
-        registry.set_gauge("fleet_tck_p95_sketch", self.tck_sketch.1);
-        registry.set_gauge("fleet_tck_p99_sketch", self.tck_sketch.2);
     }
 }
 
@@ -192,7 +183,6 @@ pub struct FleetHealthMonitor {
     module_names: Vec<String>,
     yield_chart: SpcChart,
     recovered_chart: SpcChart,
-    tck: QuantileTrio,
     /// The batch currently accumulating.
     current: BatchSummary,
     /// Dies folded into `current` so far (0 = nothing to flush).
@@ -214,7 +204,6 @@ impl FleetHealthMonitor {
             module_names: module_names.to_vec(),
             yield_chart: SpcChart::new("yield", cfg.spc),
             recovered_chart: SpcChart::new("recovered_rate", cfg.spc),
-            tck: QuantileTrio::new(),
             current: BatchSummary::empty(0),
             current_dies: 0,
             baseline_sampled: [0; 4],
@@ -240,9 +229,6 @@ impl FleetHealthMonitor {
         self.current.absorb(rec);
         self.current_dies += 1;
         self.dies += 1;
-        if rec.verdict != DieVerdict::Protocol {
-            self.tck.insert(rec.tck as f64);
-        }
     }
 
     /// Scores the accumulated batch on both charts and attributes any
@@ -330,11 +316,6 @@ impl FleetHealthMonitor {
             excursions: self.excursions,
             yield_points: self.yield_chart.points().to_vec(),
             recovered_points: self.recovered_chart.points().to_vec(),
-            tck_sketch: (
-                self.tck.p50.value(),
-                self.tck.p95.value(),
-                self.tck.p99.value(),
-            ),
         }
     }
 }
@@ -342,7 +323,7 @@ impl FleetHealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::DefectProfile;
+    use crate::fleet::{DefectProfile, DieVerdict};
 
     fn die(die: u64, profile: DefectProfile, verdict: DieVerdict, tck: u64) -> DieRecord {
         DieRecord {
@@ -468,17 +449,5 @@ mod tests {
             );
             assert!(v.get("advice").is_some());
         }
-    }
-
-    #[test]
-    fn tck_sketch_tracks_the_stream() {
-        let mut mon = FleetHealthMonitor::new(HealthConfig::default(), 50, &modules());
-        for rec in stream(50, 40, 40, 0) {
-            mon.observe_die(&rec);
-        }
-        let report = mon.finish();
-        // Every die cost 700 TCK; the sketch must sit on the atom.
-        assert!((report.tck_sketch.0 - 700.0).abs() < 1e-9);
-        assert!((report.tck_sketch.1 - 700.0).abs() < 1e-9);
     }
 }

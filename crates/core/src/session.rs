@@ -48,7 +48,9 @@ impl<'a> WrappedCore<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates kernel-compilation errors.
+    /// Propagates kernel-compilation errors, and returns
+    /// [`EngineError::ResponseArity`] when the engine's module hookups do
+    /// not match the case study's modules.
     pub fn with_engine(case: &'a CaseStudy, engine: BistEngine) -> Result<Self, SessionError> {
         let mut sims = Vec::with_capacity(case.modules().len());
         let mut responses = Vec::with_capacity(case.modules().len());
@@ -57,6 +59,7 @@ impl<'a> WrappedCore<'a> {
             responses.push(vec![false; kernel.pos().len()]);
             sims.push(KernelSim::from_kernel(Arc::clone(kernel)));
         }
+        engine.check_arity(&responses)?;
         Ok(WrappedCore {
             case,
             engine,
@@ -167,7 +170,9 @@ impl BistBackend for WrappedCore<'_> {
             probe.advance(self.functional_cycle);
         }
         self.functional_cycle += 1;
-        self.engine.clock(&self.responses);
+        // `with_engine` checked these rows against the engine's hookups,
+        // and their sizes never change, so the clock cannot be refused.
+        let _ = self.engine.try_clock(&self.responses);
     }
 
     fn end_test(&self) -> bool {

@@ -22,6 +22,7 @@ use std::time::Instant;
 use soctest_netlist::{CompiledNetlist, NetId, NetlistError, LANE_WORDS};
 
 use crate::combsim::{CombCampaign, CombFaultSim, PatternSet};
+use crate::par::join_all;
 use crate::{FaultKind, Syndrome};
 
 /// Per-worker scratch for the cone sweep: faulty value words, per-net epoch
@@ -68,6 +69,14 @@ impl CombFaultSim<'_> {
             faults.len(),
             "campaign state size"
         );
+        let collect = self.collect_syndromes;
+        if collect {
+            assert_eq!(
+                campaign.syndromes.as_ref().map_or(0, Vec::len),
+                faults.len(),
+                "campaign syndrome state size"
+            );
+        }
         let obs = self.universe.observe_nets();
 
         let mut values = vec![0u64; kernel.nets() * W];
@@ -78,7 +87,6 @@ impl CombFaultSim<'_> {
 
         let nthreads = self.parallel.workers_for(faults.len());
         campaign.stats.threads = nthreads;
-        let collect = self.collect_syndromes;
         let offset = campaign.applied;
 
         // Building the scratches forces the cone table before any worker
@@ -148,18 +156,16 @@ impl CombFaultSim<'_> {
                 std::thread::scope(|s| {
                     let mut handles = Vec::with_capacity(nthreads);
                     let det_shards = campaign.detection.chunks_mut(shard);
-                    let mut syn_iter = if collect {
-                        Some(syndromes.chunks_mut(shard))
-                    } else {
-                        None
-                    };
-                    for ((t, det), scratch) in det_shards.enumerate().zip(scratches.iter_mut()) {
+                    // Syndromes shard like detections (one slot per fault,
+                    // checked above); workers not collecting get none.
+                    let collected: &mut [Syndrome] = if collect { syndromes } else { &mut [] };
+                    let syn_shards = collected
+                        .chunks_mut(shard)
+                        .chain(std::iter::repeat_with(|| -> &mut [Syndrome] { &mut [] }));
+                    let shards = det_shards.zip(syn_shards).zip(scratches.iter_mut());
+                    for (t, ((det, syn_shard), scratch)) in shards.enumerate() {
                         let f0 = t * shard;
                         let fault_shard = &faults[f0..(f0 + det.len())];
-                        let syn_shard: &mut [Syndrome] = match syn_iter.as_mut() {
-                            Some(it) => it.next().expect("syndromes shard"),
-                            None => &mut [],
-                        };
                         handles.push(s.spawn(move || {
                             simulate_group(
                                 kernel_ref,
@@ -177,11 +183,10 @@ impl CombFaultSim<'_> {
                             )
                         }));
                     }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fault-sim worker panicked"))
-                        .sum::<u64>()
-                })
+                    join_all(handles)
+                })?
+                .into_iter()
+                .sum()
             };
             campaign.stats.faulty_cycles += propagations;
 

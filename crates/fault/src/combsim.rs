@@ -63,7 +63,7 @@ impl PatternSet {
         if lane == 0 {
             self.blocks.push(vec![0u64; self.width]);
         }
-        let block = self.blocks.last_mut().expect("block allocated");
+        let block = &mut self.blocks[self.count / 64];
         for (i, &b) in row.iter().enumerate() {
             if b {
                 block[i] |= 1u64 << lane;

@@ -5,9 +5,14 @@
 //! external runtime). The sharding is *deterministic*: every fault is
 //! simulated over the same cycles in the same order regardless of the
 //! thread count, and per-fault results are merged in fault order, so a run
-//! with `threads: N` is bit-identical to `threads: 1`.
+//! with `threads: N` is bit-identical to `threads: 1`. A worker that
+//! panics surfaces as [`NetlistError::WorkerPanicked`] from the run that
+//! spawned it.
 
 use std::num::NonZeroUsize;
+use std::thread::ScopedJoinHandle;
+
+use soctest_netlist::NetlistError;
 
 /// How many worker threads a fault-simulation campaign may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +61,18 @@ impl ParallelPolicy {
     pub fn workers_for(&self, items: usize) -> usize {
         self.effective_threads().min(items.max(1))
     }
+}
+
+/// Joins every worker, then returns their results in spawn order, or
+/// [`NetlistError::WorkerPanicked`] if any of them panicked. Joining all
+/// of them first means no panicked worker is left for the scope to
+/// re-raise.
+pub(crate) fn join_all<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Result<Vec<T>, NetlistError> {
+    let joined: Vec<_> = handles.into_iter().map(ScopedJoinHandle::join).collect();
+    joined
+        .into_iter()
+        .map(|r| r.map_err(|_| NetlistError::WorkerPanicked))
+        .collect()
 }
 
 #[cfg(test)]

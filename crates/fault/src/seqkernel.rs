@@ -23,7 +23,6 @@
 //! — is pinned against the naive reference interpreter by the `fault`
 //! conformance pair and the case-study leg of `difftest`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use soctest_netlist::CompiledNetlist;
@@ -40,8 +39,9 @@ pub(crate) struct KernelEngine {
 /// Per-worker scratch. `qdev` marks the flip-flops whose lane word
 /// currently deviates from the good machine; `qwords[j]` is only meaningful
 /// while bit `j` is set. `inj_mark` is stamped with `chunk_no` so it never
-/// needs clearing between chunks. `sampled` stages the good pass's `d`
-/// samples at each clock edge.
+/// needs clearing between chunks; while a net's stamp is current,
+/// `inj_slot` holds the index of its injection site. `sampled` stages the
+/// good pass's `d` samples at each clock edge.
 pub(crate) struct KernelScratch {
     vals: Vec<u64>,
     sampled: Vec<u64>,
@@ -54,6 +54,7 @@ pub(crate) struct KernelScratch {
     misr: Vec<u64>,
     misr_next: Vec<u64>,
     inj_mark: Vec<u64>,
+    inj_slot: Vec<u8>,
     chunk_no: u64,
 }
 
@@ -85,6 +86,7 @@ impl KernelEngine {
             misr: vec![0u64; ctx.misr_width],
             misr_next: vec![0u64; ctx.misr_width],
             inj_mark: vec![0u64; self.kernel.nets()],
+            inj_slot: vec![0u8; self.kernel.nets()],
             chunk_no: 0,
         }
     }
@@ -256,26 +258,32 @@ impl KernelEngine {
             }
         }
 
-        // Injection tables: per-net entry lists (lane order), split into
-        // scheduled gate sites and source sites.
+        // Injection sites: one per faulted net, in first-lane order, each
+        // with its entries in lane order; then split into scheduled gate
+        // sites and source sites.
         scratch.chunk_no += 1;
         let chunk_no = scratch.chunk_no;
-        let mut inj: HashMap<u32, Vec<InjEntry>> = HashMap::new();
+        let mut sites: Vec<(u32, Vec<InjEntry>)> = Vec::new();
         for (l, af) in chunk.iter().enumerate() {
             let f = ctx.faults[af.idx];
-            inj.entry(f.net.0).or_default().push(InjEntry {
+            let n = f.net.0 as usize;
+            if scratch.inj_mark[n] != chunk_no {
+                scratch.inj_mark[n] = chunk_no;
+                scratch.inj_slot[n] = sites.len() as u8;
+                sites.push((f.net.0, Vec::new()));
+            }
+            sites[scratch.inj_slot[n] as usize].1.push(InjEntry {
                 lane: l as u8,
                 kind: f.kind,
                 prev: get_bit(&af.state, ndff),
             });
         }
         let mut site_ops: Vec<u32> = Vec::new();
-        let mut src_sites: Vec<u32> = Vec::new();
-        for &net in inj.keys() {
-            scratch.inj_mark[net as usize] = chunk_no;
+        let mut src_sites: Vec<usize> = Vec::new();
+        for (s, &(net, _)) in sites.iter().enumerate() {
             match kernel.sched_of(net) {
                 Some(p) => site_ops.push(p as u32),
-                None => src_sites.push(net),
+                None => src_sites.push(s),
             }
         }
 
@@ -305,9 +313,10 @@ impl KernelEngine {
             }
             // Source-site injections (primary inputs, flip-flop outputs,
             // constants) — applied before the sweep.
-            for &net in &src_sites {
+            for &s in &src_sites {
+                let (net, entries) = &mut sites[s];
+                let net = *net;
                 let n = net as usize;
-                let entries = inj.get_mut(&net).expect("registered");
                 let g = gbit(row, n);
                 let w = apply(g ^ scratch.dev[n], entries, first_ever);
                 scratch.dev[n] = w ^ g;
@@ -350,7 +359,7 @@ impl KernelEngine {
                     );
                     let outn = kernel.op_out(p);
                     if scratch.inj_mark[outn as usize] == chunk_no {
-                        let entries = inj.get_mut(&outn).expect("registered");
+                        let entries = &mut sites[scratch.inj_slot[outn as usize] as usize].1;
                         w = apply(w, entries, first_ever);
                     }
                     let d = w ^ gbit(row, outn as usize);
@@ -477,10 +486,9 @@ impl KernelEngine {
                 }
             }
             let f = ctx.faults[af.idx];
-            if let Some(entries) = inj.get(&f.net.0) {
-                if let Some(e) = entries.iter().find(|e| e.lane as usize == l) {
-                    set_bit(&mut af.state, ndff, e.prev);
-                }
+            let entries = &sites[scratch.inj_slot[f.net.0 as usize] as usize].1;
+            if let Some(e) = entries.iter().find(|e| e.lane as usize == l) {
+                set_bit(&mut af.state, ndff, e.prev);
             }
             for (j, &w) in scratch.misr.iter().enumerate() {
                 set_bit(&mut af.state, ndff + 1 + j, (w >> l) & 1 == 1);

@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use soctest_netlist::{NetId, NetlistError};
 
+use crate::par::join_all;
 use crate::seqkernel::KernelEngine;
 use crate::stimulus::StimulusMatrix;
 use crate::{
@@ -339,11 +340,8 @@ impl<'a> SeqFaultSim<'a> {
                             })
                         })
                         .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fault-sim worker panicked"))
-                        .collect()
-                })
+                    join_all(handles)
+                })?
             };
             // Deterministic merge: workers in spawn order, chunks in chunk
             // order; each fault lives in exactly one chunk, so per-fault

@@ -109,9 +109,13 @@ impl FaultUniverse {
                 _ => {}
             }
         }
-        // Group faults by root.
+        // Group faults by root. Each class's representative is the member
+        // with the largest net id (downstream-most, since branch buffers and
+        // outputs are appended after their drivers); members arrive in net
+        // order, so that is the latest one.
         let mut class_of_root: Vec<Option<usize>> = vec![None; 2 * n];
         let mut members: Vec<Vec<Fault>> = Vec::new();
+        let mut faults: Vec<Fault> = Vec::new();
         let mut total_sites = 0usize;
         for (net_idx, &ok) in eligible.iter().enumerate().take(n) {
             if !ok {
@@ -121,24 +125,21 @@ impl FaultUniverse {
                 total_sites += 1;
                 let id = net_idx * 2 + pol as usize;
                 let root = uf.find(id);
-                let class = *class_of_root[root].get_or_insert_with(|| {
-                    members.push(Vec::new());
-                    members.len() - 1
-                });
                 let base = if stuck_at {
                     FaultKind::Sa0
                 } else {
                     FaultKind::SlowToRise
                 };
-                members[class].push(Fault::new(NetId(net_idx as u32), base.with_polarity(pol)));
+                let fault = Fault::new(NetId(net_idx as u32), base.with_polarity(pol));
+                let class = *class_of_root[root].get_or_insert_with(|| {
+                    members.push(Vec::new());
+                    faults.push(fault);
+                    members.len() - 1
+                });
+                members[class].push(fault);
+                faults[class] = fault;
             }
         }
-        // Representative: the member with the largest net id (downstream-most,
-        // since branch buffers and outputs are appended after their drivers).
-        let faults: Vec<Fault> = members
-            .iter()
-            .map(|class| *class.iter().max_by_key(|f| f.net).expect("non-empty class"))
-            .collect();
         let observe = view.primary_outputs();
         FaultUniverse {
             view,

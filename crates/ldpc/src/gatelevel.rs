@@ -47,13 +47,14 @@ fn magnitude(mb: &mut ModuleBuilder, v: &[NetId]) -> Word {
     mb.mux_w(sign, v, &negated)
 }
 
-/// Sign-extends a word to `width` bits.
-fn sign_extend(v: &[NetId], width: usize) -> Word {
+/// Sign-extends a word to `width` bits (a zero-width word is the value 0).
+fn sign_extend(mb: &mut ModuleBuilder, v: &[NetId], width: usize) -> Word {
+    let sign = match v.last() {
+        Some(&msb) => msb,
+        None => mb.zero(),
+    };
     let mut out = v.to_vec();
-    let sign = *v.last().expect("non-empty word");
-    while out.len() < width {
-        out.push(sign);
-    }
+    out.resize(width.max(v.len()), sign);
     out
 }
 
@@ -100,11 +101,11 @@ pub fn bit_node() -> Result<Netlist, NetlistError> {
     // Optional +1 rounding stage.
     let rounded = mb.add_const(&scaled, 1).sum;
     let message = mb.mux_w(sel[3], &scaled, &rounded);
-    let message_ext = sign_extend(&message, 12);
+    let message_ext = sign_extend(&mut mb, &message, 12);
 
     // Accumulator.
     let acc = mb.dff_bank(12); // 12 FF
-    let llr_ext = sign_extend(&llr_r, 12);
+    let llr_ext = sign_extend(&mut mb, &llr_r, 12);
     let summed = sat_add_signed(&mut mb, &acc, &message_ext);
     let accum = mb.mux_w(valid, &acc, &summed);
     let loaded = mb.mux_w(start, &accum, &llr_ext);

@@ -1,11 +1,12 @@
-//! Error type for netlist construction and validation.
+//! Error type for netlist construction, validation and simulation.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::NetId;
 
-/// Errors raised while building or validating a [`crate::Netlist`].
+/// Errors raised while building, validating or simulating a
+/// [`crate::Netlist`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetlistError {
@@ -40,6 +41,16 @@ pub enum NetlistError {
         /// The port or signal name.
         name: String,
     },
+    /// A generator has no structure for the requested width (e.g. no
+    /// primitive polynomial for an ALFSR of that many stages).
+    UnsupportedWidth {
+        /// The block being generated.
+        block: &'static str,
+        /// The requested width.
+        width: usize,
+    },
+    /// A simulation worker thread panicked, so the run has no result.
+    WorkerPanicked,
 }
 
 impl fmt::Display for NetlistError {
@@ -60,6 +71,10 @@ impl fmt::Display for NetlistError {
             NetlistError::EmptyBus { name } => {
                 write!(f, "bus `{name}` has zero width")
             }
+            NetlistError::UnsupportedWidth { block, width } => {
+                write!(f, "unsupported {width}-bit {block}")
+            }
+            NetlistError::WorkerPanicked => write!(f, "a simulation worker thread panicked"),
         }
     }
 }

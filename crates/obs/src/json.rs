@@ -7,8 +7,15 @@
 //! as `f64`, which is exact for every integer the stack emits below 2^53;
 //! larger integers lose precision — fine for validation, so callers that
 //! need exact u64s should compare strings instead.
+//!
+//! The parser recurses once per array or object, so nesting is capped at
+//! [`MAX_DEPTH`]: a deeper document is an `Err`, not a stack overflow.
 
 use std::collections::BTreeMap;
+
+/// The deepest array/object nesting [`parse`] accepts. The workspace's own
+/// artifacts nest at most 6 levels (`BENCH_faultsim.json`).
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,12 +88,13 @@ impl JsonValue {
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error, or of
+/// Returns a message with the byte offset of the first syntax error, of
+/// the first array or object nested deeper than [`MAX_DEPTH`], or of
 /// trailing non-whitespace after the document.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -100,12 +108,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos).map(JsonValue::String),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -186,7 +200,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -195,7 +209,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -208,7 +222,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -227,7 +241,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        map.insert(key, parse_value(b, pos)?);
+        map.insert(key, parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -277,6 +291,21 @@ mod tests {
         assert_eq!(v.get("event").unwrap().as_str(), Some("WdrCapture"));
         assert_eq!(v.get("signature").unwrap().as_u64(), Some(0xABCD));
         assert_eq!(v.get("done").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_instead_of_a_stack_overflow() {
+        let arrays = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // A million levels: rejected at the first level past the cap, at
+        // that level's byte offset, without recursing any deeper.
+        for n in [MAX_DEPTH + 1, 1_000_000] {
+            let deep = format!("nesting deeper than {MAX_DEPTH} at byte");
+            assert_eq!(parse(&arrays(n)), Err(format!("{deep} {MAX_DEPTH}")));
+            assert_eq!(parse(&objects(n)), Err(format!("{deep} {}", 5 * MAX_DEPTH)));
+        }
     }
 
     #[test]

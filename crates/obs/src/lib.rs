@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod profile;
 pub mod report;
 pub mod sink;
-pub mod sketch;
 pub mod svg;
 pub mod tracer;
 pub mod vcd;
@@ -59,6 +58,5 @@ pub use metrics::{Histogram, MetricsHandle, MetricsRegistry, MetricsSnapshot};
 pub use profile::{ProfileHandle, ProfileScope, Profiler, SamplerPolicy, TraceSampler};
 pub use report::HtmlReport;
 pub use sink::{CountingSink, JsonLinesSink, MemorySink, PrettySink, TraceSink};
-pub use sketch::{P2Quantile, QuantileTrio};
 pub use tracer::{SpanGuard, TraceHandle, Tracer, DEFAULT_CAPACITY};
 pub use vcd::{VarId, VcdReader, VcdVar, VcdWriter};

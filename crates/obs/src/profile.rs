@@ -7,12 +7,12 @@
 //! order, so the *shape* of the tree is a pure function of the code path,
 //! never of timing.
 //!
-//! Worker threads keep their own plain `Profiler` (no lock contention on
-//! the hot path) and the owner folds them in afterwards with
-//! [`Profiler::merge`] in a deterministic order; same seed and any worker
-//! count then produce an identical [`Profiler::fingerprint`] (tree shape,
-//! entry counts, and counter totals — wall excluded, since wall is the
-//! one thing that legitimately varies).
+//! Only the owning thread records. Parallel work is timed by the workers
+//! themselves (one clock pair per unit of work) and recorded by the owner
+//! afterwards with [`Profiler::record_ns`] in a deterministic order, so the
+//! same seed and any worker count produce an identical
+//! [`Profiler::fingerprint`] (tree shape, entry counts, and counter totals —
+//! wall excluded, since wall is the one thing that legitimately varies).
 //!
 //! [`ProfileHandle`] is the shareable null-checked handle, mirroring
 //! [`crate::TraceHandle`]: the default handle is disabled and every
@@ -129,45 +129,6 @@ impl Profiler {
             }
         }
         self.nodes[node].counters.push((name.to_owned(), delta));
-    }
-
-    /// Folds `other`'s tree into the current phase of `self`: `other`'s
-    /// root counters land on the current phase, and its phases merge
-    /// recursively by name (wall, entries, and counters add; unseen
-    /// phases append in `other`'s order). Merge order is the caller's
-    /// contract: fold worker profilers in a deterministic order (e.g.
-    /// chunk index) and the result is worker-count-invariant.
-    pub fn merge(&mut self, other: &Profiler) {
-        let here = self.current();
-        self.merge_node(here, other, 0);
-    }
-
-    fn merge_node(&mut self, into: usize, other: &Profiler, from: usize) {
-        let counters = other.nodes[from].counters.clone();
-        for (name, delta) in counters {
-            let mut found = false;
-            for slot in &mut self.nodes[into].counters {
-                if slot.0 == name {
-                    slot.1 = slot.1.saturating_add(delta);
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                self.nodes[into].counters.push((name, delta));
-            }
-        }
-        if from != 0 {
-            self.nodes[into].wall_ns = self.nodes[into]
-                .wall_ns
-                .saturating_add(other.nodes[from].wall_ns);
-            self.nodes[into].entries += other.nodes[from].entries;
-        }
-        for &oc in &other.nodes[from].children {
-            let name = other.nodes[oc].name.clone();
-            let c = self.child_of(into, &name);
-            self.merge_node(c, other, oc);
-        }
     }
 
     /// Total wall across the top-level phases (the root's direct
@@ -312,9 +273,8 @@ impl Profiler {
 /// mirroring [`crate::TraceHandle`]: the default handle is disabled and
 /// every probe costs one `Option` check.
 ///
-/// Phase scopes ([`ProfileHandle::scope`]) must nest on one owning thread
-/// — worker threads profile into their own plain [`Profiler`] and the
-/// owner folds them in with [`ProfileHandle::absorb`].
+/// Phase scopes ([`ProfileHandle::scope`]) must nest on one owning thread;
+/// worker threads do not record.
 #[derive(Clone, Default)]
 pub struct ProfileHandle(Option<Arc<Mutex<Profiler>>>);
 
@@ -367,11 +327,6 @@ impl ProfileHandle {
     /// Records one entry of phase `name` with an explicit duration.
     pub fn record_ns(&self, name: &str, wall_ns: u64) {
         self.with(|p| p.record_ns(name, wall_ns));
-    }
-
-    /// Folds a worker-local profiler into the current phase.
-    pub fn absorb(&self, other: &Profiler) {
-        self.with(|p| p.merge(other));
     }
 
     /// A point-in-time clone of the profiler; `None` when disabled.
@@ -511,46 +466,6 @@ mod tests {
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].2, 3, "three entries, one node");
         assert!(p.fingerprint().contains("phase#3(sub#3)"));
-    }
-
-    #[test]
-    fn merge_is_by_name_and_order_preserving() {
-        let mut a = Profiler::new();
-        a.enter("simulate");
-        a.count("dies", 10);
-        a.record_ns("sample", 500);
-        a.record_ns("replay", 5_000);
-        a.exit();
-
-        let mut w1 = Profiler::new();
-        w1.count("dies", 7);
-        w1.record_ns("sample", 100);
-        w1.record_ns("replay", 900);
-        let mut w2 = Profiler::new();
-        w2.count("dies", 3);
-        w2.record_ns("replay", 400);
-        w2.record_ns("sample", 50);
-
-        // Fold the workers under "simulate".
-        a.enter("simulate");
-        a.merge(&w1);
-        a.merge(&w2);
-        a.exit();
-
-        // Merging in the opposite order gives the identical fingerprint:
-        // both workers' phase names already exist under "simulate".
-        let mut b = Profiler::new();
-        b.enter("simulate");
-        b.count("dies", 10);
-        b.record_ns("sample", 500);
-        b.record_ns("replay", 5_000);
-        b.merge(&w2);
-        b.merge(&w1);
-        b.exit();
-        b.enter("simulate");
-        b.exit();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert!(a.fingerprint().contains("[dies=20]"), "{}", a.fingerprint());
     }
 
     #[test]

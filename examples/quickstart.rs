@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sim.eval_comb();
         let response: Vec<bool> = outputs.iter().map(|&n| sim.get(n) & 1 == 1).collect();
         sim.clock();
-        if engine.clock(&[response]) {
+        if engine.try_clock(&[response])? {
             break;
         }
     }

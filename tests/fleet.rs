@@ -164,7 +164,10 @@ fn concurrent_callers_share_one_fleet_without_cross_talk() {
 
 /// The observatory determinism contract: the profiler's phase-tree
 /// *shape* and counter totals are a pure function of `(config, seed)` —
-/// wall time is the only thing a different worker count may change.
+/// wall time is the only thing a different worker count may change. It is
+/// also the profiler's count gate: the fleet records one `chunk` entry per
+/// chunk, so a clock read per die would push the entry count to the die
+/// count.
 #[test]
 fn profiler_tree_shape_is_worker_count_invariant() {
     let case = CaseStudy::paper().unwrap();
@@ -173,20 +176,46 @@ fn profiler_tree_shape_is_worker_count_invariant() {
         cfg.workers = workers;
         let handle = ProfileHandle::enabled();
         let fleet = Fleet::new_profiled(&case, cfg, handle.clone()).unwrap();
-        fleet.run();
-        handle.snapshot().unwrap().fingerprint()
+        let tck: u64 = fleet.run().dies.iter().map(|d| d.tck).sum();
+        (handle.snapshot().unwrap().fingerprint(), tck)
     };
-    let serial = fingerprint(1);
+    let (serial, tck) = fingerprint(1);
     assert!(
-        serial.contains("cache_build") && serial.contains("simulate"),
-        "fingerprint must cover the cache-build and simulate phases: {serial}"
+        serial.contains("cache_build"),
+        "fingerprint must cover the cache-build phase: {serial}"
     );
+    // 600 dies at the default batch of 75: eight batches, one chunk each.
+    let simulate = format!("simulate#1[dies=600,tck={tck}](chunk#8)");
     assert!(
-        serial.contains("replay_session") && serial.contains("score"),
-        "per-die replay and scoring must be separately attributed: {serial}"
+        serial.contains(&simulate),
+        "the simulate subtree must be exactly `{simulate}`: {serial}"
     );
-    assert_eq!(serial, fingerprint(4), "1 vs 4 workers changed the tree");
-    assert_eq!(serial, fingerprint(3), "1 vs 3 workers changed the tree");
+    assert_eq!(serial, fingerprint(4).0, "1 vs 4 workers changed the tree");
+    assert_eq!(serial, fingerprint(3).0, "1 vs 3 workers changed the tree");
+}
+
+/// Every batch's throughput point is a measurement of that batch alone:
+/// chunks never straddle a report batch, so each batch's wall covers
+/// exactly its own dies, for any batch size and worker count.
+#[test]
+fn batch_walls_cover_exactly_their_batch() {
+    let case = CaseStudy::paper().unwrap();
+    for batch in [100, 0] {
+        for workers in [1, 4] {
+            let mut cfg = FleetConfig::new(2000, 42);
+            cfg.batch = batch;
+            cfg.workers = workers;
+            let outcome = Fleet::new(&case, cfg).unwrap().run();
+            let batches = &outcome.report.batches;
+            assert_eq!(outcome.batch_walls.len(), batches.len());
+            for (wall, b) in outcome.batch_walls.iter().zip(batches) {
+                let at = format!("batch {} (size {batch}, {workers} workers)", b.batch);
+                assert_eq!(wall.batch, b.batch, "{at}");
+                assert_eq!(wall.dies, b.dies, "{at}: wall covers other dies");
+                assert!(wall.wall_ns > 0, "{at}: no wall measured");
+            }
+        }
+    }
 }
 
 /// Sampled-die traces are byte-deterministic across runs *and* worker

@@ -2,8 +2,8 @@
 //! flights stay in control across seeds, injected drift is flagged within
 //! the 8-batch contract with the right attribution, the excursion ledger
 //! is byte-deterministic across runs and worker counts (including a drift
-//! landing exactly on a scheduler chunk boundary), and the P² TCK sketch
-//! tracks the exact nearest-rank percentiles within its documented bound.
+//! landing exactly on a scheduler chunk boundary), and the metrics registry
+//! carries the exact TCK percentiles beside a quiet `fleet_health_*` family.
 
 use soctest::core::casestudy::CaseStudy;
 use soctest::core::fleet::{DefectMix, DriftSpec, Fleet, FleetConfig};
@@ -125,7 +125,6 @@ fn excursion_ledger_is_byte_identical_across_runs_and_workers() {
         par.to_jsonl(),
         "ledger must be workers-invariant"
     );
-    assert_eq!(a.tck_sketch, par.tck_sketch, "sketch is workers-invariant");
 }
 
 #[test]
@@ -158,41 +157,13 @@ fn drift_on_a_chunk_boundary_stays_deterministic_and_detected() {
 }
 
 #[test]
-fn p2_sketch_tracks_exact_percentiles_on_a_large_fleet() {
-    // The documented bound (DESIGN.md §16): on 10⁴-die fleets the P²
-    // estimate stays within 5 % of the exact nearest-rank percentile.
-    let outcome = monitored_fleet(FleetConfig::new(10_000, 42)).run();
-    let health = outcome.health.unwrap();
-    let exact = &outcome.report.tck;
-    let (p50, p95, p99) = health.tck_sketch;
-    for (name, sketch, exact) in [
-        ("p50", p50, exact.p50 as f64),
-        ("p95", p95, exact.p95 as f64),
-        ("p99", p99, exact.p99 as f64),
-    ] {
-        let rel = (sketch - exact).abs() / exact.max(1.0);
-        assert!(
-            rel <= 0.05,
-            "{name}: sketch {sketch:.1} vs exact {exact:.0} ({:.1}% off)",
-            rel * 100.0
-        );
-    }
-}
-
-#[test]
-fn registry_carries_sketch_and_exact_gauges_side_by_side() {
+fn registry_carries_exact_tck_and_health_gauges_side_by_side() {
     let outcome = monitored_fleet(FleetConfig::new(2000, 42)).run();
     let registry = MetricsRegistry::new();
     outcome.export_metrics(&registry);
     let snap = registry.snapshot();
     for p in ["p50", "p95", "p99"] {
-        let exact = snap.gauges[&format!("fleet_tck_{p}")];
-        let sketch = snap.gauges[&format!("fleet_tck_{p}_sketch")];
-        assert!(exact > 0.0);
-        assert!(
-            (sketch - exact).abs() / exact <= 0.05,
-            "{p}: sketch gauge {sketch:.1} vs exact gauge {exact:.1}"
-        );
+        assert!(snap.gauges[&format!("fleet_tck_{p}")] > 0.0);
     }
     assert_eq!(snap.gauges["fleet_health_in_control"], 1.0);
     assert_eq!(

@@ -25,8 +25,8 @@
 //! run the observability demo instead: a fault-tolerant session against a
 //! DUT carrying a planted stuck-at defect, with the JSON-Lines event
 //! trace, the Prometheus metrics snapshot, and the DUT waveform written to
-//! the given files. Every artifact is re-read and validated before the
-//! process exits 0.
+//! the given files. Every artifact is validated with the in-tree parsers
+//! before the process exits 0.
 //!
 //! `--report=FILE` runs the full campaign cockpit against the same
 //! planted-defect DUT and writes one self-contained HTML report (inline
@@ -64,11 +64,11 @@
 //! top-level phases cover ≥ 95 % of the measured build+run wall;
 //! `--sample-dies=N` traces every Nth die (plus a per-class quota of 2,
 //! so rare defect classes are always captured) into bounded rings;
-//! `--traces=FILE` streams the sampled-die traces as validated JSONL.
+//! `--traces=FILE` writes the sampled-die traces as validated JSONL.
 //! With `--report=FILE` the cockpit report gains an Observatory section
 //! (phase attribution, sampled-die timeline, dies/s per batch).
 //!
-//! Health flags (compose with `--fleet`): `--monitor` arms the streaming
+//! Health flags (compose with `--fleet`): `--monitor` arms the
 //! SPC health monitor (EWMA + CUSUM on yield and recovered rate) and
 //! prints greppable `health:` lines;
 //! `--batch=N` overrides the monitoring batch size;
@@ -97,8 +97,8 @@ use soctest_core::robust::RobustSession;
 use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::json::{self, JsonValue};
 use soctest_obs::{
-    JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot, ProfileHandle, SamplerPolicy,
-    TraceHandle, Tracer, VcdReader,
+    MetricsHandle, MetricsRegistry, MetricsSnapshot, ProfileHandle, SamplerPolicy, TraceHandle,
+    Tracer, VcdReader,
 };
 use soctest_tech::Library;
 
@@ -142,14 +142,16 @@ impl FaultSimBench {
     }
 }
 
-/// Runs every job `rounds` times, interleaved (job 0, job 1, …, job 0, …),
-/// and returns each job's fastest wall in seconds. Interleaving keeps a
-/// load spike on the host from charging one job only.
+/// Runs every job `rounds` times, interleaved, and returns each job's
+/// fastest wall in seconds. Round `r` starts at job `r` (jobs `r, r+1, …`
+/// mod N), so no job always runs first. Interleaving keeps a load spike on
+/// the host from charging one job only.
 fn fastest_interleaved<const N: usize>(rounds: usize, jobs: [&dyn Fn() -> f64; N]) -> [f64; N] {
     let mut fastest = [f64::INFINITY; N];
-    for _ in 0..rounds {
-        for (best, job) in fastest.iter_mut().zip(jobs) {
-            *best = best.min(job());
+    for r in 0..rounds {
+        for k in 0..N {
+            let j = (r + k) % N;
+            fastest[j] = fastest[j].min(jobs[j]());
         }
     }
     fastest
@@ -536,8 +538,8 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
 /// The observability demo behind `--trace/--metrics/--vcd`: one robust
 /// session against a DUT whose CONTROL_UNIT carries a planted stuck-at-1
 /// defect, so the artifacts show the full watchdog/retry/quarantine story.
-/// Each requested artifact is written, re-read, and validated with the
-/// in-tree parsers before the process exits.
+/// Each requested artifact is validated with the in-tree parsers and
+/// written before the process exits.
 fn obs_demo(
     reference: &CaseStudy,
     case_patterns: u64,
@@ -546,16 +548,15 @@ fn obs_demo(
     vcd_path: Option<&str>,
 ) {
     use std::fs;
-    use std::io::BufWriter;
 
     let dut = planted_dut(reference);
-    let mut session = RobustSession::default().with_vcd(vcd_path.is_some());
-    if let Some(path) = trace_path {
-        let file = fs::File::create(path).expect("create trace file");
-        let mut tracer = Tracer::new(soctest_obs::DEFAULT_CAPACITY);
-        tracer.add_sink(Box::new(JsonLinesSink::new(BufWriter::new(file))));
-        session = session.with_trace(TraceHandle::new(tracer));
-    }
+    let trace = match trace_path {
+        Some(_) => TraceHandle::new(Tracer::default()),
+        None => TraceHandle::none(),
+    };
+    let mut session = RobustSession::default()
+        .with_vcd(vcd_path.is_some())
+        .with_trace(trace.clone());
     let registry = std::sync::Arc::new(MetricsRegistry::new());
     if metrics_path.is_some() {
         session = session.with_metrics(MetricsHandle::from_arc(std::sync::Arc::clone(&registry)));
@@ -569,15 +570,9 @@ fn obs_demo(
         report.tck_spent,
         report.quarantined()
     );
-    assert_eq!(
-        report.quarantined(),
-        vec!["CONTROL_UNIT"],
-        "the planted defect must quarantine CONTROL_UNIT"
-    );
-
     if let Some(path) = trace_path {
-        let text = fs::read_to_string(path).expect("read trace back");
-        let events = jsonl_artifact(
+        let text = trace.with(|t| t.to_jsonl()).unwrap_or_default();
+        jsonl_artifact(
             "trace",
             &text,
             &[
@@ -586,10 +581,14 @@ fn obs_demo(
                 "RetryEscalation",
                 "Quarantine",
             ],
-            None,
+            Some(path),
         );
-        println!("wrote {path} ({events} events, JSONL validated)");
     }
+    assert_eq!(
+        report.quarantined(),
+        vec!["CONTROL_UNIT"],
+        "the planted defect must quarantine CONTROL_UNIT"
+    );
 
     if let Some(path) = metrics_path {
         let snap = registry.snapshot();
@@ -632,7 +631,7 @@ struct FleetArgs {
     profile_path: Option<String>,
     sample_dies: Option<u64>,
     traces_path: Option<String>,
-    /// Arm the streaming health monitor (`--monitor`).
+    /// Arm the health monitor (`--monitor`).
     monitor: bool,
     /// `--inject-drift=BATCH:RATE` — step the defect rate at a batch.
     inject_drift: Option<Drift>,
@@ -647,7 +646,7 @@ struct FleetArgs {
 /// with its Fleet section. Determinism is asserted structurally: the
 /// aggregate JSON is a pure function of `(dies, seed, config)`.
 ///
-/// With `--monitor` the streaming health monitor rides along: greppable
+/// With `--monitor` the health monitor rides along: greppable
 /// `health:` lines (baseline, excursion count, per-excursion attribution),
 /// the excursion ledger (`--excursions=FILE`), and a Health section in the
 /// cockpit report.
@@ -746,7 +745,7 @@ fn fleet_demo(case: &CaseStudy, budget: &Budget, fa: &FleetArgs) {
         r.elapsed_ns as f64 / 1e9
     );
 
-    // The streaming health monitor: greppable `health:` lines, the
+    // The health monitor: greppable `health:` lines, the
     // excursion ledger, and — under injected drift — the detection
     // contract (flagged within 8 batches, clean prefix stays quiet,
     // attribution names the dominant class of the stepped mix).
@@ -1449,6 +1448,21 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn interleaved_rounds_rotate_the_first_job() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let job = |j: usize| {
+            let calls = &calls;
+            move || {
+                calls.borrow_mut().push(j);
+                j as f64
+            }
+        };
+        let (a, b, c) = (job(0), job(1), job(2));
+        assert_eq!(fastest_interleaved(3, [&a, &b, &c]), [0.0, 1.0, 2.0]);
+        assert_eq!(calls.into_inner(), [0, 1, 2, 1, 2, 0, 2, 0, 1]);
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Shared rendering helpers for the `repro` binary and the micro-benches:
-//! every table/figure of the paper gets a generator in
-//! `soctest-core::experiments`; this crate formats the results next to the
-//! paper's numbers.
+//! Shared rendering helpers for the `repro` binary: every table/figure of
+//! the paper gets a generator in `soctest-core::experiments`; this crate
+//! formats the results next to the paper's numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod micro;
 
 use std::fmt::Write as _;
 

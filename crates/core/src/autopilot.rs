@@ -34,7 +34,7 @@
 use std::fmt;
 
 use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
-use soctest_obs::{CurveSummary, MemorySink, TraceEvent, TraceHandle, Tracer};
+use soctest_obs::{CurveSummary, TraceEvent, TraceHandle, Tracer};
 use soctest_p1500::{FaultyBackend, ProtocolError, TapDriver};
 
 use crate::casestudy::CaseStudy;
@@ -415,11 +415,7 @@ impl Autopilot {
         reference: &CaseStudy,
         dut: &CaseStudy,
     ) -> Result<AutopilotReport, AutopilotError> {
-        let sink = MemorySink::new();
-        let records = sink.shared();
-        let mut tracer = Tracer::new(soctest_obs::DEFAULT_CAPACITY);
-        tracer.add_sink(Box::new(sink));
-        let trace = TraceHandle::new(tracer);
+        let trace = TraceHandle::new(Tracer::default());
 
         let names: Vec<String> = dut.module_names().iter().map(|&s| s.to_owned()).collect();
         let nmodules = names.len();
@@ -477,18 +473,10 @@ impl Autopilot {
             });
         }
 
-        trace.flush();
-        let mut trail_jsonl = String::new();
-        if let Ok(records) = records.lock() {
-            for r in records.iter() {
-                trail_jsonl.push_str(&r.to_json_line());
-                trail_jsonl.push('\n');
-            }
-        }
         Ok(AutopilotReport {
             target_percent: self.config.target_percent,
             modules,
-            trail_jsonl,
+            trail_jsonl: trace.with(|t| t.to_jsonl()).unwrap_or_default(),
             sim_patterns,
         })
     }

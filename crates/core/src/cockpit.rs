@@ -6,7 +6,7 @@
 //! configuration `experiments::table3` uses for its BIST cells, so the
 //! report's final coverage figures byte-match the text tables), the
 //! step-3 diagnosis sweep (class sizes and resolution vs pattern count),
-//! and one [`RobustSession`] against the supplied DUT, capturing its JSONL
+//! and one [`RobustSession`] against the supplied DUT, capturing its
 //! trace. [`render_report`] turns the result into a single HTML document
 //! with inline SVG charts and the feedback advisor's suggestions.
 
@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use soctest_fault::{FaultUniverse, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::analyze::{self, AdvisorInput, CurveFacts, ToggleRow};
 use soctest_obs::svg::{self, escape, Bar, LineSeries, TimelinePoint};
-use soctest_obs::{report, CoverageCurve, HtmlReport, MemorySink, Profiler, TraceHandle, Tracer};
+use soctest_obs::{report, CoverageCurve, HtmlReport, Profiler, TraceHandle, TraceRecord, Tracer};
 
 use crate::autopilot::AutopilotReport;
 use crate::casestudy::CaseStudy;
@@ -69,8 +69,8 @@ pub struct CampaignData {
     pub resolution_points: Vec<ResolutionPoint>,
     /// The robust session's outcome against the DUT.
     pub session: SessionReport,
-    /// The session's JSONL trace (the timeline source).
-    pub session_jsonl: String,
+    /// The session's trace records (the timeline source).
+    pub session_trace: Vec<TraceRecord>,
     /// The feedback advisor's suggestions.
     pub advice: Vec<analyze::Advice>,
     /// BIST patterns per campaign run.
@@ -102,7 +102,7 @@ pub struct CampaignData {
 pub struct ObservatoryData {
     /// The self-profiler snapshot (phase-attributed wall time).
     pub profiler: Option<Profiler>,
-    /// Sampled-die traces, each a bounded JSONL stream.
+    /// Sampled-die traces, each a bounded ring's surviving records.
     pub traces: Vec<DieTrace>,
     /// Per-batch wall clocks from the fleet run.
     pub batch_walls: Vec<BatchWall>,
@@ -217,26 +217,16 @@ pub fn run_campaign(
         }
     }
 
-    // The robust session, traced so the timeline can be reconstructed
-    // from the JSONL stream.
-    let sink = MemorySink::new();
-    let records = sink.shared();
-    let mut tracer = Tracer::new(soctest_obs::DEFAULT_CAPACITY);
-    tracer.add_sink(Box::new(sink));
+    // The robust session, traced whole so the timeline can be drawn from
+    // its records.
+    let trace = TraceHandle::new(Tracer::default());
     let session_runner = RobustSession::default()
         .with_parallelism(budget.parallel)
-        .with_trace(TraceHandle::new(tracer));
+        .with_trace(trace.clone());
     let session = session_runner.run(reference, dut, patterns)?;
-    let session_jsonl = {
-        let mut s = String::new();
-        if let Ok(records) = records.lock() {
-            for r in records.iter() {
-                s.push_str(&r.to_json_line());
-                s.push('\n');
-            }
-        }
-        s
-    };
+    let session_trace = trace
+        .with(|t| t.records().copied().collect())
+        .unwrap_or_default();
 
     // The advisor: session outcome + curve summaries + toggle rows.
     let mut input: AdvisorInput = session.advisor_input();
@@ -257,7 +247,7 @@ pub fn run_campaign(
         diag,
         resolution_points,
         session,
-        session_jsonl,
+        session_trace,
         advice,
         patterns,
         autopilot: None,
@@ -838,14 +828,14 @@ fn observatory_section(obs: &ObservatoryData) -> String {
             &["die", "class", "verdict", "records", "dropped"],
             &rows,
         ));
-        if let Some(t) = obs.traces.iter().find(|t| !t.jsonl.is_empty()) {
-            let events = report::timeline_from_jsonl(&t.jsonl);
-            let points: Vec<TimelinePoint> = events
+        if let Some(t) = obs.traces.iter().find(|t| !t.tail.is_empty()) {
+            let points: Vec<TimelinePoint> = t
+                .tail
                 .iter()
-                .map(|e| TimelinePoint {
-                    cycle: e.cycle,
-                    lane: e.event.clone(),
-                    detail: e.detail.clone(),
+                .map(|r| TimelinePoint {
+                    cycle: r.cycle,
+                    lane: r.event.name().to_owned(),
+                    detail: r.event.detail(),
                 })
                 .collect();
             body.push_str(&svg::timeline(
@@ -881,29 +871,26 @@ fn observatory_section(obs: &ObservatoryData) -> String {
 }
 
 fn timeline_section(data: &CampaignData) -> String {
-    let events = report::timeline_from_jsonl(&data.session_jsonl);
+    let events = &data.session_trace;
     // Cap the drawn points without dropping any event kind: dense lanes
     // (watchdog checks) are subsampled evenly, sparse ones (quarantines)
     // keep every point.
     const MAX_POINTS: usize = 400;
-    let mut grouped: std::collections::BTreeMap<&str, Vec<(u64, &str)>> =
+    let mut grouped: std::collections::BTreeMap<&str, Vec<&TraceRecord>> =
         std::collections::BTreeMap::new();
-    for e in &events {
-        grouped
-            .entry(e.event.as_str())
-            .or_default()
-            .push((e.cycle, e.detail.as_str()));
+    for r in events {
+        grouped.entry(r.event.name()).or_default().push(r);
     }
     let per_lane = (MAX_POINTS / grouped.len().max(1)).max(1);
     let mut points: Vec<TimelinePoint> = Vec::new();
-    for (lane, pts) in &grouped {
-        let step = pts.len().div_ceil(per_lane);
-        for (i, (cycle, detail)) in pts.iter().enumerate() {
-            if i % step == 0 || i + 1 == pts.len() {
+    for (lane, recs) in &grouped {
+        let step = recs.len().div_ceil(per_lane);
+        for (i, r) in recs.iter().enumerate() {
+            if i % step == 0 || i + 1 == recs.len() {
                 points.push(TimelinePoint {
-                    cycle: *cycle,
+                    cycle: r.cycle,
                     lane: (*lane).to_owned(),
-                    detail: (*detail).to_owned(),
+                    detail: r.event.detail(),
                 });
             }
         }

@@ -48,14 +48,14 @@ use std::time::Instant;
 use soctest_bist::{BistCommand, ControlUnit, EngineError};
 use soctest_netlist::{GateKind, NetId};
 use soctest_obs::{
-    MetricsRegistry, ProfileHandle, SamplerPolicy, TraceHandle, TraceSampler, Tracer,
+    MetricsRegistry, ProfileHandle, SamplerPolicy, TraceHandle, TraceRecord, TraceSampler, Tracer,
 };
 use soctest_p1500::{BistBackend, PinFault, PinFaults, TapDriver};
 use soctest_prng::SplitMix64;
 
 use crate::casestudy::CaseStudy;
 use crate::error::SessionError;
-use crate::health::{FleetHealthMonitor, HealthConfig, HealthReport};
+use crate::health::{self, HealthConfig, HealthReport};
 use crate::robust::{RetryStrategy, RobustSession, SessionBackend, SessionBudget, SessionReport};
 use crate::session::WrappedCore;
 
@@ -520,8 +520,8 @@ impl Percentiles {
 
 /// One report batch: verdicts over a contiguous run of die indices, so a
 /// cockpit can show how the campaign evolved batch by batch — and so the
-/// streaming health monitor can score each batch's class and quarantine
-/// mix without recomputing from raw die records.
+/// health monitor can score each batch's class and quarantine mix without
+/// recomputing from raw die records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchSummary {
     /// Batch index (0-based).
@@ -567,9 +567,9 @@ impl BatchSummary {
         }
     }
 
-    /// Folds one die record in. This is the single accumulation rule —
-    /// shared by [`Fleet::summarize`] and the streaming health monitor —
-    /// so report batch rows and monitor deltas can never disagree.
+    /// Folds one die record in. This is the single accumulation rule:
+    /// [`Fleet::summarize`] folds the report batches with it, and the
+    /// health monitor scores those same batches.
     pub fn absorb(&mut self, rec: &DieRecord) {
         let class = rec.profile.class();
         self.dies += 1;
@@ -811,9 +811,9 @@ impl FleetReport {
 }
 
 /// One sampled die's bounded session trace: the ring-buffer tail of its
-/// TAP→P1500→BIST conversation as JSON Lines, plus overflow accounting.
-/// Everything here is deterministic (cycle stamps are TCK counts, not
-/// wall time), so two runs of the same config emit byte-identical JSONL.
+/// TAP→P1500→BIST conversation, plus overflow accounting. Everything here
+/// is deterministic (cycle stamps are TCK counts, not wall time), so two
+/// runs of the same config emit byte-identical JSONL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DieTrace {
     /// The sampled die's index.
@@ -827,9 +827,8 @@ pub struct DieTrace {
     /// Records the bounded ring dropped (oldest-first) — surfaced as the
     /// `trace_dropped_events` metric instead of silently truncating.
     pub dropped: u64,
-    /// The surviving records, one [`soctest_obs::TraceRecord`] JSON line
-    /// each, oldest first.
-    pub jsonl: String,
+    /// The ring's surviving records, oldest first.
+    pub tail: Vec<TraceRecord>,
 }
 
 impl DieVerdict {
@@ -858,7 +857,7 @@ impl DieTrace {
             self.records,
             self.dropped
         );
-        out.push_str(&self.jsonl);
+        out.push_str(&soctest_obs::event::to_jsonl(&self.tail));
         out
     }
 }
@@ -910,8 +909,8 @@ pub struct FleetOutcome {
     /// Per-batch wall time (summed chunk walls; non-deterministic, so
     /// kept out of the report JSON like every other wall number).
     pub batch_walls: Vec<BatchWall>,
-    /// The streaming health monitor's report (None unless
-    /// [`Fleet::with_monitor`] armed it).
+    /// The health monitor's report (None unless [`Fleet::with_monitor`]
+    /// armed it).
     pub health: Option<HealthReport>,
 }
 
@@ -1158,9 +1157,9 @@ impl Fleet {
         SplitMix64::new(seed ^ (die + 1).wrapping_mul(DIE_STREAM))
     }
 
-    /// Arms the streaming health monitor for subsequent [`Fleet::run`]s:
-    /// die records are fed to a [`FleetHealthMonitor`] in die order as the
-    /// campaign lands, and the resulting [`HealthReport`] rides in
+    /// Arms the health monitor for subsequent [`Fleet::run`]s: after
+    /// aggregation, [`health::score_batches`] scores the report's batches,
+    /// and the resulting [`HealthReport`] rides in
     /// [`FleetOutcome::health`]. Monitoring never changes any
     /// [`DieRecord`] or the [`FleetReport`] JSON.
     pub fn with_monitor(mut self, cfg: HealthConfig) -> Self {
@@ -1252,15 +1251,8 @@ impl Fleet {
             if plan.is_some_and(|p| p.is_sampled(die)) {
                 let trace = TraceHandle::new(Tracer::new(self.trace_capacity));
                 let rec = self.simulate_die_traced(die, &trace);
-                let (jsonl, total, dropped) = trace
-                    .with(|t| {
-                        let mut s = String::new();
-                        for r in t.records() {
-                            s.push_str(&r.to_json_line());
-                            s.push('\n');
-                        }
-                        (s, t.total(), t.dropped())
-                    })
+                let (tail, total, dropped) = trace
+                    .with(|t| (t.records().copied().collect(), t.total(), t.dropped()))
                     .unwrap_or_default();
                 traces.push(DieTrace {
                     die,
@@ -1268,7 +1260,7 @@ impl Fleet {
                     verdict: rec.verdict,
                     records: total,
                     dropped,
-                    jsonl,
+                    tail,
                 });
                 records.push(rec);
             } else {
@@ -1379,23 +1371,19 @@ impl Fleet {
         }
         drop(simulate_scope);
 
-        // The health monitor consumes the reassembled records in die
-        // order — a pure function of the record stream, so the report is
-        // byte-identical for any worker count.
-        let health = self.monitor.as_ref().map(|cfg| {
-            let _s = self.profile.scope("health_monitor");
-            let mut monitor = FleetHealthMonitor::new(cfg.clone(), batch_size, &self.module_names);
-            for rec in &records {
-                monitor.observe_die(rec);
-            }
-            monitor.finish()
-        });
-
         let report = {
             let _s = self.profile.scope("aggregate");
             let elapsed_ns = (start.elapsed().as_nanos() as u64).max(1);
             self.summarize(&records, elapsed_ns)
         };
+
+        // The health monitor scores the report's batches — a pure
+        // function of the die records, so its report is byte-identical for
+        // any worker count.
+        let health = self.monitor.as_ref().map(|cfg| {
+            let _s = self.profile.scope("health_monitor");
+            health::score_batches(&report.batches, cfg, &self.module_names)
+        });
         FleetOutcome {
             report,
             dies: records,

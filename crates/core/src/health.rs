@@ -1,11 +1,11 @@
-//! Streaming fleet health monitoring: online SPC over per-batch fleet
-//! deltas and excursion attribution in the advisor's vocabulary.
+//! Fleet health monitoring: SPC over a flight's report batches and
+//! excursion attribution in the advisor's vocabulary.
 //!
 //! This is the paper's detect → attribute → act feedback loop lifted one
-//! level above the die. [`FleetHealthMonitor`] consumes [`DieRecord`]s in
-//! die order as batches land, folds them through the same
-//! [`BatchSummary::absorb`] rule the post-hoc report uses, and scores each
-//! completed batch on two control charts ([`soctest_obs::SpcChart`]):
+//! level above the die. [`score_batches`] takes the report's
+//! [`BatchSummary`] list ([`crate::fleet::FleetReport::batches`], folded by
+//! the one [`BatchSummary::absorb`] rule) in batch order and scores each
+//! batch on two control charts ([`soctest_obs::SpcChart`]):
 //!
 //! - **yield** (`passed / dies`) — the line's headline metric; a defect
 //!   excursion moves it *down*;
@@ -23,20 +23,20 @@
 //! in an [`Excursion`] — in the same class vocabulary the defect sampler
 //! speaks (`stuck_at` / `transient` / `hung`) and with an advisory line
 //! built from the retry-ladder strategy names the advisor/autopilot
-//! already use. Excursions land in three sinks: the typed
+//! already use. Excursions land in three places: the typed
 //! [`HealthReport`], a byte-deterministic JSONL ledger
 //! ([`HealthReport::to_jsonl`], workers-invariant like the trace
 //! sampler), and the `fleet_health_*` metrics family.
 //!
-//! Determinism contract: everything here is a pure function of the die
-//! records fed in index order — no clocks, no RNG — so the ledger is
-//! byte-identical across runs and worker counts, drift or no drift.
+//! Determinism contract: everything here is a pure function of the
+//! batches fed in — no clocks, no RNG — so the ledger is byte-identical
+//! across runs and worker counts, drift or no drift.
 
 use soctest_obs::{
     analyze::strategy, MetricsRegistry, SpcChart, SpcConfig, SpcExcursion, SpcPoint,
 };
 
-use crate::fleet::{BatchSummary, DefectClass, DieRecord};
+use crate::fleet::{BatchSummary, DefectClass};
 
 /// Health-monitor configuration: one SPC tuning shared by both charts.
 #[derive(Debug, Clone, Default)]
@@ -172,158 +172,107 @@ impl HealthReport {
     }
 }
 
-/// The streaming monitor. Feed it [`DieRecord`]s in die order
-/// ([`FleetHealthMonitor::observe_die`]); it closes a batch every
-/// `batch_size` dies, scores the charts, attributes any signal, and
-/// [`FleetHealthMonitor::finish`] flushes the final partial batch into
-/// the [`HealthReport`].
-#[derive(Debug, Clone)]
-pub struct FleetHealthMonitor {
-    batch_size: u64,
-    module_names: Vec<String>,
-    yield_chart: SpcChart,
-    recovered_chart: SpcChart,
-    /// The batch currently accumulating.
-    current: BatchSummary,
-    /// Dies folded into `current` so far (0 = nothing to flush).
-    current_dies: u64,
-    /// Baseline-window mix accumulators (frozen once the charts arm).
-    baseline_sampled: [u64; 4],
-    baseline_quarantine: [u64; 8],
-    baseline_dies: u64,
-    dies: u64,
-    batches: u64,
-    excursions: Vec<Excursion>,
-}
-
-impl FleetHealthMonitor {
-    /// A monitor for batches of `batch_size` dies over the given modules.
-    pub fn new(cfg: HealthConfig, batch_size: u64, module_names: &[String]) -> Self {
-        FleetHealthMonitor {
-            batch_size: batch_size.max(1),
-            module_names: module_names.to_vec(),
-            yield_chart: SpcChart::new("yield", cfg.spc),
-            recovered_chart: SpcChart::new("recovered_rate", cfg.spc),
-            current: BatchSummary::empty(0),
-            current_dies: 0,
-            baseline_sampled: [0; 4],
-            baseline_quarantine: [0; 8],
-            baseline_dies: 0,
-            dies: 0,
-            batches: 0,
-            excursions: Vec::new(),
-        }
-    }
-
-    /// Feeds one die record. Records must arrive in die-index order (the
-    /// fleet reassembles worker chunks before feeding), so batch closure
-    /// is a pure function of the stream.
-    pub fn observe_die(&mut self, rec: &DieRecord) {
-        let batch = rec.die / self.batch_size;
-        if self.current_dies > 0 && batch != self.current.batch {
-            self.close_batch();
-        }
-        if self.current_dies == 0 {
-            self.current = BatchSummary::empty(batch);
-        }
-        self.current.absorb(rec);
-        self.current_dies += 1;
-        self.dies += 1;
-    }
-
-    /// Scores the accumulated batch on both charts and attributes any
-    /// onset signal.
-    fn close_batch(&mut self) {
-        let b = self.current;
-        self.batches += 1;
-        // The baseline mixes accumulate while the charts are still
+/// Scores a flight's report batches, in batch order, on both control
+/// charts, attributes every onset signal, and returns the health record.
+/// Batches with no dies are skipped, so a 0-die flight scores 0 batches.
+pub fn score_batches(
+    batches: &[BatchSummary],
+    cfg: &HealthConfig,
+    module_names: &[String],
+) -> HealthReport {
+    let mut yield_chart = SpcChart::new("yield", cfg.spc);
+    let mut recovered_chart = SpcChart::new("recovered_rate", cfg.spc);
+    // The baseline window's class and quarantine mix.
+    let mut baseline = BatchSummary::empty(0);
+    let (mut scored, mut dies) = (0u64, 0u64);
+    let mut excursions = Vec::new();
+    for b in batches.iter().filter(|b| b.dies > 0) {
+        scored += 1;
+        dies += b.dies;
+        // The baseline mix accumulates while the charts are still
         // learning, so attribution compares against the same window the
         // charts froze their mean over.
-        if !self.yield_chart.armed() {
-            for (i, n) in b.sampled.iter().enumerate() {
-                self.baseline_sampled[i] += n;
+        if !yield_chart.armed() {
+            for (acc, n) in baseline.sampled.iter_mut().zip(b.sampled) {
+                *acc += n;
             }
-            for (i, n) in b.quarantine.iter().enumerate() {
-                self.baseline_quarantine[i] += n;
+            for (acc, n) in baseline.quarantine.iter_mut().zip(b.quarantine) {
+                *acc += n;
             }
-            self.baseline_dies += b.dies;
+            baseline.dies += b.dies;
         }
         let signals = [
-            self.yield_chart.observe(b.batch, b.passed, b.dies),
-            self.recovered_chart.observe(b.batch, b.recovered, b.dies),
+            yield_chart.observe(b.batch, b.passed, b.dies),
+            recovered_chart.observe(b.batch, b.recovered, b.dies),
         ];
         for spc in signals.into_iter().flatten() {
-            let excursion = self.attribute(spc, &b);
-            self.excursions.push(excursion);
-        }
-        self.current_dies = 0;
-    }
-
-    /// Names the defect class and module that moved most in `b` vs. the
-    /// baseline window.
-    fn attribute(&self, spc: SpcExcursion, b: &BatchSummary) -> Excursion {
-        let base_dies = self.baseline_dies.max(1) as f64;
-        let batch_dies = b.dies.max(1) as f64;
-        // Largest class-share mover, clean excluded: its share is one
-        // minus the defective shares, so it can only restate them.
-        let mut attributed_class = "none";
-        let mut class_delta_pp = 0.0f64;
-        for class in DefectClass::ALL {
-            if class == DefectClass::Clean {
-                continue;
-            }
-            let i = class.index();
-            let base = self.baseline_sampled[i] as f64 / base_dies;
-            let now = b.sampled[i] as f64 / batch_dies;
-            let delta = (now - base) * 100.0;
-            if delta.abs() > class_delta_pp.abs() {
-                attributed_class = class.name();
-                class_delta_pp = delta;
-            }
-        }
-        let mut attributed_module = "none".to_owned();
-        let mut module_delta_pp = 0.0f64;
-        for (m, name) in self.module_names.iter().enumerate().take(8) {
-            let base = self.baseline_quarantine[m] as f64 / base_dies;
-            let now = b.quarantine[m] as f64 / batch_dies;
-            let delta = (now - base) * 100.0;
-            if delta.abs() > module_delta_pp.abs() {
-                attributed_module = name.clone();
-                module_delta_pp = delta;
-            }
-        }
-        let advice = advice_for(attributed_class);
-        Excursion {
-            spc,
-            attributed_class,
-            class_delta_pp,
-            attributed_module,
-            module_delta_pp,
-            advice,
+            excursions.push(attribute(spc, b, &baseline, module_names));
         }
     }
+    HealthReport {
+        batches: scored,
+        dies,
+        baseline_yield: yield_chart.mean(),
+        baseline_recovered: recovered_chart.mean(),
+        excursions,
+        yield_points: yield_chart.points().to_vec(),
+        recovered_points: recovered_chart.points().to_vec(),
+    }
+}
 
-    /// Flushes the final partial batch and returns the health record.
-    pub fn finish(mut self) -> HealthReport {
-        if self.current_dies > 0 {
-            self.close_batch();
+/// Names the defect class and module that moved most in `b` vs. the
+/// `baseline` window.
+fn attribute(
+    spc: SpcExcursion,
+    b: &BatchSummary,
+    baseline: &BatchSummary,
+    module_names: &[String],
+) -> Excursion {
+    let base_dies = baseline.dies.max(1) as f64;
+    let batch_dies = b.dies.max(1) as f64;
+    // Largest class-share mover, clean excluded: its share is one minus
+    // the defective shares, so it can only restate them.
+    let mut attributed_class = "none";
+    let mut class_delta_pp = 0.0f64;
+    for class in DefectClass::ALL {
+        if class == DefectClass::Clean {
+            continue;
         }
-        HealthReport {
-            batches: self.batches,
-            dies: self.dies,
-            baseline_yield: self.yield_chart.mean(),
-            baseline_recovered: self.recovered_chart.mean(),
-            excursions: self.excursions,
-            yield_points: self.yield_chart.points().to_vec(),
-            recovered_points: self.recovered_chart.points().to_vec(),
+        let i = class.index();
+        let base = baseline.sampled[i] as f64 / base_dies;
+        let now = b.sampled[i] as f64 / batch_dies;
+        let delta = (now - base) * 100.0;
+        if delta.abs() > class_delta_pp.abs() {
+            attributed_class = class.name();
+            class_delta_pp = delta;
         }
+    }
+    let mut attributed_module = "none".to_owned();
+    let mut module_delta_pp = 0.0f64;
+    for (m, name) in module_names.iter().enumerate().take(8) {
+        let base = baseline.quarantine[m] as f64 / base_dies;
+        let now = b.quarantine[m] as f64 / batch_dies;
+        let delta = (now - base) * 100.0;
+        if delta.abs() > module_delta_pp.abs() {
+            attributed_module = name.clone();
+            module_delta_pp = delta;
+        }
+    }
+    let advice = advice_for(attributed_class);
+    Excursion {
+        spc,
+        attributed_class,
+        class_delta_pp,
+        attributed_module,
+        module_delta_pp,
+        advice,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{DefectProfile, DieVerdict};
+    use crate::fleet::{DefectProfile, DieRecord, DieVerdict};
 
     fn die(die: u64, profile: DefectProfile, verdict: DieVerdict, tck: u64) -> DieRecord {
         DieRecord {
@@ -371,13 +320,20 @@ mod tests {
         out
     }
 
+    /// Folds a die stream into report batches of `size` dies, as
+    /// `Fleet::summarize` does, and scores them.
+    fn score(records: &[DieRecord], size: u64) -> HealthReport {
+        let n = (records.len() as u64).div_ceil(size);
+        let mut batches: Vec<BatchSummary> = (0..n).map(BatchSummary::empty).collect();
+        for rec in records {
+            batches[(rec.die / size) as usize].absorb(rec);
+        }
+        score_batches(&batches, &HealthConfig::default(), &modules())
+    }
+
     #[test]
     fn clean_stream_stays_in_control() {
-        let mut mon = FleetHealthMonitor::new(HealthConfig::default(), 50, &modules());
-        for rec in stream(50, 40, 40, 0) {
-            mon.observe_die(&rec);
-        }
-        let report = mon.finish();
+        let report = score(&stream(50, 40, 40, 0), 50);
         assert!(report.in_control());
         assert_eq!(report.batches, 40);
         assert_eq!(report.dies, 2000);
@@ -388,11 +344,7 @@ mod tests {
     #[test]
     fn yield_step_is_flagged_and_attributed() {
         // 10 baseline + 10 clean batches, then 20% of each batch fails.
-        let mut mon = FleetHealthMonitor::new(HealthConfig::default(), 50, &modules());
-        for rec in stream(50, 20, 40, 10) {
-            mon.observe_die(&rec);
-        }
-        let report = mon.finish();
+        let report = score(&stream(50, 20, 40, 10), 50);
         assert!(!report.in_control());
         let latency = report.detection_latency(20).expect("must detect");
         assert!(latency <= 8, "latency {latency} batches");
@@ -407,25 +359,22 @@ mod tests {
 
     #[test]
     fn partial_final_batch_is_scored() {
-        let mut mon = FleetHealthMonitor::new(HealthConfig::default(), 50, &modules());
         // 20 full batches plus 30 trailing dies.
-        for rec in stream(50, 21, 21, 0).into_iter().take(20 * 50 + 30) {
-            mon.observe_die(&rec);
-        }
-        let report = mon.finish();
+        let report = score(&stream(50, 21, 21, 0)[..20 * 50 + 30], 50);
         assert_eq!(report.batches, 21);
         assert_eq!(report.dies, 1030);
+        // A 0-die flight's one empty report batch is not scored.
+        let empty = score_batches(
+            &[BatchSummary::empty(0)],
+            &HealthConfig::default(),
+            &modules(),
+        );
+        assert_eq!(empty.batches, 0);
     }
 
     #[test]
     fn monitor_is_a_pure_function_of_the_stream() {
-        let run = || {
-            let mut mon = FleetHealthMonitor::new(HealthConfig::default(), 50, &modules());
-            for rec in stream(50, 20, 40, 10) {
-                mon.observe_die(&rec);
-            }
-            mon.finish()
-        };
+        let run = || score(&stream(50, 20, 40, 10), 50);
         let (a, b) = (run(), run());
         assert_eq!(a, b);
         assert_eq!(a.to_jsonl(), b.to_jsonl());
@@ -433,11 +382,7 @@ mod tests {
 
     #[test]
     fn ledger_lines_parse_and_carry_attribution() {
-        let mut mon = FleetHealthMonitor::new(HealthConfig::default(), 50, &modules());
-        for rec in stream(50, 20, 30, 10) {
-            mon.observe_die(&rec);
-        }
-        let report = mon.finish();
+        let report = score(&stream(50, 20, 30, 10), 50);
         let ledger = report.to_jsonl();
         assert!(!ledger.is_empty());
         for line in ledger.lines() {

@@ -582,7 +582,6 @@ impl RobustSession {
         if let Some(registry) = self.metrics.registry() {
             report.export_metrics(registry);
         }
-        self.trace.flush();
         Ok(report)
     }
 
@@ -762,7 +761,7 @@ mod tests {
 
     #[test]
     fn traced_session_tells_the_quarantine_story() {
-        use soctest_obs::{MemorySink, MetricsRegistry, Tracer, VcdReader};
+        use soctest_obs::{MetricsRegistry, TraceRecord, Tracer, VcdReader};
         use std::sync::Arc;
 
         let reference = CaseStudy::paper().unwrap();
@@ -770,19 +769,16 @@ mod tests {
         let victim = dut.modules()[2].primary_outputs()[0];
         dut.module_mut(2).force_constant(victim, true);
 
-        let sink = MemorySink::new();
-        let records = sink.shared();
-        let mut tracer = Tracer::new(256);
-        tracer.add_sink(Box::new(sink));
+        let trace = TraceHandle::new(Tracer::default());
         let registry = Arc::new(MetricsRegistry::new());
         let session = RobustSession::default()
-            .with_trace(TraceHandle::new(tracer))
+            .with_trace(trace.clone())
             .with_metrics(MetricsHandle::from_arc(Arc::clone(&registry)))
             .with_vcd(true);
         let report = session.run(&reference, &dut, 64).unwrap();
         assert_eq!(report.quarantined(), vec!["CONTROL_UNIT"]);
 
-        let recs = records.lock().unwrap();
+        let recs: Vec<TraceRecord> = trace.with(|t| t.records().copied().collect()).unwrap();
         let names: Vec<&str> = recs.iter().map(|r| r.event.name()).collect();
         assert_eq!(names[0], "SessionStart");
         assert!(names.contains(&"AttemptResult"));
@@ -816,7 +812,6 @@ mod tests {
             .map(|r| r.cycle)
             .collect();
         assert!(session_cycles.windows(2).all(|w| w[0] <= w[1]));
-        drop(recs);
 
         // Metrics saw both the protocol counters and the session summary.
         let snap = registry.snapshot();

@@ -3,11 +3,12 @@
 //! Events are deliberately *flat and `Copy`*: every field is a scalar or a
 //! `&'static str`, so constructing one allocates nothing and a disabled
 //! [`crate::TraceHandle`] reduces the whole instrumentation point to a null
-//! check. Sinks that need structure (JSON Lines, pretty printing) reflect
-//! over [`TraceEvent::fields`] instead of matching every variant
-//! themselves.
+//! check. Renderers that need structure (the JSON Lines of
+//! [`TraceRecord::to_json_line`], the `key=value` tooltips of
+//! [`TraceEvent::detail`]) reflect over [`TraceEvent::fields`] instead of
+//! matching every variant themselves.
 
-/// One scalar field value of an event, for sink-side reflection.
+/// One scalar field value of an event, for renderer-side reflection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer.
@@ -35,18 +36,8 @@ impl FieldValue {
 /// the bottom, wrapper and BIST engine events in the middle, session-level
 /// decisions (retries, watchdogs, quarantine) and fault-simulation
 /// scheduling at the top.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A named region opened (paired with [`TraceEvent::SpanExit`]).
-    SpanEnter {
-        /// Region name.
-        name: &'static str,
-    },
-    /// A named region closed.
-    SpanExit {
-        /// Region name.
-        name: &'static str,
-    },
     /// The TAP FSM moved on a TCK edge.
     TapStateChange {
         /// State before the edge.
@@ -178,23 +169,12 @@ pub enum TraceEvent {
         /// Final coverage in basis points.
         coverage_bp: u64,
     },
-    /// Escape hatch for ad-hoc instrumentation.
-    Custom {
-        /// Event name.
-        name: &'static str,
-        /// First operand.
-        a: u64,
-        /// Second operand.
-        b: u64,
-    },
 }
 
 impl TraceEvent {
     /// The event's type name (stable; used as the JSON `event` field).
     pub fn name(&self) -> &'static str {
         match self {
-            TraceEvent::SpanEnter { .. } => "SpanEnter",
-            TraceEvent::SpanExit { .. } => "SpanExit",
             TraceEvent::TapStateChange { .. } => "TapStateChange",
             TraceEvent::TapIrLoad { .. } => "TapIrLoad",
             TraceEvent::WirLoad { .. } => "WirLoad",
@@ -212,7 +192,6 @@ impl TraceEvent {
             TraceEvent::AutopilotDecision { .. } => "AutopilotDecision",
             TraceEvent::AutopilotLeverDemoted { .. } => "AutopilotLeverDemoted",
             TraceEvent::AutopilotVerdict { .. } => "AutopilotVerdict",
-            TraceEvent::Custom { .. } => "Custom",
         }
     }
 
@@ -220,9 +199,6 @@ impl TraceEvent {
     pub fn fields(&self) -> Vec<(&'static str, FieldValue)> {
         use FieldValue::{Bool, Str, U64};
         match *self {
-            TraceEvent::SpanEnter { name } | TraceEvent::SpanExit { name } => {
-                vec![("name", Str(name))]
-            }
             TraceEvent::TapStateChange { from, to, tms, tdo } => vec![
                 ("from", Str(from)),
                 ("to", Str(to)),
@@ -300,25 +276,35 @@ impl TraceEvent {
                 ("rounds", U64(rounds)),
                 ("coverage_bp", U64(coverage_bp)),
             ],
-            TraceEvent::Custom { name, a, b } => {
-                vec![("name", Str(name)), ("a", U64(a)), ("b", U64(b))]
-            }
         }
+    }
+
+    /// The event's fields as one tooltip line: `key=value` pairs sorted
+    /// by key, strings unquoted (`module=2 strategy=Rerun`).
+    pub fn detail(&self) -> String {
+        let mut fields = self.fields();
+        fields.sort_unstable_by_key(|&(k, _)| k);
+        let pairs: Vec<String> = fields
+            .into_iter()
+            .map(|(k, v)| match v {
+                FieldValue::Str(s) => format!("{k}={s}"),
+                v => format!("{k}={}", v.to_json()),
+            })
+            .collect();
+        pairs.join(" ")
     }
 }
 
 /// One entry of a trace: a sequence number (monotonic per tracer), the
 /// hardware cycle the event was stamped with (TCK, functional, or simulator
-/// cycle — whichever clock the emitting layer runs on), the span depth at
-/// emission, and the event itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// cycle — whichever clock the emitting layer runs on), and the event
+/// itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Monotonic per-tracer sequence number.
     pub seq: u64,
     /// Cycle stamp in the emitting layer's clock domain.
     pub cycle: u64,
-    /// Span nesting depth when the event was recorded.
-    pub depth: u32,
     /// The event.
     pub event: TraceEvent,
 }
@@ -326,11 +312,12 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// Renders the record as one JSON-Lines object.
     pub fn to_json_line(&self) -> String {
+        // `depth` is always 0; the key stays so every trace file
+        // (tests/golden_trace.jsonl among them) keeps its bytes.
         let mut s = format!(
-            "{{\"seq\":{},\"cycle\":{},\"depth\":{},\"event\":\"{}\"",
+            "{{\"seq\":{},\"cycle\":{},\"depth\":0,\"event\":\"{}\"",
             self.seq,
             self.cycle,
-            self.depth,
             self.event.name()
         );
         for (k, v) in self.event.fields() {
@@ -341,6 +328,17 @@ impl TraceRecord {
     }
 }
 
+/// Renders records as JSON Lines, in the order given: one
+/// [`TraceRecord::to_json_line`] per record, each ending in a newline.
+pub fn to_jsonl<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> String {
+    let mut out = String::new();
+    for r in records {
+        out.push_str(&r.to_json_line());
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,7 +346,6 @@ mod tests {
     #[test]
     fn every_event_has_a_name_and_fields() {
         let events = [
-            TraceEvent::SpanEnter { name: "s" },
             TraceEvent::TapStateChange {
                 from: "RunTestIdle",
                 to: "SelectDrScan",
@@ -378,12 +375,11 @@ mod tests {
         let r = TraceRecord {
             seq: 7,
             cycle: 42,
-            depth: 1,
             event: TraceEvent::Quarantine { module: 2 },
         };
         assert_eq!(
             r.to_json_line(),
-            "{\"seq\":7,\"cycle\":42,\"depth\":1,\"event\":\"Quarantine\",\"module\":2}"
+            "{\"seq\":7,\"cycle\":42,\"depth\":0,\"event\":\"Quarantine\",\"module\":2}"
         );
     }
 }

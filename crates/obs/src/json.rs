@@ -280,7 +280,6 @@ mod tests {
         let line = TraceRecord {
             seq: 1,
             cycle: 99,
-            depth: 0,
             event: TraceEvent::WdrCapture {
                 done: true,
                 signature: 0xABCD,

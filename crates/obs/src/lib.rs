@@ -5,9 +5,10 @@
 //! 1. **Structured tracing** ([`Tracer`], [`TraceHandle`], [`TraceEvent`]):
 //!    typed, cycle-stamped events from every layer of the test stack (TAP
 //!    pin edges, wrapper instruction loads, MISR snapshots, retry-ladder
-//!    escalations, autopilot decisions), kept in a bounded ring
-//!    buffer and fanned out to pluggable [`sink::TraceSink`]s — in-memory
-//!    for tests, JSON Lines for tooling, pretty text for humans.
+//!    escalations, autopilot decisions), kept in the tracer's ring buffer
+//!    — the trace's one store, read after the run as typed records or as
+//!    JSON Lines ([`Tracer::to_jsonl`]). The default tracer keeps the whole
+//!    stream; a bounded one keeps the newest records and counts the rest.
 //!    Instrumentation points take a [`TraceHandle`]; the default handle is
 //!    disabled and costs one null check.
 //!
@@ -46,7 +47,6 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod report;
-pub mod sink;
 pub mod svg;
 pub mod tracer;
 pub mod vcd;
@@ -57,6 +57,5 @@ pub use health::{Direction, SpcChart, SpcConfig, SpcExcursion, SpcPoint};
 pub use metrics::{Histogram, MetricsHandle, MetricsRegistry, MetricsSnapshot};
 pub use profile::{ProfileHandle, ProfileScope, Profiler, SamplerPolicy, TraceSampler};
 pub use report::HtmlReport;
-pub use sink::{CountingSink, JsonLinesSink, MemorySink, PrettySink, TraceSink};
-pub use tracer::{SpanGuard, TraceHandle, Tracer, DEFAULT_CAPACITY};
+pub use tracer::{TraceHandle, Tracer};
 pub use vcd::{VarId, VcdReader, VcdVar, VcdWriter};

@@ -8,9 +8,6 @@
 //! custom properties with a `prefers-color-scheme` dark block, so one
 //! document serves both modes.
 
-use std::collections::BTreeMap;
-
-use crate::json::{self, JsonValue};
 use crate::svg::escape;
 
 /// Builder for one self-contained HTML report document.
@@ -108,73 +105,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Renders an escaped paragraph.
 pub fn paragraph(text: &str) -> String {
     format!("<p>{}</p>", escape(text))
-}
-
-/// One event reconstructed from a JSONL trace line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineEvent {
-    /// Emission sequence number.
-    pub seq: u64,
-    /// Cycle stamp (cumulative TCK for session traces).
-    pub cycle: u64,
-    /// Event type name.
-    pub event: String,
-    /// Remaining fields, rendered as `key=value` pairs.
-    pub detail: String,
-}
-
-fn scalar_to_string(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".to_owned(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Number(n) => {
-            if (n - n.round()).abs() < 1e-9 && n.abs() < 9e15 {
-                format!("{}", n.round() as i64)
-            } else {
-                n.to_string()
-            }
-        }
-        JsonValue::String(s) => s.clone(),
-        JsonValue::Array(_) | JsonValue::Object(_) => "…".to_owned(),
-    }
-}
-
-/// Reconstructs a session timeline from a JSON-Lines trace (the format
-/// `JsonLinesSink` / `TraceRecord::to_json_line` emit). Unparseable lines
-/// are skipped; events come back ordered by sequence number.
-pub fn timeline_from_jsonl(text: &str) -> Vec<TimelineEvent> {
-    let mut events: Vec<TimelineEvent> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(JsonValue::Object(map)) = json::parse(line) else {
-            continue;
-        };
-        let get_u64 = |m: &BTreeMap<String, JsonValue>, k: &str| {
-            m.get(k).and_then(JsonValue::as_u64).unwrap_or(0)
-        };
-        let event = map
-            .get("event")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        let detail = map
-            .iter()
-            .filter(|(k, _)| !matches!(k.as_str(), "seq" | "cycle" | "depth" | "event"))
-            .map(|(k, v)| format!("{k}={}", scalar_to_string(v)))
-            .collect::<Vec<_>>()
-            .join(" ");
-        events.push(TimelineEvent {
-            seq: get_u64(&map, "seq"),
-            cycle: get_u64(&map, "cycle"),
-            event,
-            detail,
-        });
-    }
-    events.sort_by_key(|e| e.seq);
-    events
 }
 
 /// True when `html` carries no external references: nothing fetched over
@@ -306,20 +236,5 @@ mod tests {
         let html = table(&["<h>"], &[vec!["<&>".into()]]);
         assert!(html.contains("&lt;h&gt;"));
         assert!(html.contains("&lt;&amp;&gt;"));
-    }
-
-    #[test]
-    fn timeline_parses_and_orders_jsonl() {
-        let text = concat!(
-            "{\"seq\":1,\"cycle\":40,\"depth\":0,\"event\":\"Quarantine\",\"module\":2}\n",
-            "not json\n",
-            "{\"seq\":0,\"cycle\":0,\"depth\":0,\"event\":\"SessionStart\",\"patterns\":192,\"modules\":3}\n",
-        );
-        let events = timeline_from_jsonl(text);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].event, "SessionStart");
-        assert_eq!(events[0].detail, "modules=3 patterns=192");
-        assert_eq!(events[1].cycle, 40);
-        assert_eq!(events[1].detail, "module=2");
     }
 }

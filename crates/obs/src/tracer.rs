@@ -1,19 +1,16 @@
-//! The tracing core: a bounded ring buffer of typed records, fan-out to
-//! sinks, and a shareable null-checked handle.
+//! The tracing core: a ring buffer of typed records, the one store of a
+//! trace, and a shareable null-checked handle.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{TraceEvent, TraceRecord};
-use crate::sink::TraceSink;
+use crate::event::{self, TraceEvent, TraceRecord};
 
-/// Default ring-buffer capacity (records).
-pub const DEFAULT_CAPACITY: usize = 4096;
-
-/// The tracer: stamps events with sequence numbers, keeps the newest
-/// records in a bounded ring buffer, and forwards every accepted record to
-/// the attached sinks.
+/// The tracer: stamps events with sequence numbers and keeps them in its
+/// ring buffer. [`Tracer::default`] keeps every record (its ring never
+/// fills); [`Tracer::new`] keeps the newest `capacity`. Callers read the
+/// records after the run ([`Tracer::records`], [`Tracer::to_jsonl`]).
 ///
 /// Overflow policy: the *oldest* record is dropped and counted — a
 /// post-mortem ring always holds the most recent history, which is the
@@ -23,10 +20,7 @@ pub struct Tracer {
     buf: VecDeque<TraceRecord>,
     dropped: u64,
     seq: u64,
-    last_cycle: u64,
-    depth: u32,
     filter: Option<fn(&TraceEvent) -> bool>,
-    sinks: Vec<Box<dyn TraceSink>>,
 }
 
 impl fmt::Debug for Tracer {
@@ -36,39 +30,31 @@ impl fmt::Debug for Tracer {
             .field("len", &self.buf.len())
             .field("dropped", &self.dropped)
             .field("seq", &self.seq)
-            .field("sinks", &self.sinks.len())
             .finish()
     }
 }
 
 impl Default for Tracer {
+    /// A tracer that keeps the whole stream.
     fn default() -> Self {
-        Self::new(DEFAULT_CAPACITY)
+        Self::new(usize::MAX)
     }
 }
 
 impl Tracer {
-    /// A tracer with the given ring-buffer capacity (min 1).
+    /// A tracer whose ring keeps the newest `capacity` records (min 1).
     pub fn new(capacity: usize) -> Self {
         Tracer {
             capacity: capacity.max(1),
             buf: VecDeque::new(),
             dropped: 0,
             seq: 0,
-            last_cycle: 0,
-            depth: 0,
             filter: None,
-            sinks: Vec::new(),
         }
     }
 
-    /// Attaches a sink; every subsequently accepted record reaches it.
-    pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sinks.push(sink);
-    }
-
     /// Installs an event filter: records whose event fails the predicate
-    /// are neither buffered nor forwarded (useful to keep golden traces
+    /// are neither buffered nor counted (useful to keep golden traces
     /// free of per-TCK noise).
     pub fn set_filter(&mut self, keep: fn(&TraceEvent) -> bool) {
         self.filter = Some(keep);
@@ -81,28 +67,17 @@ impl Tracer {
                 return;
             }
         }
-        if matches!(event, TraceEvent::SpanExit { .. }) {
-            self.depth = self.depth.saturating_sub(1);
-        }
         let rec = TraceRecord {
             seq: self.seq,
             cycle,
-            depth: self.depth,
             event,
         };
-        if matches!(event, TraceEvent::SpanEnter { .. }) {
-            self.depth += 1;
-        }
         self.seq += 1;
-        self.last_cycle = cycle;
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
         }
         self.buf.push_back(rec);
-        for sink in &mut self.sinks {
-            sink.record(&rec);
-        }
     }
 
     /// The buffered records, oldest first.
@@ -110,7 +85,12 @@ impl Tracer {
         self.buf.iter()
     }
 
-    /// Records dropped from the ring so far (sinks still saw them).
+    /// The buffered records as JSON Lines, oldest first.
+    pub fn to_jsonl(&self) -> String {
+        event::to_jsonl(&self.buf)
+    }
+
+    /// Records dropped from the ring so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -128,18 +108,6 @@ impl Tracer {
     /// Total records accepted (buffered + dropped).
     pub fn total(&self) -> u64 {
         self.seq
-    }
-
-    /// The cycle stamp of the most recent record.
-    pub fn last_cycle(&self) -> u64 {
-        self.last_cycle
-    }
-
-    /// Flushes every sink.
-    pub fn flush(&mut self) {
-        for sink in &mut self.sinks {
-            sink.flush();
-        }
     }
 }
 
@@ -192,47 +160,17 @@ impl TraceHandle {
         let mut t = t.lock().ok()?;
         Some(f(&mut t))
     }
-
-    /// Opens a span: emits [`TraceEvent::SpanEnter`] now and
-    /// [`TraceEvent::SpanExit`] when the guard drops (stamped with the
-    /// tracer's most recent cycle).
-    pub fn span(&self, cycle: u64, name: &'static str) -> SpanGuard {
-        self.emit(cycle, TraceEvent::SpanEnter { name });
-        SpanGuard {
-            handle: self.clone(),
-            name,
-        }
-    }
-
-    /// Flushes every sink (no-op when disabled).
-    pub fn flush(&self) {
-        self.with(Tracer::flush);
-    }
-}
-
-/// Closes its span on drop. Returned by [`TraceHandle::span`].
-pub struct SpanGuard {
-    handle: TraceHandle,
-    name: &'static str,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let name = self.name;
-        self.handle.with(|t| {
-            let cycle = t.last_cycle();
-            t.record(cycle, TraceEvent::SpanExit { name });
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CountingSink, MemorySink};
 
-    fn ev(a: u64) -> TraceEvent {
-        TraceEvent::Custom { name: "t", a, b: 0 }
+    fn ev(operand: u64) -> TraceEvent {
+        TraceEvent::BistCommand {
+            kind: "run",
+            operand,
+        }
     }
 
     #[test]
@@ -251,69 +189,31 @@ mod tests {
     }
 
     #[test]
-    fn sinks_see_every_record_in_cycle_order_despite_overflow() {
-        let mut t = Tracer::new(2);
-        let sink = MemorySink::new();
-        let shared = sink.shared();
-        t.add_sink(Box::new(sink));
-        for i in 0..8u64 {
-            t.record(i * 3, ev(i));
+    fn default_tracer_keeps_the_whole_stream() {
+        let mut t = Tracer::default();
+        for i in 0..10_000u64 {
+            t.record(i, ev(i));
         }
-        let recs = shared.lock().unwrap();
-        assert_eq!(recs.len(), 8, "sinks are not bounded by the ring");
-        let cycles: Vec<u64> = recs.iter().map(|r| r.cycle).collect();
-        let mut sorted = cycles.clone();
-        sorted.sort_unstable();
-        assert_eq!(cycles, sorted, "cycle order preserved");
+        assert_eq!(t.len(), 10_000);
+        assert_eq!(t.dropped(), 0);
+        let jsonl = t.to_jsonl();
+        assert_eq!(jsonl.lines().count(), 10_000, "one line per record");
+        assert!(jsonl
+            .lines()
+            .zip(t.records())
+            .all(|(line, r)| line == r.to_json_line()));
     }
 
     #[test]
-    fn disabled_handle_reaches_no_sink() {
-        // A counting sink on a *separate, enabled* tracer proves the
-        // counter works; the disabled handle must never touch one.
-        let count = {
-            let mut t = Tracer::default();
-            let sink = CountingSink::new();
-            let shared = sink.shared();
-            t.add_sink(Box::new(sink));
-            let h = TraceHandle::new(t);
-            h.emit(0, ev(0));
-            let n = *shared.lock().unwrap();
-            n
-        };
-        assert_eq!(count, 1);
+    fn enabled_handle_records_and_disabled_handle_records_nothing() {
+        let h = TraceHandle::new(Tracer::default());
+        h.emit(0, ev(0));
+        assert_eq!(h.with(|t| t.total()), Some(1));
 
         let h = TraceHandle::none();
         assert!(!h.is_enabled());
         h.emit(0, ev(0));
-        let _ = h.span(0, "nothing");
         assert_eq!(h.with(|t| t.total()), None, "no tracer exists at all");
-    }
-
-    #[test]
-    fn spans_nest_and_stamp_depth() {
-        let mut t = Tracer::default();
-        let sink = MemorySink::new();
-        let shared = sink.shared();
-        t.add_sink(Box::new(sink));
-        let h = TraceHandle::new(t);
-        {
-            let _outer = h.span(1, "outer");
-            h.emit(2, ev(0));
-            {
-                let _inner = h.span(3, "inner");
-                h.emit(4, ev(1));
-            }
-        }
-        let recs = shared.lock().unwrap();
-        let depths: Vec<u32> = recs.iter().map(|r| r.depth).collect();
-        // enter(outer)=0, ev=1, enter(inner)=1, ev=2, exit(inner)=1,
-        // exit(outer)=0
-        assert_eq!(depths, vec![0, 1, 1, 2, 1, 0]);
-        assert!(matches!(
-            recs.last().unwrap().event,
-            TraceEvent::SpanExit { name: "outer" }
-        ));
     }
 
     #[test]

@@ -549,15 +549,12 @@ mod tests {
 
     #[test]
     fn trace_captures_the_protocol_sequence() {
-        use soctest_obs::{MemorySink, MetricsRegistry, TraceEvent, TraceHandle, Tracer};
+        use soctest_obs::{MetricsRegistry, TraceEvent, TraceHandle, TraceRecord, Tracer};
         use std::sync::Arc;
 
         let mut drv = TapDriver::new(MockBackend::new(16, 8));
-        let mut tracer = Tracer::default();
-        let sink = MemorySink::new();
-        let shared = sink.shared();
-        tracer.add_sink(Box::new(sink));
-        drv.set_trace(TraceHandle::new(tracer));
+        let trace = TraceHandle::new(Tracer::default());
+        drv.set_trace(trace.clone());
         let reg = Arc::new(MetricsRegistry::new());
         drv.set_metrics(soctest_obs::MetricsHandle::from_arc(Arc::clone(&reg)));
 
@@ -568,7 +565,7 @@ mod tests {
         let (done, _) = drv.read_status();
         assert!(done);
 
-        let recs = shared.lock().unwrap();
+        let recs: Vec<TraceRecord> = trace.with(|t| t.records().copied().collect()).unwrap();
         let names: Vec<&str> = recs.iter().map(|r| r.event.name()).collect();
         assert!(names.contains(&"TapStateChange"));
         assert!(names.contains(&"TapIrLoad"));

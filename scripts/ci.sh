@@ -2,8 +2,9 @@
 # Tier-1 gate: build, test, lint, then every repro mode. Run from the repo root.
 #
 # Matches the robustness contract in DESIGN.md §6: clippy runs with
-# -D warnings, and crates/p1500, core, obs and sim deny unwrap/expect/panic
-# in non-test code at the crate root, so a regression there fails this script.
+# -D warnings, and ten crates (p1500, core, obs, sim, fault, netlist, bist,
+# atpg, ldpc and tech) deny unwrap/expect/panic in non-test code at the
+# crate root, so a regression there fails this script.
 #
 # Every contract has one home: an assert inside the process a step runs (a
 # violation panics, so the step exits non-zero) or a tier-1 test at the same
@@ -56,7 +57,7 @@ echo "== bench gate: history-median regression check + self-test =="
 # the committed history carries.
 ./scripts/bench_gate.sh
 
-echo "== observability: traced session; trace, metrics and VCD re-read and validated =="
+echo "== observability: traced session; trace, metrics and VCD validated =="
 cargo run --release -p soctest-bench --bin repro -- --quick \
     --trace=target/obs_trace.jsonl \
     --metrics=target/obs_metrics.prom \

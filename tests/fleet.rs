@@ -292,13 +292,13 @@ fn tiny_trace_ring_overflow_is_counted_not_silent() {
     assert_eq!(outcome.traces.len(), 10, "every die is sampled at stride 1");
     for t in &outcome.traces {
         assert!(
-            t.jsonl.lines().count() <= 4,
+            t.tail.len() <= 4,
             "die {}: ring of 4 must bound the surviving records",
             t.die
         );
         assert_eq!(
             t.records,
-            t.jsonl.lines().count() as u64 + t.dropped,
+            t.tail.len() as u64 + t.dropped,
             "die {}: total = surviving + dropped",
             t.die
         );

@@ -4,31 +4,15 @@
 //! metrics snapshot, and a loadable VCD waveform — plus a golden-trace
 //! snapshot that pins the session-level event sequence.
 
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use soctest::core::casestudy::CaseStudy;
 use soctest::core::robust::RobustSession;
+use soctest::obs::json::{self, JsonValue};
 use soctest::obs::{
-    json, JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceHandle,
-    Tracer, VcdReader,
+    FieldValue, MetricsHandle, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceHandle,
+    TraceRecord, Tracer, VcdReader,
 };
-
-/// A `Write` target the test can read back after the tracer consumed the
-/// sink (`JsonLinesSink` owns its writer).
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 fn defective_dut() -> (CaseStudy, CaseStudy) {
     let reference = CaseStudy::paper().unwrap();
@@ -46,25 +30,26 @@ fn defective_dut() -> (CaseStudy, CaseStudy) {
 fn one_session_yields_trace_metrics_and_waveform() {
     let (reference, dut) = defective_dut();
 
-    let buf = SharedBuf::default();
-    let shared = Arc::clone(&buf.0);
-    let mut tracer = Tracer::new(8192);
-    tracer.add_sink(Box::new(JsonLinesSink::new(buf)));
+    let trace = TraceHandle::new(Tracer::default());
     let registry = Arc::new(MetricsRegistry::new());
 
     let session = RobustSession::default()
-        .with_trace(TraceHandle::new(tracer))
+        .with_trace(trace.clone())
         .with_metrics(MetricsHandle::from_arc(Arc::clone(&registry)))
         .with_vcd(true);
     let report = session.run(&reference, &dut, 64).unwrap();
     assert_eq!(report.quarantined(), vec!["CONTROL_UNIT"]);
 
-    // --- JSONL trace: every line parses, and the story reads in order.
-    let bytes = shared.lock().unwrap().clone();
-    let text = String::from_utf8(bytes).unwrap();
+    // --- JSONL trace: every line parses back to its typed record, and
+    // the story reads in order.
+    let (records, text): (Vec<TraceRecord>, String) = trace
+        .with(|t| (t.records().copied().collect(), t.to_jsonl()))
+        .unwrap();
+    assert_eq!(text.lines().count(), records.len());
     let mut names = Vec::new();
-    for line in text.lines() {
+    for (line, rec) in text.lines().zip(&records) {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
+        assert_round_trip(&v, rec);
         names.push(v.get("event").and_then(|e| e.as_str()).unwrap().to_owned());
     }
     let first = |name: &str| {
@@ -113,6 +98,47 @@ fn one_session_yields_trace_metrics_and_waveform() {
     }
 }
 
+/// One parsed trace line holds exactly its typed record: `seq`, `cycle`,
+/// `event` and every field, with `depth` fixed at 0. The record's tooltip
+/// detail equals the `key=value` string the report once rebuilt from the
+/// parsed line: keys sorted, integral numbers as integers, strings
+/// unquoted.
+fn assert_round_trip(v: &JsonValue, rec: &TraceRecord) {
+    let JsonValue::Object(map) = v else {
+        panic!("trace line is not an object: {v:?}");
+    };
+    assert_eq!(v.get("seq").and_then(JsonValue::as_u64), Some(rec.seq));
+    assert_eq!(v.get("cycle").and_then(JsonValue::as_u64), Some(rec.cycle));
+    assert_eq!(v.get("depth").and_then(JsonValue::as_u64), Some(0));
+    assert_eq!(
+        v.get("event").and_then(JsonValue::as_str),
+        Some(rec.event.name())
+    );
+    let fields = rec.event.fields();
+    assert_eq!(map.len(), 4 + fields.len(), "no key beyond the record's");
+    for (k, f) in fields {
+        let got = v.get(k);
+        match f {
+            FieldValue::U64(n) => assert_eq!(got.and_then(JsonValue::as_u64), Some(n), "{k}"),
+            FieldValue::Bool(b) => assert_eq!(got.and_then(JsonValue::as_bool), Some(b), "{k}"),
+            FieldValue::Str(s) => assert_eq!(got.and_then(JsonValue::as_str), Some(s), "{k}"),
+        }
+    }
+    let detail: Vec<String> = map
+        .iter()
+        .filter(|(k, _)| !matches!(k.as_str(), "seq" | "cycle" | "depth" | "event"))
+        .map(|(k, v)| match v {
+            JsonValue::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                format!("{k}={}", *n as i64)
+            }
+            JsonValue::String(s) => format!("{k}={s}"),
+            JsonValue::Bool(b) => format!("{k}={b}"),
+            other => panic!("{k} is not an integer, string or bool: {other:?}"),
+        })
+        .collect();
+    assert_eq!(rec.event.detail(), detail.join(" "));
+}
+
 fn session_level(event: &TraceEvent) -> bool {
     matches!(
         event,
@@ -133,18 +159,15 @@ fn session_level(event: &TraceEvent) -> bool {
 fn golden_session_trace_snapshot() {
     let (reference, dut) = defective_dut();
 
-    let buf = SharedBuf::default();
-    let shared = Arc::clone(&buf.0);
-    let mut tracer = Tracer::new(1024);
+    let mut tracer = Tracer::default();
     tracer.set_filter(session_level);
-    tracer.add_sink(Box::new(JsonLinesSink::new(buf)));
+    let trace = TraceHandle::new(tracer);
 
-    let session = RobustSession::default().with_trace(TraceHandle::new(tracer));
+    let session = RobustSession::default().with_trace(trace.clone());
     let report = session.run(&reference, &dut, 64).unwrap();
     assert_eq!(report.quarantined(), vec!["CONTROL_UNIT"]);
 
-    let bytes = shared.lock().unwrap().clone();
-    let actual = String::from_utf8(bytes).unwrap();
+    let actual = trace.with(|t| t.to_jsonl()).unwrap();
 
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_trace.jsonl");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {

@@ -283,8 +283,6 @@ pub struct SequentialAtpgConfig {
     pub seed: u64,
     /// Cap on deterministically targeted faults.
     pub max_targets: Option<usize>,
-    /// Fault-simulation window (see [`SeqFaultSimConfig`]).
-    pub window: u64,
     /// Worker-thread policy for the fault-simulation phases.
     pub parallel: ParallelPolicy,
 }
@@ -297,7 +295,6 @@ impl Default for SequentialAtpgConfig {
             podem: PodemConfig::default(),
             seed: 0x5E9_5EED,
             max_targets: Some(512),
-            window: 256,
             parallel: ParallelPolicy::default(),
         }
     }
@@ -334,7 +331,6 @@ impl SequentialAtpg {
         let mut rows = random_rows(cfg.random_cycles, width, cfg.seed);
 
         let seq_cfg = SeqFaultSimConfig {
-            window: cfg.window,
             parallel: cfg.parallel,
             ..Default::default()
         };

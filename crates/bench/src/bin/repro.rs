@@ -243,11 +243,17 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             fastest_interleaved(3, [&serial_wall, &parallel_wall]);
 
         // The bit-identity contract, asserted on real workloads: thread
-        // count must not change the detections or the per-window survivor
-        // trajectory. (Correctness against the naive reference is
-        // `difftest`'s case-study leg.)
+        // count must not change the detections, the per-window survivor
+        // trajectory, or any work counter — both passes' routes included.
+        // (Correctness against the naive reference is `difftest`'s
+        // case-study leg.)
+        let (s, p) = (&serial.stats, &parallel.stats);
         let identical = serial.detection == parallel.detection
-            && serial.stats.survivors == parallel.stats.survivors;
+            && s.survivors == p.survivors
+            && (s.windows, s.good_cycles, s.faulty_cycles)
+                == (p.windows, p.good_cycles, p.faulty_cycles)
+            && (s.settled_fault_windows, s.handed_back_fault_windows)
+                == (p.settled_fault_windows, p.handed_back_fault_windows);
         assert!(identical, "{name}: parallel run diverged from serial");
         // The coverage curves must also compare bit-identical — detection
         // indices are absolute, so thread count cannot reshape the curve.

@@ -11,14 +11,19 @@
 //! faults per paper module, 64 patterns of the paper's stimulus, outputs
 //! and MISR observation with syndromes, kernel fault simulator vs the
 //! reference fault simulator), and writes a machine-readable JSON report
-//! covering both. On the first `sim`-pair mismatch the
-//! failing netlist is minimized and dumped next to the report for
-//! `--replay`; with `--vcd-on-failure` the probe stimulus is additionally
-//! replayed on the minimized netlist and written as a VCD waveform; with
-//! `--report-on-failure` a self-contained HTML triage report (mismatch
-//! table grouped per engine pair) is written next to the JSON one. Exit
-//! status is non-zero on any mismatch, pair or case-study (or, with
-//! `--self-test`, on any undetected mutation).
+//! covering both. The sequential fault simulator settles faults on two
+//! routes (its word pass and its lane engine); the `fault` pair's sums and
+//! the leg's must each show both routes in every checked mode, or the run
+//! fails — agreement a route never produced checks nothing. On the first
+//! `sim`-pair mismatch the failing netlist is minimized and dumped next to
+//! the report for `--replay`; with `--vcd-on-failure` the probe stimulus
+//! is additionally replayed on the minimized netlist and written as a VCD
+//! waveform; with `--report-on-failure` a self-contained HTML triage
+//! report (mismatch table grouped per engine pair) is written next to the
+//! JSON one. Exit
+//! status is non-zero on any mismatch, pair or case-study, on a checked
+//! mode that missed a route (or, with `--self-test`, on any undetected
+//! mutation).
 //!
 //! `--fleet` runs the fleet conformance leg instead: `--fleet-dies` dies
 //! (default 48, seeded from `--start-seed`, 0 → 42) are simulated through
@@ -35,7 +40,7 @@ use soctest_conformance::report::{
     Mismatch,
 };
 use soctest_conformance::selftest::{fault_mutation_self_test, mutation_self_test};
-use soctest_conformance::{case_study_leg, CaseStudyLeg};
+use soctest_conformance::{case_study_leg, CaseStudyLeg, Routes, FAULT_MODES};
 use soctest_core::casestudy::CaseStudy;
 
 /// Case-study leg size: faults sampled per module and fault model, and
@@ -204,8 +209,9 @@ fn fleet_mode(args: &Args) -> ExitCode {
 
 fn fuzz_mode(args: &Args) -> ExitCode {
     let mut mismatches: Vec<Mismatch> = Vec::new();
+    let mut fault_routes = [Routes::default(); 3];
     for seed in args.start_seed..args.start_seed + args.seeds {
-        mismatches.extend(run_all_pairs(seed, args.max_gates));
+        mismatches.extend(run_all_pairs(seed, args.max_gates, &mut fault_routes));
     }
     let checked: Vec<(&'static str, u64)> = PAIR_NAMES.iter().map(|&p| (p, args.seeds)).collect();
     let leg = match CaseStudy::paper() {
@@ -214,11 +220,27 @@ fn fuzz_mode(args: &Args) -> ExitCode {
             patterns: CASE_STUDY_PATTERNS,
             faults: 0,
             campaigns: 0,
+            routes: [Routes::default(); 3],
             mismatches: vec![format!("case study does not build: {e}")],
         },
     };
     for d in &leg.mismatches {
         eprintln!("case-study MISMATCH {d}");
+    }
+    let mut missed_routes = Vec::new();
+    for (what, routes) in [("fault pair", &fault_routes), ("case study", &leg.routes)] {
+        for ((mode, _, _), r) in FAULT_MODES.iter().zip(routes) {
+            let line = format!(
+                "{what} {mode}: word pass settled {} and handed back {} fault·windows",
+                r.settled, r.handed_back
+            );
+            if r.both() {
+                println!("{line}");
+            } else {
+                eprintln!("ROUTE MISSED {line}");
+                missed_routes.push(line);
+            }
+        }
     }
 
     // Minimize the first sim-pair failure into a replayable dump. The
@@ -252,6 +274,7 @@ fn fuzz_mode(args: &Args) -> ExitCode {
         args.max_gates,
         &checked,
         &mismatches,
+        &fault_routes,
         &leg,
         dump_file.as_deref(),
     );
@@ -260,7 +283,7 @@ fn fuzz_mode(args: &Args) -> ExitCode {
     }
     print!("{report}");
 
-    let clean = mismatches.is_empty() && leg.mismatches.is_empty();
+    let clean = mismatches.is_empty() && leg.mismatches.is_empty() && missed_routes.is_empty();
     if args.report_on_failure && !clean {
         let html = render_html_report(
             args.seeds,
@@ -292,9 +315,10 @@ fn fuzz_mode(args: &Args) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "difftest: {} pair mismatches, {} case-study mismatches",
+            "difftest: {} pair mismatches, {} case-study mismatches, {} checked modes missed a route",
             mismatches.len(),
-            leg.mismatches.len()
+            leg.mismatches.len(),
+            missed_routes.len()
         );
         ExitCode::FAILURE
     }

@@ -8,10 +8,13 @@
 //! own BIST stimulus by the kernel `SeqFaultSim` and by
 //! [`reference_fault_sim`], with per-cycle outputs (with and without
 //! syndromes) and with the paper's 16-bit MISR read every 8 cycles (with
-//! syndromes).
+//! syndromes). Each mode sums the kernel's [`Routes`], so a run shows that
+//! both the word pass and the lane engine met the reference.
 
 use soctest_core::casestudy::CaseStudy;
-use soctest_fault::{FaultUniverse, ObserveMode, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
+use soctest_fault::{
+    FaultSimStats, FaultUniverse, ObserveMode, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig,
+};
 
 use crate::faultref::{diff_against_reference, reference_fault_sim};
 
@@ -19,6 +22,40 @@ use crate::faultref::{diff_against_reference, reference_fault_sim};
 const WINDOW: u64 = 16;
 /// MISR read period of the leg's signature mode.
 const READ_EVERY: u64 = 8;
+
+/// The kernel modes each sampled universe is checked in, in order: name,
+/// observation (0 = per-cycle outputs, 1 = MISR), and whether syndromes
+/// are collected.
+pub const FAULT_MODES: [(&str, usize, bool); 3] = [
+    ("outputs", 0, false),
+    ("outputs+syndromes", 0, true),
+    ("misr", 1, true),
+];
+
+/// Fault·windows the sequential kernel's word pass settled and handed
+/// back to its lane engine, summed over one mode's campaigns. Detections
+/// that agree with the reference vouch only for the routes that produced
+/// them, so a mode that never took one of the two has not checked it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Routes {
+    /// Fault·windows the word pass settled.
+    pub settled: u64,
+    /// Fault·windows the word pass handed back to the lane engine.
+    pub handed_back: u64,
+}
+
+impl Routes {
+    /// Adds one campaign's counts.
+    pub fn add(&mut self, stats: &FaultSimStats) {
+        self.settled += stats.settled_fault_windows;
+        self.handed_back += stats.handed_back_fault_windows;
+    }
+
+    /// Whether both routes ran.
+    pub fn both(&self) -> bool {
+        self.settled > 0 && self.handed_back > 0
+    }
+}
 
 /// What one [`case_study_leg`] run checked and found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +66,8 @@ pub struct CaseStudyLeg {
     pub faults: usize,
     /// Kernel campaigns diffed against the reference.
     pub campaigns: usize,
+    /// Word-pass routes per mode, aligned with [`FAULT_MODES`].
+    pub routes: [Routes; 3],
     /// One line per diverging campaign (empty when the leg is clean).
     pub mismatches: Vec<String>,
 }
@@ -51,15 +90,11 @@ pub fn case_study_leg(
     let pgen = case.pattern_generator();
     let misr = ObserveMode::misr_default(case.spec().misr_width, READ_EVERY);
     let observe = [ObserveMode::Outputs, misr];
-    let checks = [
-        ("outputs", 0, false),
-        ("outputs+syndromes", 0, true),
-        ("misr", 1, true),
-    ];
     let mut leg = CaseStudyLeg {
         patterns,
         faults: 0,
         campaigns: 0,
+        routes: [Routes::default(); 3],
         mismatches: Vec::new(),
     };
     for &m in modules {
@@ -72,7 +107,7 @@ pub fn case_study_leg(
             universe.retain_sample(universe.len().div_ceil(max_faults).max(1));
             leg.faults += universe.len();
             let reference = reference_fault_sim(&universe, &rows, &observe);
-            for (what, o, collect) in checks {
+            for (&(what, o, collect), routes) in FAULT_MODES.iter().zip(&mut leg.routes) {
                 let config = SeqFaultSimConfig {
                     window: WINDOW,
                     observe: observe[o].clone(),
@@ -86,6 +121,7 @@ pub fn case_study_leg(
                     .run(&mut stim)
                     .expect("case-study modules levelize");
                 leg.campaigns += 1;
+                routes.add(&got.stats);
                 if let Some(d) =
                     diff_against_reference(&universe, &got, &reference[o], WINDOW, !collect)
                 {
@@ -113,5 +149,8 @@ mod tests {
         assert!(leg.faults > 40, "both universes sampled: {}", leg.faults);
         assert_eq!(leg.campaigns, 6);
         assert!(leg.mismatches.is_empty(), "{:#?}", leg.mismatches);
+        for (&(mode, _, _), routes) in FAULT_MODES.iter().zip(&leg.routes) {
+            assert!(routes.both(), "{mode}: {routes:?}");
+        }
     }
 }

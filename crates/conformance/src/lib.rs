@@ -44,7 +44,7 @@ pub mod report;
 pub mod selftest;
 pub mod session;
 
-pub use campaign::{case_study_leg, CaseStudyLeg};
+pub use campaign::{case_study_leg, CaseStudyLeg, Routes, FAULT_MODES};
 pub use faultref::{reference_fault_sim, RefFaultRun};
 pub use fleet::{fleet_difftest, FleetDiffOutcome, FleetMismatch};
 pub use generator::{random_netlist, GeneratorConfig};

@@ -13,7 +13,8 @@
 //!   streams, and survivor trajectories — combinational stuck-at with and
 //!   without syndromes; sequential stuck-at and transition, per-cycle
 //!   outputs with and without syndromes and an off-boundary MISR read
-//!   schedule across window seams.
+//!   schedule across window seams, summing each mode's word-pass
+//!   [`Routes`].
 //! * **`bist`** — behavioral `Alfsr`/`Misr`/`fold_xor`/`HoldCycler`/
 //!   control unit/`BistEngine` vs the `bist::structural` netlists,
 //!   including a full `insert_bist` assembly run against a hand-rolled
@@ -42,6 +43,7 @@ use soctest_p1500::{
 use soctest_prng::SplitMix64;
 use soctest_sim::{KernelSim, VcdProbe};
 
+use crate::campaign::{Routes, FAULT_MODES};
 use crate::faultref::{diff_against_reference, reference_fault_sim};
 use crate::generator::{random_netlist, GeneratorConfig};
 use crate::reference::{self, RefMachine};
@@ -66,11 +68,13 @@ fn mask(width: usize) -> u64 {
     }
 }
 
-/// Runs every pair differential for one seed.
-pub fn run_all_pairs(seed: u64, max_gates: usize) -> Vec<Mismatch> {
+/// Runs every pair differential for one seed, adding the `fault` pair's
+/// sequential word-pass routes per mode (aligned with [`FAULT_MODES`]) to
+/// `fault_routes`.
+pub fn run_all_pairs(seed: u64, max_gates: usize, fault_routes: &mut [Routes; 3]) -> Vec<Mismatch> {
     let mut out = Vec::new();
     out.extend(pair_sim(seed, max_gates));
-    out.extend(pair_fault(seed, max_gates));
+    out.extend(pair_fault(seed, max_gates, fault_routes));
     out.extend(pair_bist(seed, max_gates));
     out.extend(pair_p1500(seed, max_gates));
     out
@@ -1055,10 +1059,14 @@ pub fn fault_comb_divergence(
 
 /// Compares the kernel `SeqFaultSim` on `nl` against the reference fault
 /// simulator under shared stimulus, for stuck-at and transition faults,
-/// across both observation modes: per-cycle outputs with and without
+/// in each of [`FAULT_MODES`]: per-cycle outputs with and without
 /// syndrome collection, and an off-boundary MISR read schedule with
-/// syndromes.
-pub fn fault_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
+/// syndromes. Adds each mode's word-pass routes to `routes`.
+pub fn fault_seq_divergence(
+    nl: &Netlist,
+    probe_seed: u64,
+    routes: &mut [Routes; 3],
+) -> Option<String> {
     let mut rng = rng_for(probe_seed, 15);
     let width = nl.input_width();
     let cycles = 40u64;
@@ -1072,17 +1080,12 @@ pub fn fault_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
     let window = 16;
     let misr = ObserveMode::misr_default(nl.output_width().clamp(2, 16), 7);
     let observe = [ObserveMode::Outputs, misr];
-    let modes = [
-        ("outputs", 0, false),
-        ("outputs+syndromes", 0, true),
-        ("misr", 1, true),
-    ];
     for (model, universe) in [
         ("stuck-at", FaultUniverse::stuck_at(nl)),
         ("transition", FaultUniverse::transition(nl)),
     ] {
         let reference = reference_fault_sim(&universe, &rows, &observe);
-        for (what, m, collect) in modes {
+        for (&(what, m, collect), mode_routes) in FAULT_MODES.iter().zip(routes.iter_mut()) {
             let config = SeqFaultSimConfig {
                 window,
                 observe: observe[m].clone(),
@@ -1092,6 +1095,7 @@ pub fn fault_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
             let got = SeqFaultSim::new(&universe, config)
                 .run(&mut VectorStimulus::new(words.clone()))
                 .expect("seq fault sim");
+            mode_routes.add(&got.stats);
             if let Some(d) =
                 diff_against_reference(&universe, &got, &reference[m], window, !collect)
             {
@@ -1102,7 +1106,7 @@ pub fn fault_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
     None
 }
 
-fn pair_fault(seed: u64, max_gates: usize) -> Vec<Mismatch> {
+fn pair_fault(seed: u64, max_gates: usize, routes: &mut [Routes; 3]) -> Vec<Mismatch> {
     let mut out = Vec::new();
     let mut rng = rng_for(seed, 16);
     let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(60)).comb();
@@ -1118,7 +1122,7 @@ fn pair_fault(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(40));
     let cfg = cfg.seq(&mut rng);
     let nl = random_netlist(&mut rng, &cfg);
-    if let Some(d) = fault_seq_divergence(&nl, seed) {
+    if let Some(d) = fault_seq_divergence(&nl, seed, routes) {
         out.push(Mismatch {
             pair: "fault",
             seed,
@@ -1134,10 +1138,12 @@ mod tests {
 
     #[test]
     fn a_few_seeds_run_clean() {
+        let mut routes = [Routes::default(); 3];
         for seed in 0..4u64 {
-            let ms = run_all_pairs(seed, 60);
+            let ms = run_all_pairs(seed, 60, &mut routes);
             assert!(ms.is_empty(), "seed {seed}: {ms:?}");
         }
+        assert!(routes.iter().all(|r| r.settled > 0), "{routes:?}");
     }
 
     #[test]

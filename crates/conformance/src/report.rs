@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use soctest_netlist::{GateKind, NetId, Netlist, PortDir};
 
-use crate::campaign::CaseStudyLeg;
+use crate::campaign::{CaseStudyLeg, Routes, FAULT_MODES};
 
 /// One observed divergence between two engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,6 +113,7 @@ pub fn render_report(
     max_gates: usize,
     checked: &[(&'static str, u64)],
     mismatches: &[Mismatch],
+    fault_routes: &[Routes; 3],
     case_study: &CaseStudyLeg,
     dump_file: Option<&str>,
 ) -> String {
@@ -141,6 +142,7 @@ pub fn render_report(
         );
     }
     s.push_str("  ],\n");
+    let _ = writeln!(s, "  \"fault_routes\": {},", routes_json(fault_routes));
     let details: Vec<String> = case_study
         .mismatches
         .iter()
@@ -149,10 +151,11 @@ pub fn render_report(
     let _ = writeln!(
         s,
         "  \"case_study\": {{\"patterns\": {}, \"faults\": {}, \"campaigns\": {}, \
-         \"mismatch_count\": {}, \"mismatches\": [{}]}},",
+         \"routes\": {}, \"mismatch_count\": {}, \"mismatches\": [{}]}},",
         case_study.patterns,
         case_study.faults,
         case_study.campaigns,
+        routes_json(&case_study.routes),
         case_study.mismatches.len(),
         details.join(", ")
     );
@@ -164,6 +167,22 @@ pub fn render_report(
     }
     s.push_str("}\n");
     s
+}
+
+/// `{"<mode>": {"settled": N, "handed_back": M}, ...}` in
+/// [`FAULT_MODES`] order.
+fn routes_json(routes: &[Routes; 3]) -> String {
+    let fields: Vec<String> = FAULT_MODES
+        .iter()
+        .zip(routes)
+        .map(|((mode, _, _), r)| {
+            format!(
+                "\"{mode}\": {{\"settled\": {}, \"handed_back\": {}}}",
+                r.settled, r.handed_back
+            )
+        })
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// Serializes `nl` into the replayable text dump format:
@@ -327,6 +346,7 @@ mod tests {
             patterns: 64,
             faults: 10,
             campaigns: 6,
+            routes: [Routes::default(); 3],
             mismatches: vec!["CONTROL_UNIT stuck-at misr: fault 3".into()],
         };
         let html = render_html_report(25, 120, &mismatches, &leg, Some("difftest_min_seed7.nl"));
@@ -383,10 +403,15 @@ mod tests {
 
     #[test]
     fn report_is_plausible_json() {
+        let routes = |settled, handed_back| Routes {
+            settled,
+            handed_back,
+        };
         let leg = CaseStudyLeg {
             patterns: 64,
             faults: 12,
             campaigns: 6,
+            routes: [routes(7, 1), routes(8, 2), routes(9, 3)],
             mismatches: Vec::new(),
         };
         let r = render_report(
@@ -398,6 +423,7 @@ mod tests {
                 seed: 3,
                 detail: "lane 0 \"quote\"".into(),
             }],
+            &[routes(4, 0), routes(5, 6), routes(6, 7)],
             &leg,
             Some("min.nl"),
         );
@@ -411,5 +437,16 @@ mod tests {
             leg.get("mismatch_count").and_then(|v| v.as_f64()),
             Some(0.0)
         );
+        let count = |routes: &soctest_obs::json::JsonValue, mode: &str, route: &str| {
+            routes
+                .get(mode)
+                .and_then(|m| m.get(route))
+                .and_then(|v| v.as_f64())
+        };
+        let misr = leg.get("routes").expect("case-study routes");
+        assert_eq!(count(misr, "misr", "handed_back"), Some(3.0));
+        let pair = doc.get("fault_routes").expect("fault-pair routes");
+        assert_eq!(count(pair, "outputs", "settled"), Some(4.0));
+        assert_eq!(count(pair, "outputs", "handed_back"), Some(0.0));
     }
 }

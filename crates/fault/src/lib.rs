@@ -8,12 +8,14 @@
 //!   gross-delay transition faults ([`SlowToRise`]/[`SlowToFall`]), placed on
 //!   every stem and every fanout branch ([`FaultUniverse`]);
 //! * **Structural equivalence collapsing** with the classic gate rules;
-//! * A **parallel-fault sequential fault simulator** ([`SeqFaultSim`]): up
-//!   to 64 faulty machines share the lanes of one word over the compiled
-//!   netlist kernel ([`soctest_netlist::CompiledNetlist`]), replayed against
-//!   a once-per-window good-machine trace, with windowed simulation, fault
-//!   dropping and survivor repacking — this is what evaluates the BIST runs
-//!   of Table 3;
+//! * A **sequential fault simulator** ([`SeqFaultSim`]) over the compiled
+//!   netlist kernel ([`soctest_netlist::CompiledNetlist`]), in windows of
+//!   at most 64 cycles against a once-per-window good-machine trace (one
+//!   word per net, one bit per cycle). A *word pass* settles each fault
+//!   whose flip-flops match the good machine 64 cycles per word; a 64-lane
+//!   parallel-fault *lane engine* takes the rest, one fault per lane —
+//!   with fault dropping between windows. This is what evaluates the BIST
+//!   runs of Table 3;
 //! * A **PPSFP combinational fault simulator** ([`CombFaultSim`]) for the
 //!   full-scan baseline (256 patterns per kernel pass, single-fault
 //!   cone-of-influence propagation);

@@ -63,6 +63,42 @@ impl ParallelPolicy {
     }
 }
 
+/// Splits `items` into at most `scratches.len()` contiguous shards and
+/// runs `f(offset, shard, scratch)` on each, where `offset` is the shard's
+/// first index in `items`. One shard runs on the calling thread; more run
+/// on one scoped worker each. Results come back in shard order.
+pub(crate) fn map_shards<T, S, R, F>(
+    items: &mut [T],
+    scratches: &mut [S],
+    f: F,
+) -> Result<Vec<R>, NetlistError>
+where
+    T: Send,
+    S: Send,
+    R: Send,
+    F: Fn(usize, &mut [T], &mut S) -> R + Sync,
+{
+    let workers = scratches.len().min(items.len());
+    if workers <= 1 {
+        return Ok(scratches
+            .first_mut()
+            .map(|scratch| f(0, items, scratch))
+            .into_iter()
+            .collect());
+    }
+    let per = items.len().div_ceil(workers);
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks_mut(per)
+            .zip(scratches.iter_mut())
+            .enumerate()
+            .map(|(k, (shard, scratch))| s.spawn(move || f(k * per, shard, scratch)))
+            .collect();
+        join_all(handles)
+    })
+}
+
 /// Joins every worker, then returns their results in spawn order, or
 /// [`NetlistError::WorkerPanicked`] if any of them panicked. Joining all
 /// of them first means no panicked worker is left for the scope to

@@ -26,10 +26,16 @@ pub struct FaultSimStats {
     /// Good-machine simulation cycles (sequential: cycles simulated once
     /// per window; combinational: patterns evaluated fault-free).
     pub good_cycles: u64,
-    /// Faulty-machine simulation cost (sequential: Σ window length ×
-    /// 64-lane fault chunks; combinational: single-fault propagation
-    /// passes).
+    /// Faulty-machine simulation cost (sequential: the lane engine's
+    /// chunk-cycles, Σ window length × 64-fault lane chunks; combinational:
+    /// single-fault propagation passes).
     pub faulty_cycles: u64,
+    /// Sequential only: fault·windows the word pass settled — the fault
+    /// was detected or carried to the next window without the lane engine.
+    pub settled_fault_windows: u64,
+    /// Sequential only: fault·windows the word pass took but handed back
+    /// to the lane engine, because a flip-flop deviated too early.
+    pub handed_back_fault_windows: u64,
     /// Wall-clock time spent inside the simulator.
     pub wall: Duration,
 }
@@ -42,6 +48,14 @@ impl FaultSimStats {
         registry.inc("faultsim_windows_total", self.windows);
         registry.inc("faultsim_good_cycles_total", self.good_cycles);
         registry.inc("faultsim_faulty_cycles_total", self.faulty_cycles);
+        registry.inc(
+            "faultsim_settled_fault_windows_total",
+            self.settled_fault_windows,
+        );
+        registry.inc(
+            "faultsim_handed_back_fault_windows_total",
+            self.handed_back_fault_windows,
+        );
         registry.inc(
             "faultsim_wall_micros_total",
             self.wall.as_micros().min(u128::from(u64::MAX)) as u64,
@@ -61,11 +75,14 @@ impl fmt::Display for FaultSimStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} thread(s), {} window(s), good/faulty cycles {}/{}, final survivors {}, {:?}",
+            "{} thread(s), {} window(s), good/faulty cycles {}/{}, \
+             word pass settled/handed back {}/{}, final survivors {}, {:?}",
             self.threads,
             self.windows,
             self.good_cycles,
             self.faulty_cycles,
+            self.settled_fault_windows,
+            self.handed_back_fault_windows,
             self.survivors.last().copied().unwrap_or(0),
             self.wall
         )
@@ -266,5 +283,31 @@ mod tests {
         };
         assert_eq!(r.coverage_percent(), 0.0);
         assert!(r.to_string().contains("0/0"));
+    }
+
+    #[test]
+    fn stats_display_and_export_carry_both_word_pass_routes() {
+        let stats = FaultSimStats {
+            threads: 1,
+            windows: 2,
+            survivors: vec![5, 3],
+            good_cycles: 128,
+            faulty_cycles: 64,
+            settled_fault_windows: 11,
+            handed_back_fault_windows: 4,
+            wall: Duration::ZERO,
+        };
+        assert!(
+            stats
+                .to_string()
+                .contains("good/faulty cycles 128/64, word pass settled/handed back 11/4"),
+            "{stats}"
+        );
+        let registry = MetricsRegistry::new();
+        stats.export_metrics(&registry);
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters["faultsim_faulty_cycles_total"], 64);
+        assert_eq!(counters["faultsim_settled_fault_windows_total"], 11);
+        assert_eq!(counters["faultsim_handed_back_fault_windows_total"], 4);
     }
 }

@@ -1,23 +1,44 @@
 //! Compiled-kernel window engine for [`crate::SeqFaultSim`].
 //!
 //! [`KernelEngine`] executes one window of the `seqsim` window loop on top
-//! of the flattened [`CompiledNetlist`] schedule, with one key
-//! optimization: **incremental re-evaluation against the cached good
-//! trace**. The good pass records the broadcast value of *every* net at
-//! *every* cycle of the window; each 64-fault chunk then starts its cycle
-//! from that row (one `memcpy`) and sweeps only the gates that can
-//! actually deviate — seeded from the injection sites and from flip-flops
-//! whose lane word differs from the good machine, expanding along the
-//! kernel's scheduled fanout lists in topological order. Every net the
-//! sweep never touches holds the good value by construction.
+//! of the flattened [`CompiledNetlist`] schedule. A window is at most 64
+//! cycles, so the good machine's trajectory fits one word per net: the
+//! good pass evaluates cycle `r` of the window in lane `r` of every net
+//! word ([`GoodTrace::cols`]). Faults then take one of two routes against
+//! those columns.
 //!
-//! Sequential state is tracked just as sparsely: a bitmap marks the
-//! deviating flip-flops, and the clock edge only visits flip-flops whose
-//! `d` net was stored with a deviation this cycle (via the kernel's
-//! sequential-sink CSR) — so per-cycle chunk cost follows the size of the
-//! deviated region, not the size of the netlist. Random BIST patterns drop
-//! most faults early and surviving deviations are shallow, which is what
-//! makes this the fast path.
+//! **Word pass** ([`KernelEngine::word_pass`]). A fault whose flip-flops
+//! match the good machine at window start is simulated alone, 64 cycles
+//! per word — parallel-pattern single-fault propagation over time. Until
+//! a flip-flop's `d` net deviates, every gate input is a primary input, a
+//! good flip-flop, or downstream of the fault site, so one event-driven
+//! sweep of the site's deviation word through the schedule is exact for
+//! every cycle up to and including the first `d` deviation. The site word
+//! is forced whole: a stuck-at is a constant; a transition fault follows
+//! [`crate::seqsim::apply`]'s recurrence (slow-to-rise
+//! `good(t) ∧ faulty(t−1)`, slow-to-fall `good(t) ∨ faulty(t−1)`) as a
+//! prefix scan seeded by the carried `prev` bit. Output deviations are
+//! read straight off the observation nets, and a MISR deviation is
+//! stepped on its own (the register is linear, so the faulty signature is
+//! the good one XOR the deviation). The fault is *settled* when it is
+//! detected no later than its first `d` deviation (syndromes off), or when
+//! no `d` net deviates before the window's last cycle — then it is carried
+//! to the next window with its flip-flops set to the good state XOR the
+//! last cycle's `d` deviations. Otherwise it is *handed back* untouched.
+//!
+//! **Lane engine** ([`KernelEngine::run_chunk`]). Handed-back faults and
+//! faults that start the window with deviated flip-flops share the 64
+//! lanes of a word, one fault per lane, cycle by cycle. Each chunk-cycle
+//! sweeps only the gates that can deviate — seeded from the injection
+//! sites and from flip-flops whose lane word differs from the good
+//! machine — reading the broadcast good bit of lane `r` of the same
+//! columns. A bitmap marks the deviating flip-flops, and the clock edge
+//! only visits flip-flops whose `d` net was stored with a deviation this
+//! cycle (via the kernel's sequential-sink CSR).
+//!
+//! Both routes share one event-driven sweep ([`Deviations`]): a
+//! deviation word per net, a two-level pending bitmap over schedule
+//! positions, and sparse cleanup of the nets it stored.
 //!
 //! The contract — detections, syndrome streams, and survivor trajectories
 //! — is pinned against the naive reference interpreter by the `fault`
@@ -25,107 +46,355 @@
 
 use std::sync::Arc;
 
-use soctest_netlist::CompiledNetlist;
+use soctest_netlist::{CompiledNetlist, NetId};
 
 use crate::seqsim::{
     apply, get_bit, set_bit, ActiveFault, ChunkOut, GoodTrace, InjEntry, WindowCtx,
 };
+use crate::FaultKind;
 
 /// The compiled-kernel window engine (see the [module docs](self)).
 pub(crate) struct KernelEngine {
     kernel: Arc<CompiledNetlist>,
+    /// Per schedule position, the end of its level's position range.
+    level_end: Vec<u32>,
+    /// Bitmap over nets: the observation nets.
+    obs_nets: Vec<u64>,
 }
 
-/// Per-worker scratch. `qdev` marks the flip-flops whose lane word
-/// currently deviates from the good machine; `qwords[j]` is only meaningful
-/// while bit `j` is set. `inj_mark` is stamped with `chunk_no` so it never
-/// needs clearing between chunks; while a net's stamp is current,
-/// `inj_slot` holds the index of its injection site. `sampled` stages the
-/// good pass's `d` samples at each clock edge.
-pub(crate) struct KernelScratch {
-    vals: Vec<u64>,
-    sampled: Vec<u64>,
+/// Pending schedule positions of one sweep: a bitmap over positions plus a
+/// summary bitmap over its nonzero words, so a sweep visits only the words
+/// that hold work. Work is always marked beyond the level being evaluated
+/// (a gate's fanout sits at higher levels, and the schedule is
+/// level-major), so `pop_level` can keep a forward cursor until the sweep
+/// drains.
+struct Pending {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    cursor: usize,
+}
+
+impl Pending {
+    fn new(ops: usize) -> Self {
+        let words = ops.div_ceil(64).max(1);
+        Pending {
+            words: vec![0u64; words],
+            summary: vec![0u64; words.div_ceil(64)],
+            cursor: 0,
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, op: u32) {
+        let w = op as usize / 64;
+        self.words[w] |= 1u64 << (op % 64);
+        self.summary[w / 64] |= 1u64 << (w % 64);
+    }
+
+    /// The pending positions of the lowest pending word that share the
+    /// lowest one's level, removed, as `(word base, bits)`; `None` once
+    /// drained (which rewinds the cursor for the next sweep). A level's
+    /// gates never feed each other, so a batch can be evaluated in any
+    /// order — the CPU overlaps their independent loads — and all the work
+    /// it marks lies beyond it.
+    #[inline]
+    fn pop_level(&mut self, level_end: &[u32]) -> Option<(usize, u64)> {
+        while let Some(&s) = self.summary.get(self.cursor) {
+            if s == 0 {
+                self.cursor += 1;
+                continue;
+            }
+            let w = self.cursor * 64 + s.trailing_zeros() as usize;
+            let bits = self.words[w];
+            let base = w * 64;
+            let end = level_end[base + bits.trailing_zeros() as usize] as usize - base;
+            let batch = bits & low_mask(end as u64);
+            let rest = bits & !batch;
+            self.words[w] = rest;
+            if rest == 0 {
+                self.summary[self.cursor] &= !(1u64 << (w % 64));
+            }
+            return Some((base, batch));
+        }
+        self.cursor = 0;
+        None
+    }
+}
+
+/// The deviation overlay of one sweep: `dev[n]` is net `n`'s XOR against
+/// the good machine (nonzero only for nets in `stored`), `touched` lists
+/// the flip-flops whose `d` net was stored with a live deviation.
+struct Deviations {
     dev: Vec<u64>,
     stored: Vec<u32>,
-    pending: Vec<u64>,
+    touched: Vec<u32>,
+    pending: Pending,
+}
+
+impl Deviations {
+    fn new(kernel: &CompiledNetlist) -> Self {
+        Deviations {
+            dev: vec![0u64; kernel.nets()],
+            stored: Vec::new(),
+            touched: Vec::new(),
+            pending: Pending::new(kernel.ops()),
+        }
+    }
+
+    /// Stores `d` as `net`'s deviation; a deviation in a `live` bit
+    /// schedules the net's fanout and marks its flip-flop sinks.
+    #[inline]
+    fn store(&mut self, kernel: &CompiledNetlist, net: u32, d: u64, live: u64) {
+        self.dev[net as usize] = d;
+        self.stored.push(net);
+        if d & live != 0 {
+            for &op in kernel.fanout_ops(net) {
+                self.pending.mark(op);
+            }
+            self.touched.extend_from_slice(kernel.dff_d_sinks(net));
+        }
+    }
+
+    /// Event-driven sweep in schedule order, a level batch at a time:
+    /// re-evaluates every pending gate from its pins' good words (`good`)
+    /// XOR their deviations, passes the result through `inject` (fault
+    /// sites force their output; it gets the gate's schedule position and
+    /// output net), and stores the output's deviation. Each gate is
+    /// evaluated at most once and its output holds no deviation before, so
+    /// a zero deviation needs no store.
+    #[inline]
+    fn sweep(
+        &mut self,
+        kernel: &CompiledNetlist,
+        level_end: &[u32],
+        good: impl Fn(usize) -> u64,
+        mut inject: impl FnMut(usize, u32, u64) -> u64,
+        live: u64,
+    ) {
+        while let Some((base, mut batch)) = self.pending.pop_level(level_end) {
+            while batch != 0 {
+                let p = base + batch.trailing_zeros() as usize;
+                batch &= batch - 1;
+                let [a, b, c] = kernel.op_pins(p);
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let w = kernel.eval_pins(
+                    p,
+                    [
+                        good(a) ^ self.dev[a],
+                        good(b) ^ self.dev[b],
+                        good(c) ^ self.dev[c],
+                    ],
+                );
+                let out = kernel.op_out(p);
+                let d = inject(p, out, w) ^ good(out as usize);
+                if d != 0 {
+                    self.store(kernel, out, d, live);
+                }
+            }
+        }
+    }
+
+    /// Clears every stored deviation, so `dev` is all-zero again.
+    fn reset(&mut self) {
+        for &n in &self.stored {
+            self.dev[n as usize] = 0;
+        }
+        self.stored.clear();
+        self.touched.clear();
+    }
+}
+
+/// Per-worker scratch, reused across windows, chunks and faults. `qdev`
+/// marks the flip-flops whose lane word currently deviates from the good
+/// machine; `qwords[j]` is only meaningful while bit `j` is set.
+/// `inj_mark` is stamped with `chunk_no` so it never needs clearing
+/// between chunks; while a net's stamp is current, `inj_slot` holds the
+/// index of its injection site. `inj_ops` marks the schedule positions of
+/// the chunk's gate sites (a bitmap small enough to stay in L1).
+pub(crate) struct KernelScratch {
+    devs: Deviations,
     qwords: Vec<u64>,
     qdev: Vec<u64>,
-    touched: Vec<u32>,
     misr: Vec<u64>,
     misr_next: Vec<u64>,
     inj_mark: Vec<u64>,
     inj_slot: Vec<u8>,
+    inj_ops: Vec<u64>,
     chunk_no: u64,
 }
 
-impl KernelEngine {
-    pub(crate) fn new(kernel: Arc<CompiledNetlist>) -> Self {
-        KernelEngine { kernel }
+/// What the word pass did with one shard of the active list.
+#[derive(Default)]
+pub(crate) struct WordOut {
+    /// Detections and syndrome events of the faults it settled.
+    pub(crate) out: ChunkOut,
+    /// Positions (in the whole active list, ascending) of the faults the
+    /// lane engine must simulate this window.
+    pub(crate) lane: Vec<usize>,
+    /// Faults it settled.
+    pub(crate) settled: u64,
+    /// Faults it took and handed back (a subset of `lane`).
+    pub(crate) handed_back: u64,
+}
+
+/// Broadcast of the good bit of `net` at window cycle `r`.
+#[inline]
+fn gbit(cols: &[u64], net: usize, r: u32) -> u64 {
+    0u64.wrapping_sub((cols[net] >> r) & 1)
+}
+
+/// The low `n` bits set (`n` ≤ 64).
+#[inline]
+fn low_mask(n: u64) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
-/// Broadcast of the good bit of `net` from a packed per-cycle row.
+/// Bits below the lowest clear bit of `g`: the cycles a slow-to-rise
+/// site keeps following a good value that has stayed 1 since the seed.
 #[inline]
-fn gbit(row: &[u64], net: usize) -> u64 {
-    0u64.wrapping_sub((row[net / 64] >> (net % 64)) & 1)
+fn trailing_ones(g: u64) -> u64 {
+    (!g & g.wrapping_add(1)).wrapping_sub(1)
+}
+
+/// Bits at and above the lowest set bit of `g`: the cycles a slow-to-fall
+/// site reads 1 once the good value has risen.
+#[inline]
+fn from_lowest_set(g: u64) -> u64 {
+    (g & g.wrapping_neg()).wrapping_neg()
+}
+
+/// The forced site word of a fault over one window: `g` is the site's
+/// good column, `prev` the faulty site value before the window, and
+/// `first_ever` whether the window starts at cycle 0 (where a transition
+/// site passes its value through). Bit `r` equals the value
+/// [`apply`] produces at cycle `r` given good (undisturbed) site inputs.
+#[inline]
+fn forced_site(kind: FaultKind, g: u64, prev: bool, first_ever: bool) -> u64 {
+    match kind {
+        FaultKind::Sa0 => 0,
+        FaultKind::Sa1 => u64::MAX,
+        FaultKind::SlowToRise if first_ever || prev => trailing_ones(g),
+        FaultKind::SlowToRise => 0,
+        FaultKind::SlowToFall if prev && !first_ever => u64::MAX,
+        FaultKind::SlowToFall => from_lowest_set(g),
+    }
+}
+
+/// `len` bits of `state` starting at bit `start`, LSB first (`len` ≤ 64).
+fn get_bits(state: &[u64], start: usize, len: usize) -> u64 {
+    (0..len).fold(0u64, |acc, j| {
+        acc | (u64::from(get_bit(state, start + j)) << j)
+    })
+}
+
+/// Whether the first `ndff` bits of `a` and `b` agree.
+fn ff_bits_match(a: &[u64], b: &[u64], ndff: usize) -> bool {
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .all(|(i, (x, y))| (x ^ y) & low_mask(ndff.saturating_sub(64 * i) as u64) == 0)
 }
 
 impl KernelEngine {
+    pub(crate) fn new(kernel: Arc<CompiledNetlist>, obs: &[NetId]) -> Self {
+        let mut level_end = vec![0u32; kernel.ops()];
+        for l in 1..=kernel.levels() {
+            let range = kernel.level_range(l);
+            level_end[range.clone()].fill(range.end as u32);
+        }
+        let mut obs_nets = vec![0u64; kernel.nets().div_ceil(64)];
+        for o in obs {
+            obs_nets[o.index() / 64] |= 1u64 << (o.index() % 64);
+        }
+        KernelEngine {
+            kernel,
+            level_end,
+            obs_nets,
+        }
+    }
+
     /// Allocates one worker's scratchpad, reused across windows and chunks.
     pub(crate) fn new_scratch(&self, ctx: &WindowCtx<'_>) -> KernelScratch {
-        let sched_words = self.kernel.ops().div_ceil(64).max(1);
         KernelScratch {
-            vals: self.kernel.fresh_values(),
-            sampled: Vec::with_capacity(ctx.ndff),
-            dev: vec![0u64; self.kernel.nets()],
-            stored: Vec::new(),
-            pending: vec![0u64; sched_words],
+            devs: Deviations::new(&self.kernel),
             qwords: vec![0u64; ctx.ndff],
             qdev: vec![0u64; ctx.ndff.div_ceil(64).max(1)],
-            touched: Vec::new(),
             misr: vec![0u64; ctx.misr_width],
             misr_next: vec![0u64; ctx.misr_width],
             inj_mark: vec![0u64; self.kernel.nets()],
             inj_slot: vec![0u8; self.kernel.nets()],
+            inj_ops: vec![0u64; self.kernel.ops().div_ceil(64)],
             chunk_no: 0,
         }
     }
 
-    /// Simulates the good machine alone over one window. Besides the MISR
-    /// signatures at read boundaries and the end-of-window state, it
-    /// captures the good value of every net at every cycle as a packed
-    /// per-cycle bitmap — small enough to stay cache-resident while every
-    /// chunk replays the window against it.
+    /// An empty good trace, reused by every window of a run.
+    pub(crate) fn new_trace(&self, state_words: usize) -> GoodTrace {
+        GoodTrace {
+            cols: self.kernel.fresh_values(),
+            sigs: Vec::new(),
+            next_state: vec![0u64; state_words],
+        }
+    }
+
+    /// Simulates the good machine alone over one window of `wlen` ≤ 64
+    /// cycles, cycle `r` in lane `r`: before evaluating cycle `r` it
+    /// writes lane `r` of the primary inputs and of every flip-flop output
+    /// (lane `r − 1` of its `d` net, or the window's start state), and the
+    /// lane-pure kernel sweep leaves lanes below `r` as they were. After
+    /// the last cycle the value words *are* the window's columns. Also
+    /// records the MISR signature at each read boundary and the state at
+    /// window end.
     pub(crate) fn good_window(
         &self,
         ctx: &WindowCtx<'_>,
         good_state: &[u64],
         window_start: u64,
         wlen: u64,
-        scratch: &mut KernelScratch,
-    ) -> GoodTrace {
+        trace: &mut GoodTrace,
+    ) {
         let kernel = &*self.kernel;
-        let net_words = kernel.nets().div_ceil(64).max(1);
-        let mut trace = GoodTrace {
-            sigs: Vec::new(),
-            next_state: vec![0u64; good_state.len()],
-            net_bits: vec![0u64; net_words * wlen as usize],
-            net_words,
+        let cols = &mut trace.cols;
+        let set_lane = |w: &mut u64, r: u64, v: bool| {
+            *w = (*w & !(1u64 << r)) | (u64::from(v) << r);
         };
-        let values = &mut scratch.vals;
-        let sampled = &mut scratch.sampled;
-
-        for (j, &q) in kernel.dff_q().iter().enumerate() {
-            values[q as usize] = if get_bit(good_state, j) { u64::MAX } else { 0 };
+        for r in 0..wlen {
+            let t = window_start + r;
+            for (k, &pi) in kernel.pis().iter().enumerate() {
+                set_lane(&mut cols[pi as usize], r, ctx.stim.get(t, k));
+            }
+            for (j, (&q, &d)) in kernel.dff_q().iter().zip(kernel.dff_d()).enumerate() {
+                // Lane r of q is written and lane r − 1 of d is read, so a
+                // flip-flop chain needs no staging.
+                let v = if r == 0 {
+                    get_bit(good_state, j)
+                } else {
+                    (cols[d as usize] >> (r - 1)) & 1 == 1
+                };
+                set_lane(&mut cols[q as usize], r, v);
+            }
+            kernel.eval(cols);
         }
-        let mut misr: u64 = (0..ctx.misr_width).rev().fold(0u64, |acc, j| {
-            (acc << 1) | u64::from(get_bit(good_state, ctx.ndff + 1 + j))
-        });
-        let misr_mask = match ctx.misr_width {
-            0 => 0,
-            64.. => u64::MAX,
-            w => (1u64 << w) - 1,
-        };
+
+        let last = wlen - 1;
+        trace.next_state.fill(0);
+        for (j, &d) in kernel.dff_d().iter().enumerate() {
+            set_bit(
+                &mut trace.next_state,
+                j,
+                (cols[d as usize] >> last) & 1 == 1,
+            );
+        }
+        trace.sigs.clear();
+        if ctx.misr_width == 0 {
+            return;
+        }
+        let misr_mask = low_mask(ctx.misr_width as u64);
+        let mut misr = get_bits(good_state, ctx.ndff + 1, ctx.misr_width);
         // Monotone read-index counter, seeded with the number of boundary
         // reads strictly before this window (`t` is absolute, so earlier
         // windows contributed exactly `window_start / read_every` reads;
@@ -133,50 +402,23 @@ impl KernelEngine {
         // window). Assigning indices sequentially instead of re-deriving
         // `t / read_every` per read makes collisions between a boundary
         // read and the forced final read structurally impossible.
-        let mut read_idx = if ctx.misr_width == 0 {
-            0
-        } else {
-            window_start / ctx.misr_read
-        };
-
-        for t in window_start..window_start + wlen {
-            for (k, &pi) in kernel.pis().iter().enumerate() {
-                values[pi as usize] = if ctx.stim.get(t, k) { u64::MAX } else { 0 };
+        let mut read_idx = window_start / ctx.misr_read;
+        for r in 0..wlen {
+            let t = window_start + r;
+            // Scalar form of the per-lane MISR update in `run_chunk`.
+            let fb = (misr >> (ctx.misr_width - 1)) & 1;
+            let mut next = (misr << 1) & misr_mask;
+            if fb == 1 {
+                next ^= ctx.misr_taps;
             }
-            kernel.eval(values);
-            let rel = (t - window_start) as usize;
-            let row = &mut trace.net_bits[rel * net_words..(rel + 1) * net_words];
-            for (net, &v) in values.iter().enumerate() {
-                row[net / 64] |= (v & 1) << (net % 64);
+            for (oi, &o) in ctx.obs.iter().enumerate() {
+                next ^= ((cols[o.index()] >> r) & 1) << (oi % ctx.misr_width);
             }
-            if ctx.misr_width != 0 {
-                // Scalar form of the per-lane MISR update in `run_chunk`.
-                let fb = (misr >> (ctx.misr_width - 1)) & 1;
-                let mut next = (misr << 1) & misr_mask;
-                if fb == 1 {
-                    next ^= ctx.misr_taps;
-                }
-                for (oi, &o) in ctx.obs.iter().enumerate() {
-                    next ^= (values[o.index()] & 1) << (oi % ctx.misr_width);
-                }
-                misr = next & misr_mask;
-                let is_read = (t + 1) % ctx.misr_read == 0 || t + 1 == ctx.total_cycles;
-                if is_read {
-                    trace.sigs.push((t, read_idx, misr));
-                    read_idx += 1;
-                }
+            misr = next & misr_mask;
+            if (t + 1).is_multiple_of(ctx.misr_read) || t + 1 == ctx.total_cycles {
+                trace.sigs.push((t, read_idx, misr));
+                read_idx += 1;
             }
-            // Clock: stage every d sample before writing any q so chained
-            // flip-flops see pre-edge values.
-            sampled.clear();
-            sampled.extend(kernel.dff_d().iter().map(|&d| values[d as usize]));
-            for (&q, &v) in kernel.dff_q().iter().zip(sampled.iter()) {
-                values[q as usize] = v;
-            }
-        }
-
-        for (j, &q) in kernel.dff_q().iter().enumerate() {
-            set_bit(&mut trace.next_state, j, values[q as usize] & 1 == 1);
         }
         for j in 0..ctx.misr_width {
             set_bit(
@@ -185,7 +427,195 @@ impl KernelEngine {
                 (misr >> j) & 1 == 1,
             );
         }
-        trace
+    }
+
+    /// Runs the word pass over one shard of the active list (starting at
+    /// position `offset`): settles what it can, updating carried faults'
+    /// states in place, and lists the positions the lane engine must take
+    /// — faults that start the window with deviated flip-flops and faults
+    /// handed back.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn word_pass(
+        &self,
+        ctx: &WindowCtx<'_>,
+        shard: &mut [ActiveFault],
+        offset: usize,
+        good_state: &[u64],
+        trace: &GoodTrace,
+        window_start: u64,
+        wlen: u64,
+        scratch: &mut KernelScratch,
+    ) -> WordOut {
+        let mut out = WordOut::default();
+        for (i, af) in shard.iter_mut().enumerate() {
+            if !ff_bits_match(&af.state, good_state, ctx.ndff) {
+                out.lane.push(offset + i);
+            } else if self.settle(
+                ctx,
+                af,
+                good_state,
+                trace,
+                window_start,
+                wlen,
+                &mut scratch.devs,
+                &mut out.out,
+            ) {
+                out.settled += 1;
+            } else {
+                out.handed_back += 1;
+                out.lane.push(offset + i);
+            }
+        }
+        out
+    }
+
+    /// Simulates one fault whose flip-flops match the good machine over the
+    /// whole window at once (see the [module docs](self)). Returns whether
+    /// it settled; a fault handed back emits nothing and keeps its state.
+    #[allow(clippy::too_many_arguments)]
+    fn settle(
+        &self,
+        ctx: &WindowCtx<'_>,
+        af: &mut ActiveFault,
+        good_state: &[u64],
+        trace: &GoodTrace,
+        window_start: u64,
+        wlen: u64,
+        devs: &mut Deviations,
+        out: &mut ChunkOut,
+    ) -> bool {
+        let kernel = &*self.kernel;
+        let cols = &trace.cols;
+        let ndff = ctx.ndff;
+        let last = wlen - 1;
+        let fault = ctx.faults[af.idx];
+        let site = fault.net.0;
+        let g = cols[site as usize];
+        let forced = forced_site(fault.kind, g, get_bit(&af.state, ndff), window_start == 0);
+        // Deviations stay inside the window's lanes: the site word is
+        // masked, and a lane-pure sweep never spreads a zero lane.
+        let site_dev = (forced ^ g) & low_mask(wlen);
+        if site_dev != 0 {
+            devs.store(kernel, site, site_dev, u64::MAX);
+            devs.sweep(kernel, &self.level_end, |n| cols[n], |_, _, w| w, u64::MAX);
+        }
+
+        // First cycle a flip-flop's `d` net deviates (64: none). Cycles up
+        // to and including it are exact; the window is exact throughout
+        // when it is the last cycle or later.
+        let ff_dev = devs.touched.iter().fold(0u64, |acc, &k| {
+            acc | devs.dev[kernel.dff_d()[k as usize] as usize]
+        });
+        let exact_to = u64::from(ff_dev.trailing_zeros());
+        let whole = exact_to >= last;
+        // Only stored nets deviate, and far fewer are stored than observed.
+        let obs_dev = devs
+            .stored
+            .iter()
+            .filter(|&&n| (self.obs_nets[n as usize / 64] >> (n % 64)) & 1 == 1)
+            .fold(0u64, |acc, &n| acc | devs.dev[n as usize]);
+
+        let mut settled = false;
+        let mut misr_dev = 0u64;
+        if ctx.misr_width == 0 {
+            let first = u64::from(obs_dev.trailing_zeros());
+            if !ctx.collect && obs_dev != 0 && first <= exact_to {
+                out.detections.push((af.idx, window_start + first));
+                devs.reset();
+                return true;
+            }
+            if whole {
+                settled = true;
+                if obs_dev != 0 {
+                    out.detections.push((af.idx, window_start + first));
+                    // Canonical order: by cycle, then by output.
+                    let mut rem = obs_dev;
+                    while rem != 0 {
+                        let r = rem.trailing_zeros();
+                        rem &= rem - 1;
+                        for (oi, o) in ctx.obs.iter().enumerate() {
+                            if (devs.dev[o.index()] >> r) & 1 == 1 {
+                                out.events
+                                    .push((af.idx, window_start + u64::from(r), oi as u64));
+                            }
+                        }
+                    }
+                }
+            }
+        } else if whole || !ctx.collect {
+            // The MISR deviation evolves linearly: shift, feed back, and
+            // absorb the folded output deviations of each cycle.
+            let width = ctx.misr_width;
+            let wmask = low_mask(width as u64);
+            let mut inp = [0u64; 64];
+            if obs_dev != 0 {
+                for (oi, o) in ctx.obs.iter().enumerate() {
+                    let mut rem = devs.dev[o.index()];
+                    while rem != 0 {
+                        inp[rem.trailing_zeros() as usize] ^= 1u64 << (oi % width);
+                        rem &= rem - 1;
+                    }
+                }
+            }
+            let mut d =
+                get_bits(&af.state, ndff + 1, width) ^ get_bits(good_state, ndff + 1, width);
+            let mut reads = trace.sigs.iter().peekable();
+            let mut detected = None;
+            for r in 0..=last.min(exact_to) {
+                let fb = (d >> (width - 1)) & 1;
+                d = ((d << 1) ^ (ctx.misr_taps * fb) ^ inp[r as usize]) & wmask;
+                let Some(&(t, read_idx, good_sig)) =
+                    reads.next_if(|&&(t, _, _)| t == window_start + r)
+                else {
+                    continue;
+                };
+                if d != 0 {
+                    detected.get_or_insert(t);
+                    if !ctx.collect {
+                        break;
+                    }
+                    out.events.push((af.idx, read_idx, good_sig ^ d));
+                }
+            }
+            if let Some(t) = detected {
+                out.detections.push((af.idx, t));
+                if !ctx.collect {
+                    devs.reset();
+                    return true;
+                }
+            }
+            settled = whole;
+            misr_dev = d;
+        }
+
+        if settled {
+            // Carry: the good end state, the site's last faulty value for a
+            // transition fault, the last cycle's `d` deviations, and the
+            // MISR deviation.
+            let prev = match fault.kind {
+                FaultKind::SlowToRise | FaultKind::SlowToFall => (forced >> last) & 1 == 1,
+                FaultKind::Sa0 | FaultKind::Sa1 => get_bit(&af.state, ndff),
+            };
+            af.state.copy_from_slice(&trace.next_state);
+            set_bit(&mut af.state, ndff, prev);
+            for &k in &devs.touched {
+                let k = k as usize;
+                if (devs.dev[kernel.dff_d()[k] as usize] >> last) & 1 == 1 {
+                    set_bit(&mut af.state, k, !get_bit(&trace.next_state, k));
+                }
+            }
+            for j in 0..ctx.misr_width {
+                if (misr_dev >> j) & 1 == 1 {
+                    set_bit(
+                        &mut af.state,
+                        ndff + 1 + j,
+                        !get_bit(&trace.next_state, ndff + 1 + j),
+                    );
+                }
+            }
+        }
+        devs.reset();
+        settled
     }
 
     /// Simulates one 64-fault lane chunk over one window against the good
@@ -203,14 +633,9 @@ impl KernelEngine {
         scratch: &mut KernelScratch,
     ) -> ChunkOut {
         let kernel = &*self.kernel;
-        let nw = trace.net_words;
+        let cols = &trace.cols;
         let mut out = ChunkOut::default();
         let mut first_det: Vec<Option<u64>> = vec![None; chunk.len()];
-        let lanes_mask = if chunk.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << chunk.len()) - 1
-        };
         let ndff = ctx.ndff;
         let (dff_q, dff_d) = (kernel.dff_q(), kernel.dff_d());
         // In-window fault dropping: once a lane has its first detection it
@@ -220,18 +645,14 @@ impl KernelEngine {
         // decision*. Bitwise evaluation is lane-pure — an op's live-lane
         // output bits depend only on live-lane input bits — so the live
         // lanes stay exact while dead-lane wavefronts collapse.
-        let mut live = lanes_mask;
+        let mut live = low_mask(chunk.len() as u64);
 
         // Load the sparse flip-flop/MISR lane state: broadcast the good
         // bits, then flip the lanes whose packed state diffs from the good
         // machine (deviating state bits are rare, so walk the XOR words).
         scratch.qdev.fill(0);
         for (j, m) in scratch.misr.iter_mut().enumerate() {
-            *m = if get_bit(good_state, ndff + 1 + j) {
-                u64::MAX
-            } else {
-                0
-            };
+            *m = 0u64.wrapping_sub(u64::from(get_bit(good_state, ndff + 1 + j)));
         }
         for (l, af) in chunk.iter().enumerate() {
             for (wi, (&aw, &gw)) in af.state.iter().zip(good_state.iter()).enumerate() {
@@ -242,11 +663,8 @@ impl KernelEngine {
                     if sbit < ndff {
                         if scratch.qdev[sbit / 64] >> (sbit % 64) & 1 == 0 {
                             scratch.qdev[sbit / 64] |= 1u64 << (sbit % 64);
-                            scratch.qwords[sbit] = if get_bit(good_state, sbit) {
-                                u64::MAX
-                            } else {
-                                0
-                            };
+                            scratch.qwords[sbit] =
+                                0u64.wrapping_sub(u64::from(get_bit(good_state, sbit)));
                         }
                         scratch.qwords[sbit] ^= 1u64 << l;
                     } else if sbit > ndff && sbit < ndff + 1 + ctx.misr_width {
@@ -282,7 +700,10 @@ impl KernelEngine {
         let mut src_sites: Vec<usize> = Vec::new();
         for (s, &(net, _)) in sites.iter().enumerate() {
             match kernel.sched_of(net) {
-                Some(p) => site_ops.push(p as u32),
+                Some(p) => {
+                    site_ops.push(p as u32);
+                    scratch.inj_ops[p / 64] |= 1u64 << (p % 64);
+                }
                 None => src_sites.push(s),
             }
         }
@@ -290,98 +711,59 @@ impl KernelEngine {
         let mut read_cursor = 0usize;
         for t in window_start..window_start + wlen {
             let first_ever = t == 0;
-            let rel = (t - window_start) as usize;
-            let row = &trace.net_bits[rel * nw..(rel + 1) * nw];
+            let r = (t - window_start) as u32;
+            let devs = &mut scratch.devs;
 
-            // Deviating flip-flop outputs only — `qdev` guarantees the lane
-            // word differs, so fanouts and d-sinks are seeded untested.
+            // Deviating flip-flop outputs only — `qdev` guarantees a live
+            // lane differs, so fanouts and d-sinks are seeded.
             for wi in 0..scratch.qdev.len() {
                 let mut rem = scratch.qdev[wi];
                 while rem != 0 {
                     let j = wi * 64 + rem.trailing_zeros() as usize;
                     rem &= rem - 1;
                     let q = dff_q[j];
-                    scratch.dev[q as usize] = scratch.qwords[j] ^ gbit(row, q as usize);
-                    scratch.stored.push(q);
-                    for &op in kernel.fanout_ops(q) {
-                        scratch.pending[op as usize / 64] |= 1u64 << (op % 64);
-                    }
-                    for &k in kernel.dff_d_sinks(q) {
-                        scratch.touched.push(k);
-                    }
+                    devs.store(
+                        kernel,
+                        q,
+                        scratch.qwords[j] ^ gbit(cols, q as usize, r),
+                        live,
+                    );
                 }
             }
             // Source-site injections (primary inputs, flip-flop outputs,
             // constants) — applied before the sweep.
             for &s in &src_sites {
                 let (net, entries) = &mut sites[s];
-                let net = *net;
-                let n = net as usize;
-                let g = gbit(row, n);
-                let w = apply(g ^ scratch.dev[n], entries, first_ever);
-                scratch.dev[n] = w ^ g;
-                scratch.stored.push(net);
-                if (w ^ g) & live != 0 {
-                    for &op in kernel.fanout_ops(net) {
-                        scratch.pending[op as usize / 64] |= 1u64 << (op % 64);
-                    }
-                    for &k in kernel.dff_d_sinks(net) {
-                        scratch.touched.push(k);
-                    }
-                }
+                let n = *net as usize;
+                let g = gbit(cols, n, r);
+                let w = apply(g ^ devs.dev[n], entries, first_ever);
+                devs.store(kernel, *net, w ^ g, live);
             }
             // Injected gates are evaluated every cycle: their outputs are
             // forced, and transition injections must update `prev`.
             for &p in &site_ops {
-                scratch.pending[p as usize / 64] |= 1u64 << (p % 64);
+                devs.pending.mark(p);
             }
-
-            // Event-driven sweep in schedule order. Fanout positions are
-            // strictly greater than the producing op's, so newly seeded
-            // work always lies ahead of the cursor.
-            for wi in 0..scratch.pending.len() {
-                loop {
-                    let rem = scratch.pending[wi];
-                    if rem == 0 {
-                        break;
+            let (inj_ops, inj_slot) = (&scratch.inj_ops, &scratch.inj_slot);
+            devs.sweep(
+                kernel,
+                &self.level_end,
+                |n| gbit(cols, n, r),
+                |p, out, w| {
+                    if (inj_ops[p / 64] >> (p % 64)) & 1 == 1 {
+                        apply(w, &mut sites[inj_slot[out as usize] as usize].1, first_ever)
+                    } else {
+                        w
                     }
-                    let b = rem.trailing_zeros() as usize;
-                    scratch.pending[wi] &= !(1u64 << b);
-                    let p = wi * 64 + b;
-                    let [pa, pb, pc] = kernel.op_pins(p);
-                    let mut w = kernel.eval_pins(
-                        p,
-                        [
-                            gbit(row, pa as usize) ^ scratch.dev[pa as usize],
-                            gbit(row, pb as usize) ^ scratch.dev[pb as usize],
-                            gbit(row, pc as usize) ^ scratch.dev[pc as usize],
-                        ],
-                    );
-                    let outn = kernel.op_out(p);
-                    if scratch.inj_mark[outn as usize] == chunk_no {
-                        let entries = &mut sites[scratch.inj_slot[outn as usize] as usize].1;
-                        w = apply(w, entries, first_ever);
-                    }
-                    let d = w ^ gbit(row, outn as usize);
-                    scratch.dev[outn as usize] = d;
-                    scratch.stored.push(outn);
-                    if d & live != 0 {
-                        for &op in kernel.fanout_ops(outn) {
-                            scratch.pending[op as usize / 64] |= 1u64 << (op % 64);
-                        }
-                        for &k in kernel.dff_d_sinks(outn) {
-                            scratch.touched.push(k);
-                        }
-                    }
-                }
-            }
+                },
+                live,
+            );
 
             // Observation. The obs loop runs in `oi` order, so events stream
             // in (cycle, output) order per fault.
             if ctx.misr_width == 0 {
                 for (oi, &o) in ctx.obs.iter().enumerate() {
-                    let on = o.index();
-                    let mut diff = scratch.dev[on] & live;
+                    let mut diff = devs.dev[o.index()] & live;
                     while diff != 0 {
                         let lane = diff.trailing_zeros() as usize;
                         diff &= diff - 1;
@@ -409,7 +791,7 @@ impl KernelEngine {
                 }
                 for (oi, &o) in ctx.obs.iter().enumerate() {
                     let on = o.index();
-                    scratch.misr_next[oi % ctx.misr_width] ^= gbit(row, on) ^ scratch.dev[on];
+                    scratch.misr_next[oi % ctx.misr_width] ^= gbit(cols, on, r) ^ devs.dev[on];
                 }
                 std::mem::swap(&mut scratch.misr, &mut scratch.misr_next);
                 let is_read = read_cursor < trace.sigs.len() && trace.sigs[read_cursor].0 == t;
@@ -439,25 +821,19 @@ impl KernelEngine {
             // Clock. Only flip-flops whose `d` was stored with a deviation
             // this cycle can deviate next cycle; everything else snaps back
             // to the good trajectory, so `qdev` is rebuilt from `touched`.
-            // `row[d]` is the good post-eval value of `d` at this cycle,
-            // i.e. the good `q` entering the next cycle.
+            // Lane `r` of `d`'s column is the good `q` entering the next
+            // cycle.
             scratch.qdev.fill(0);
-            for &k in &scratch.touched {
+            for &k in &devs.touched {
                 let j = k as usize;
                 let dn = dff_d[j] as usize;
-                let d = scratch.dev[dn];
-                scratch.qwords[j] = gbit(row, dn) ^ d;
+                let d = devs.dev[dn];
+                scratch.qwords[j] = gbit(cols, dn, r) ^ d;
                 if d & live != 0 {
                     scratch.qdev[j / 64] |= 1u64 << (j % 64);
                 }
             }
-            scratch.touched.clear();
-            // Reset the deviation overlay sparsely: only stored nets can
-            // hold a nonzero word, so `dev` is all-zero again afterwards.
-            for &n in &scratch.stored {
-                scratch.dev[n as usize] = 0;
-            }
-            scratch.stored.clear();
+            devs.reset();
             // Every lane detected and no syndromes wanted: the rest of the
             // window cannot change any output (detected faults are dropped
             // at the window boundary), so stop simulating this chunk.
@@ -466,6 +842,9 @@ impl KernelEngine {
             }
         }
 
+        for &p in &site_ops {
+            scratch.inj_ops[p as usize / 64] = 0;
+        }
         for (l, d) in first_det.iter().enumerate() {
             if let Some(t) = d {
                 out.detections.push((chunk[l].idx, *t));
@@ -495,5 +874,105 @@ impl KernelEngine {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The prefix scans agree with `apply`'s cycle-by-cycle recurrence
+    /// for every seed, on random good words and on the all-0/all-1 edges.
+    #[test]
+    fn forced_site_scans_match_the_apply_recurrence() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut words = vec![0, u64::MAX, 1, 1 << 63, !1];
+        for _ in 0..200 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Sparse and dense words both, so runs of 0s and 1s are long.
+            words.push(x & (x >> 1));
+            words.push(x | (x >> 3));
+        }
+        for kind in [
+            FaultKind::Sa0,
+            FaultKind::Sa1,
+            FaultKind::SlowToRise,
+            FaultKind::SlowToFall,
+        ] {
+            for &g in &words {
+                for (prev, first_ever) in [(false, false), (true, false), (false, true)] {
+                    let mut entries = [InjEntry {
+                        lane: 0,
+                        kind,
+                        prev,
+                    }];
+                    let mut want = 0u64;
+                    for r in 0..64 {
+                        let v = apply((g >> r) & 1, &mut entries, first_ever && r == 0);
+                        want |= (v & 1) << r;
+                    }
+                    assert_eq!(
+                        forced_site(kind, g, prev, first_ever),
+                        want,
+                        "{kind:?} g={g:#x} prev={prev} first_ever={first_ever}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pending_pops_one_level_batch_at_a_time() {
+        // Levels end at 40, 70 and 5000: word 0 splits at 40, word 1 at 70.
+        let level_end: Vec<u32> = (0..5000u32)
+            .map(|p| match p {
+                0..40 => 40,
+                40..70 => 70,
+                _ => 5000,
+            })
+            .collect();
+        let mut p = Pending::new(5000);
+        for op in [4999u32, 3, 39, 41, 63, 64, 100, 3] {
+            p.mark(op);
+        }
+        let mut got = Vec::new();
+        while let Some((base, bits)) = p.pop_level(&level_end) {
+            // Marks beyond the batch are picked up by the same drain.
+            if base == 0 && bits & 1 << 3 != 0 {
+                p.mark(69);
+            }
+            got.push((base, bits));
+        }
+        assert_eq!(
+            got,
+            [
+                (0, 1 << 3 | 1 << 39),
+                (0, 1 << 41 | 1 << 63),
+                (64, 1 << 0 | 1 << 5),
+                (64, 1 << 36),
+                (4992, 1 << 7)
+            ]
+        );
+        assert!(p.words.iter().chain(&p.summary).all(|&w| w == 0));
+        assert_eq!(p.cursor, 0, "a drained sweep rewinds");
+    }
+
+    /// Every scheduled gate lies inside its level's range.
+    #[test]
+    fn level_ends_bound_every_gate() {
+        let mut mb = soctest_netlist::ModuleBuilder::new("lv");
+        let a = mb.input_bus("a", 3);
+        let x = mb.xor(a[0], a[1]);
+        let y = mb.and(x, a[2]);
+        let z = mb.or(y, x);
+        let q = mb.register(&[z]);
+        mb.output_bus("q", &q);
+        let kernel = mb.finish().unwrap().compile().unwrap();
+        let engine = KernelEngine::new(kernel.clone(), &[]);
+        for p in 0..kernel.ops() {
+            assert!(p < engine.level_end[p] as usize, "gate {p}");
+        }
     }
 }

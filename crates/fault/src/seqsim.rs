@@ -1,35 +1,49 @@
-//! Parallel-fault sequential fault simulation.
+//! Sequential fault simulation: a word pass in front of a 64-lane engine.
 //!
-//! Up to 64 faulty machines share the 64 lanes of a word: lane *i* carries
-//! machine *i*'s deviation. All machines receive the same per-cycle
-//! stimulus — exactly the situation of a BIST run, where the pattern
-//! generator feeds every module one pattern per clock.
+//! All faulty machines receive the same per-cycle stimulus — exactly the
+//! situation of a BIST run, where the pattern generator feeds every module
+//! one pattern per clock. Simulation proceeds in *windows* of at most 64
+//! cycles on the compiled netlist kernel (see `seqkernel`). Per window:
 //!
-//! Simulation proceeds in *windows* on the compiled netlist kernel (see
-//! `seqkernel`): the good machine's trajectory over the window (every
-//! net's value per cycle, MISR signatures at read boundaries, and the next
-//! flip-flop state) is computed **once**, then every 64-fault lane chunk is
-//! simulated against that trace. Chunks are independent, so they
-//! are sharded across a scoped worker pool ([`ParallelPolicy`]); per-chunk
-//! detections and syndrome events are merged in chunk order, which makes a
-//! `threads: N` run bit-identical to `threads: 1`. After each window,
-//! detected faults are dropped and the survivors (which carry their
-//! flip-flop state, their MISR state, and the previous value of their fault
-//! site for transition faults) are repacked into fewer, denser lane groups.
-//! Random patterns detect most faults early, so the survivor tail is short
-//! and the windowed schedule approaches good-machine-only cost.
+//! 1. The good machine's trajectory is computed **once**, as one word per
+//!    net (bit `r` is cycle `window_start + r`), together with the MISR
+//!    signatures at read boundaries and the next flip-flop state.
+//! 2. The **word pass** takes every fault whose flip-flops match the good
+//!    machine at window start and simulates it alone over all the
+//!    window's cycles in one sweep of its deviation word. It *settles* the
+//!    fault — detected, or carried to the next window — whenever no
+//!    flip-flop deviates early enough to make the sweep inexact, and hands
+//!    it back otherwise. Random BIST patterns leave most live faults
+//!    without a flip-flop deviation in most windows, so this is the common
+//!    route.
+//! 3. The **lane engine** takes the rest — handed-back faults and faults
+//!    that start the window with deviated flip-flops — packed 64 to a
+//!    word, one fault per lane, cycle by cycle.
+//!
+//! Both passes shard across a scoped worker pool ([`ParallelPolicy`]);
+//! detections and syndrome events are merged in shard order and each
+//! fault takes exactly one route per window, which makes a `threads: N`
+//! run bit-identical to `threads: 1`. The lane-engine faults are packed
+//! across the whole window, so the chunk count does not depend on the
+//! worker count either. After each window, detected faults are dropped;
+//! survivors carry their flip-flop state, their MISR state, and the
+//! previous value of their fault site for transition faults.
+//! [`FaultSimStats`] counts both routes.
 
 use std::time::Instant;
 
 use soctest_netlist::{NetId, NetlistError};
 
-use crate::par::join_all;
+use crate::par::map_shards;
 use crate::seqkernel::KernelEngine;
 use crate::stimulus::StimulusMatrix;
 use crate::{
     Fault, FaultKind, FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, SeqStimulus,
     Syndrome,
 };
+
+/// The longest window: the good trace holds one 64-bit word per net.
+const MAX_WINDOW: u64 = 64;
 
 /// How fault effects are observed.
 #[derive(Debug, Clone)]
@@ -42,7 +56,8 @@ pub enum ObserveMode {
     /// register and compare *signatures* at read boundaries only. This
     /// models the BIST Result Collector, including aliasing.
     Misr {
-        /// Signature register width in bits (at most 64).
+        /// Signature register width in bits, 2..=64; [`SeqFaultSim::run`]
+        /// rejects any other width.
         width: usize,
         /// Feedback taps: bit *j* set feeds the last stage back into stage
         /// *j*. Bit 0 must be set.
@@ -77,21 +92,24 @@ impl ObserveMode {
 /// Configuration for [`SeqFaultSim`].
 #[derive(Debug, Clone)]
 pub struct SeqFaultSimConfig {
-    /// Window length in cycles between fault-dropping/repacking points.
+    /// Window length in cycles between fault-dropping points. Clamped to
+    /// 1..=64: the good trace holds one 64-bit word per net. The window
+    /// changes no result, only how often faults are dropped and which
+    /// faults the word pass can settle.
     pub window: u64,
     /// Observation mode.
     pub observe: ObserveMode,
     /// Collect per-fault syndromes for diagnosis. Implies simulating every
     /// fault over the full test (no dropping), which is slower.
     pub collect_syndromes: bool,
-    /// Worker-thread policy for the per-window fault chunks.
+    /// Worker-thread policy for both passes of every window.
     pub parallel: ParallelPolicy,
 }
 
 impl Default for SeqFaultSimConfig {
     fn default() -> Self {
         SeqFaultSimConfig {
-            window: 256,
+            window: MAX_WINDOW,
             observe: ObserveMode::Outputs,
             collect_syndromes: false,
             parallel: ParallelPolicy::default(),
@@ -99,7 +117,7 @@ impl Default for SeqFaultSimConfig {
     }
 }
 
-/// The parallel-fault sequential fault simulator.
+/// The sequential fault simulator (see the [module docs](self)).
 ///
 /// See the [crate example](crate) for usage.
 #[derive(Debug)]
@@ -124,26 +142,26 @@ pub(crate) struct InjEntry {
 }
 
 /// The good machine's trajectory over one window, computed once and shared
-/// (read-only) by every fault chunk.
+/// (read-only) by both passes.
 pub(crate) struct GoodTrace {
+    /// The good value of every net over the window, one word per net: bit
+    /// `r` of `cols[n]` is net `n` at cycle `window_start + r`. Bits at
+    /// and above the window length are unspecified. Both passes overlay
+    /// XOR deviations on these words, so every net a deviation sweep never
+    /// touches provably holds the good value.
+    pub(crate) cols: Vec<u64>,
     /// Good MISR signature at each read boundary inside the window, in
-    /// boundary order, paired with `(cycle, read_idx)`. Read indices are
+    /// boundary order, as `(cycle, read_idx, signature)`. Read indices are
     /// assigned by a monotone counter — the single source of truth for the
-    /// read schedule that the chunk loops replay.
+    /// read schedule that both passes replay.
     pub(crate) sigs: Vec<(u64, u64, u64)>,
     /// Good flip-flop + MISR state at window end (packed like
     /// `ActiveFault::state`).
     pub(crate) next_state: Vec<u64>,
-    /// The full good value of every net at every cycle (post-eval,
-    /// pre-clock), bit-packed per cycle — net `n` of cycle `t` is bit
-    /// `n % 64` of word `t * net_words + n / 64`, broadcast to a 64-lane
-    /// word on read. Chunks overlay XOR deviations on these rows, so every
-    /// net the deviation sweep never touches provably holds the good value.
-    pub(crate) net_bits: Vec<u64>,
-    pub(crate) net_words: usize,
 }
 
-/// Per-chunk results produced by a worker: merged serially in chunk order.
+/// Detections and syndrome events of one unit of work, merged serially in
+/// shard order.
 #[derive(Default)]
 pub(crate) struct ChunkOut {
     /// `(fault index, first in-window detection cycle)`.
@@ -152,7 +170,7 @@ pub(crate) struct ChunkOut {
     pub(crate) events: Vec<(usize, u64, u64)>,
 }
 
-/// Read-only context shared by the good pass and every fault chunk.
+/// Read-only context shared by the good pass and both fault passes.
 pub(crate) struct WindowCtx<'b> {
     pub(crate) obs: &'b [NetId],
     pub(crate) stim: &'b StimulusMatrix,
@@ -217,20 +235,31 @@ impl<'a> SeqFaultSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::CombinationalCycle`] if the fault view cannot
-    /// be levelized (it can always be levelized if the original could).
+    /// Returns [`NetlistError::UnsupportedWidth`] for a MISR observation
+    /// whose width is outside 2..=64, [`NetlistError::CombinationalCycle`]
+    /// if the fault view cannot be levelized (it can always be levelized
+    /// if the original could), and [`NetlistError::WorkerPanicked`] if a
+    /// worker thread panicked.
     pub fn run(&self, stimulus: &mut dyn SeqStimulus) -> Result<FaultSimResult, NetlistError> {
         let start = Instant::now();
-        let kernel = self.universe.kernel()?;
-        let stim = StimulusMatrix::materialize(stimulus, kernel.pis().len());
         let (misr_width, misr_taps, misr_read) = match self.config.observe {
             ObserveMode::Misr {
                 width,
                 taps,
                 read_every,
-            } => (width, taps, read_every.max(1)),
+            } => {
+                if !(2..=64).contains(&width) {
+                    return Err(NetlistError::UnsupportedWidth {
+                        block: "MISR observation",
+                        width,
+                    });
+                }
+                (width, taps, read_every.max(1))
+            }
             ObserveMode::Outputs => (0, 0, 0),
         };
+        let kernel = self.universe.kernel()?;
+        let stim = StimulusMatrix::materialize(stimulus, kernel.pis().len());
         let ctx = WindowCtx {
             obs: self.universe.observe_nets(),
             stim: &stim,
@@ -242,15 +271,18 @@ impl<'a> SeqFaultSim<'a> {
             ndff: kernel.dff_q().len(),
             collect: self.config.collect_syndromes,
         };
-        self.run_windows(&ctx, &KernelEngine::new(kernel), start)
+        let window = self.config.window.clamp(1, MAX_WINDOW);
+        let engine = KernelEngine::new(kernel, ctx.obs);
+        self.run_windows(&ctx, &engine, window, start)
     }
 
-    /// The window loop: good pass, chunk fan-out with a deterministic
-    /// merge, fault dropping, and survivor repacking.
+    /// The window loop: good pass, word pass, lane engine over what the
+    /// word pass left, a deterministic merge, and fault dropping.
     fn run_windows(
         &self,
         ctx: &WindowCtx<'_>,
         engine: &KernelEngine,
+        window: u64,
         start: Instant,
     ) -> Result<FaultSimResult, NetlistError> {
         let faults = ctx.faults;
@@ -273,80 +305,72 @@ impl<'a> SeqFaultSim<'a> {
             .collect();
         let mut good_state = vec![0u64; state_words];
 
-        // Clamp the worker count to the campaign's actual fault-lane chunk
-        // count up front: a 1-core host (or a tiny universe) resolves to 1
-        // and takes the exact serial path below — no scoped pool, no extra
-        // scratchpads — instead of paying worker-pool overhead for nothing.
+        // Clamp the worker count to the campaign's 64-fault chunk count up
+        // front: a 1-core host (or a tiny universe) resolves to 1 and takes
+        // the exact serial path — no scoped pool, no extra scratchpads —
+        // instead of paying worker-pool overhead for nothing.
         let nthreads = self.config.parallel.workers_for(faults.len().div_ceil(64));
         let mut stats = FaultSimStats {
             threads: nthreads,
             ..FaultSimStats::default()
         };
 
-        // Per-worker scratchpads, hoisted across windows (plus one for the
-        // coordinating thread's good pass).
+        // Per-worker scratchpads and the good trace, hoisted across windows.
         let mut scratches: Vec<_> = (0..nthreads).map(|_| engine.new_scratch(ctx)).collect();
-        let mut good_scratch = engine.new_scratch(ctx);
+        let mut trace = engine.new_trace(state_words);
+        let mut lane_pos: Vec<usize> = Vec::new();
 
         let mut window_start = 0u64;
         while window_start < cycles && !active.is_empty() {
-            let wlen = self.config.window.min(cycles - window_start);
-            let trace = engine.good_window(ctx, &good_state, window_start, wlen, &mut good_scratch);
+            let wlen = window.min(cycles - window_start);
+            engine.good_window(ctx, &good_state, window_start, wlen, &mut trace);
             stats.good_cycles += wlen;
-            stats.faulty_cycles += wlen * active.chunks(64).count() as u64;
 
-            let mut chunk_slices: Vec<&mut [ActiveFault]> = active.chunks_mut(64).collect();
-            let nchunks = chunk_slices.len();
-            let workers = nthreads.min(nchunks.max(1));
-            let outs: Vec<Vec<ChunkOut>> = if workers <= 1 {
-                vec![chunk_slices
+            let good: &[u64] = &good_state;
+            let trace_ref = &trace;
+            let words = map_shards(&mut active, &mut scratches, |offset, shard, scratch| {
+                engine.word_pass(
+                    ctx,
+                    shard,
+                    offset,
+                    good,
+                    trace_ref,
+                    window_start,
+                    wlen,
+                    scratch,
+                )
+            })?;
+            let mut outs = Vec::with_capacity(words.len());
+            lane_pos.clear();
+            for w in words {
+                stats.settled_fault_windows += w.settled;
+                stats.handed_back_fault_windows += w.handed_back;
+                lane_pos.extend(w.lane);
+                outs.push(w.out);
+            }
+            // Partition in place: the lane engine's faults move to the
+            // front, in active-list order (positions ascend, and each slot
+            // before `pos` already holds a fault of the other route).
+            for (slot, &pos) in lane_pos.iter().enumerate() {
+                active.swap(slot, pos);
+            }
+            let mut chunks: Vec<&mut [ActiveFault]> =
+                active[..lane_pos.len()].chunks_mut(64).collect();
+            stats.faulty_cycles += wlen * chunks.len() as u64;
+            let lanes = map_shards(&mut chunks, &mut scratches, |_, group, scratch| {
+                group
                     .iter_mut()
                     .map(|chunk| {
-                        engine.run_chunk(
-                            ctx,
-                            chunk,
-                            &good_state,
-                            &trace,
-                            window_start,
-                            wlen,
-                            &mut scratches[0],
-                        )
+                        engine.run_chunk(ctx, chunk, good, trace_ref, window_start, wlen, scratch)
                     })
-                    .collect()]
-            } else {
-                let per = nchunks.div_ceil(workers);
-                let trace_ref = &trace;
-                let good_ref: &[u64] = &good_state;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunk_slices
-                        .chunks_mut(per)
-                        .zip(scratches.iter_mut())
-                        .map(|(group, scratch)| {
-                            s.spawn(move || {
-                                group
-                                    .iter_mut()
-                                    .map(|chunk| {
-                                        engine.run_chunk(
-                                            ctx,
-                                            chunk,
-                                            good_ref,
-                                            trace_ref,
-                                            window_start,
-                                            wlen,
-                                            scratch,
-                                        )
-                                    })
-                                    .collect::<Vec<ChunkOut>>()
-                            })
-                        })
-                        .collect();
-                    join_all(handles)
-                })?
-            };
-            // Deterministic merge: workers in spawn order, chunks in chunk
-            // order; each fault lives in exactly one chunk, so per-fault
-            // event order is exactly the serial order.
-            for out in outs.into_iter().flatten() {
+                    .collect::<Vec<_>>()
+            })?;
+            outs.extend(lanes.into_iter().flatten());
+
+            // Deterministic merge in shard order; each fault took exactly
+            // one route this window, so per-fault event order is the
+            // serial order.
+            for out in outs {
                 for (idx, t) in out.detections {
                     if detection[idx].is_none() {
                         detection[idx] = Some(t);
@@ -357,7 +381,7 @@ impl<'a> SeqFaultSim<'a> {
                 }
             }
 
-            good_state = trace.next_state;
+            good_state.copy_from_slice(&trace.next_state);
             if !self.config.collect_syndromes {
                 active.retain(|af| detection[af.idx].is_none());
             }
@@ -670,6 +694,133 @@ mod tests {
                     assert_eq!(par.stats.survivors, serial.stats.survivors);
                     assert_eq!(par.stats.good_cycles, serial.stats.good_cycles);
                     assert_eq!(par.stats.faulty_cycles, serial.stats.faulty_cycles);
+                    assert_eq!(
+                        par.stats.settled_fault_windows,
+                        serial.stats.settled_fault_windows
+                    );
+                    assert_eq!(
+                        par.stats.handed_back_fault_windows,
+                        serial.stats.handed_back_fault_windows
+                    );
+                }
+            }
+        }
+    }
+
+    /// `window: 0` used to spin forever without advancing; it now runs as
+    /// window 1, and any window past the 64-cycle cap runs as 64.
+    #[test]
+    fn windows_clamp_to_one_through_sixty_four() {
+        let nl = small_seq();
+        let u = FaultUniverse::stuck_at(&nl);
+        let run = |window| {
+            let mut stim = VectorStimulus::new(exhaustive_patterns(4, 8));
+            let config = SeqFaultSimConfig {
+                window,
+                collect_syndromes: true,
+                ..Default::default()
+            };
+            SeqFaultSim::new(&u, config).run(&mut stim).unwrap()
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.detection, one.detection);
+        assert_eq!(zero.syndromes, one.syndromes);
+        assert_eq!(zero.stats.windows, 144, "one window per cycle");
+        let (huge, cap) = (run(1 << 20), run(64));
+        assert_eq!(huge.detection, cap.detection);
+        assert_eq!(huge.syndromes, cap.syndromes);
+        assert_eq!(huge.stats.windows, 3, "144 cycles in 64-cycle windows");
+        assert_eq!(cap.detection, one.detection);
+        assert_eq!(SeqFaultSimConfig::default().window, 64);
+    }
+
+    /// A MISR narrower than 2 bits used to degenerate into per-cycle
+    /// output compares, and one wider than 64 overflowed a shift; both are
+    /// typed errors now, before any simulation.
+    #[test]
+    fn misr_widths_outside_two_to_sixty_four_are_rejected() {
+        let nl = small_seq();
+        let u = FaultUniverse::stuck_at(&nl);
+        for width in [0, 1, 65] {
+            let config = SeqFaultSimConfig {
+                observe: ObserveMode::Misr {
+                    width,
+                    taps: 1,
+                    read_every: 4,
+                },
+                ..Default::default()
+            };
+            let mut stim = VectorStimulus::new(exhaustive_patterns(4, 1));
+            assert_eq!(
+                SeqFaultSim::new(&u, config).run(&mut stim).unwrap_err(),
+                NetlistError::UnsupportedWidth {
+                    block: "MISR observation",
+                    width
+                },
+                "width {width}"
+            );
+        }
+    }
+
+    /// A counter XORed into the outputs beside a plain gate: faults on the
+    /// gate and the XOR input reach the outputs combinationally, and
+    /// faults in the counter deviate its flip-flops. The window decides
+    /// which faults the word pass settles — every eligible one at window 1,
+    /// fewer at 7 and 64 — so agreement across windows pins the word pass
+    /// against the lane engine, in every observation mode.
+    #[test]
+    fn both_routes_agree_across_windows_on_a_counter_behind_an_output() {
+        let mut mb = ModuleBuilder::new("cnt_xor");
+        let a = mb.input_bus("a", 4);
+        let count = mb.counter(3, a[0], a[1]);
+        let mut outs: Vec<NetId> = count.iter().map(|&c| mb.xor(c, a[2])).collect();
+        outs.push(mb.and(a[2], a[3]));
+        mb.output_bus("y", &outs);
+        let nl = mb.finish().unwrap();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let vectors: Vec<u64> = (0..150)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Hold `clr` (bit 1) low three cycles in four so the
+                // counter climbs.
+                let v = x & 0xF;
+                if x >> 8 & 3 == 0 {
+                    v
+                } else {
+                    v & !0b10
+                }
+            })
+            .collect();
+        for universe in [FaultUniverse::stuck_at(&nl), FaultUniverse::transition(&nl)] {
+            for observe in [ObserveMode::Outputs, ObserveMode::misr_default(4, 5)] {
+                for collect_syndromes in [false, true] {
+                    let run = |window| {
+                        let config = SeqFaultSimConfig {
+                            window,
+                            observe: observe.clone(),
+                            collect_syndromes,
+                            ..Default::default()
+                        };
+                        SeqFaultSim::new(&universe, config)
+                            .run(&mut VectorStimulus::new(vectors.clone()))
+                            .unwrap()
+                    };
+                    let what = format!("{observe:?} syndromes={collect_syndromes}");
+                    let one = run(1);
+                    assert!(one.detected_count() > 0, "{what}");
+                    assert!(one.stats.settled_fault_windows > 0, "{what}");
+                    assert_eq!(one.stats.handed_back_fault_windows, 0, "{what}");
+                    let mut handed_back = 0;
+                    for window in [7, 64] {
+                        let r = run(window);
+                        assert_eq!(r.detection, one.detection, "{what} window {window}");
+                        assert_eq!(r.syndromes, one.syndromes, "{what} window {window}");
+                        assert!(r.stats.settled_fault_windows > 0, "{what} window {window}");
+                        handed_back += r.stats.handed_back_fault_windows;
+                    }
+                    assert!(handed_back > 0, "{what}: the lane engine took no hand-back");
                 }
             }
         }

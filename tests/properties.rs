@@ -366,6 +366,15 @@ fn seq_parallel_fault_sim_matches_serial() {
             assert_eq!(serial.detection, par.detection);
             assert_eq!(serial.syndromes, par.syndromes);
             assert_eq!(serial.stats.survivors, par.stats.survivors);
+            assert_eq!(serial.stats.faulty_cycles, par.stats.faulty_cycles);
+            assert_eq!(
+                serial.stats.settled_fault_windows,
+                par.stats.settled_fault_windows
+            );
+            assert_eq!(
+                serial.stats.handed_back_fault_windows,
+                par.stats.handed_back_fault_windows
+            );
         }
     }
     // A universe of one 64-fault chunk runs on one worker whatever the

@@ -12,9 +12,11 @@
 //! and MISR observation with syndromes, kernel fault simulator vs the
 //! reference fault simulator), and writes a machine-readable JSON report
 //! covering both. The sequential fault simulator settles faults on two
-//! routes (its word pass and its lane engine); the `fault` pair's sums and
-//! the leg's must each show both routes in every checked mode, or the run
-//! fails — agreement a route never produced checks nothing. On the first
+//! routes (its word pass and its lane engine) and injects a fault on a
+//! folded fanout branch at its sink pin; the `fault` pair's sums and the
+//! leg's must each show both routes and some folded-branch faults in every
+//! checked mode, or the run fails — agreement a route or an injection
+//! never produced checks nothing. On the first
 //! `sim`-pair mismatch the failing netlist is minimized and dumped next to
 //! the report for `--replay`; with `--vcd-on-failure` the probe stimulus
 //! is additionally replayed on the minimized netlist and written as a VCD
@@ -22,8 +24,8 @@
 //! report (mismatch table grouped per engine pair) is written next to the
 //! JSON one. Exit
 //! status is non-zero on any mismatch, pair or case-study, on a checked
-//! mode that missed a route (or, with `--self-test`, on any undetected
-//! mutation).
+//! mode that missed a route or ran no folded-branch fault (or, with
+//! `--self-test`, on any undetected mutation).
 //!
 //! `--fleet` runs the fleet conformance leg instead: `--fleet-dies` dies
 //! (default 48, seeded from `--start-seed`, 0 → 42) are simulated through
@@ -231,10 +233,11 @@ fn fuzz_mode(args: &Args) -> ExitCode {
     for (what, routes) in [("fault pair", &fault_routes), ("case study", &leg.routes)] {
         for ((mode, _, _), r) in FAULT_MODES.iter().zip(routes) {
             let line = format!(
-                "{what} {mode}: word pass settled {} and handed back {} fault·windows",
-                r.settled, r.handed_back
+                "{what} {mode}: word pass settled {} and handed back {} fault·windows, \
+                 {} folded-branch faults",
+                r.settled, r.handed_back, r.folded_branch_faults
             );
-            if r.both() {
+            if r.complete() {
                 println!("{line}");
             } else {
                 eprintln!("ROUTE MISSED {line}");
@@ -315,7 +318,7 @@ fn fuzz_mode(args: &Args) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "difftest: {} pair mismatches, {} case-study mismatches, {} checked modes missed a route",
+            "difftest: {} pair mismatches, {} case-study mismatches, {} checked modes missed a route or a pin injection",
             mismatches.len(),
             leg.mismatches.len(),
             missed_routes.len()

@@ -9,7 +9,8 @@
 //! [`reference_fault_sim`], with per-cycle outputs (with and without
 //! syndromes) and with the paper's 16-bit MISR read every 8 cycles (with
 //! syndromes). Each mode sums the kernel's [`Routes`], so a run shows that
-//! both the word pass and the lane engine met the reference.
+//! both the word pass and the lane engine met the reference, and that
+//! faults on folded fanout branches were among what they checked.
 
 use soctest_core::casestudy::CaseStudy;
 use soctest_fault::{
@@ -32,16 +33,20 @@ pub const FAULT_MODES: [(&str, usize, bool); 3] = [
     ("misr", 1, true),
 ];
 
-/// Fault·windows the sequential kernel's word pass settled and handed
-/// back to its lane engine, summed over one mode's campaigns. Detections
-/// that agree with the reference vouch only for the routes that produced
-/// them, so a mode that never took one of the two has not checked it.
+/// What the sequential kernel's campaigns of one mode ran, summed:
+/// fault·windows its word pass settled and handed back to its lane engine,
+/// and faults it injected at a sink pin (on folded fanout branches).
+/// Detections that agree with the reference vouch only for the routes and
+/// injections that produced them, so a mode that never took one has not
+/// checked it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Routes {
     /// Fault·windows the word pass settled.
     pub settled: u64,
     /// Fault·windows the word pass handed back to the lane engine.
     pub handed_back: u64,
+    /// Faults on folded fanout branches, injected at their sink pin.
+    pub folded_branch_faults: u64,
 }
 
 impl Routes {
@@ -49,11 +54,12 @@ impl Routes {
     pub fn add(&mut self, stats: &FaultSimStats) {
         self.settled += stats.settled_fault_windows;
         self.handed_back += stats.handed_back_fault_windows;
+        self.folded_branch_faults += stats.folded_branch_faults;
     }
 
-    /// Whether both routes ran.
-    pub fn both(&self) -> bool {
-        self.settled > 0 && self.handed_back > 0
+    /// Whether both routes ran and some fault was injected at a sink pin.
+    pub fn complete(&self) -> bool {
+        self.settled > 0 && self.handed_back > 0 && self.folded_branch_faults > 0
     }
 }
 
@@ -150,7 +156,7 @@ mod tests {
         assert_eq!(leg.campaigns, 6);
         assert!(leg.mismatches.is_empty(), "{:#?}", leg.mismatches);
         for (&(mode, _, _), routes) in FAULT_MODES.iter().zip(&leg.routes) {
-            assert!(routes.both(), "{mode}: {routes:?}");
+            assert!(routes.complete(), "{mode}: {routes:?}");
         }
     }
 }

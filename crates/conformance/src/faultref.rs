@@ -264,6 +264,147 @@ mod tests {
         }
     }
 
+    /// Every kind of fanout branch the kernel folds or keeps: a stem `s`
+    /// feeding both pins of one XOR (whose good output is 0, so forcing
+    /// both pins hides what forcing one shows) and a MUX data pin, a MUX
+    /// select `sel` that also feeds an AND, and a primary output `y` that
+    /// is also a stem. With `register`, `y` feeds a flip-flop `d` pin (a
+    /// kept buffer) beside a gate pin (a folded one), and the flip-flop
+    /// feeds `s` back, so a branch fault can reach its own stem.
+    fn branchy(register: bool) -> Netlist {
+        let mut mb = ModuleBuilder::new("branchy");
+        let a = mb.input_bus("a", 4);
+        let q = register.then(|| mb.dff_bank(1)[0]);
+        let s = mb.xor(a[0], q.unwrap_or(a[1]));
+        let both = mb.xor(s, s);
+        let sel = a[2];
+        let m = mb.mux(sel, both, s);
+        let y = mb.or(m, a[3]);
+        let z = mb.and(y, sel);
+        let mut outs = vec![y, z];
+        if let Some(q) = q {
+            mb.connect(&[q], &[y]);
+            outs.push(mb.xor(q, a[1]));
+        }
+        mb.output_bus("o", &outs);
+        mb.finish().unwrap()
+    }
+
+    /// Branch faults injected at their sink pins — in the word pass and the
+    /// lane engine of `SeqFaultSim` (both universes, outputs and MISR,
+    /// syndromes on and off, at a window that hands faults back and one
+    /// that does not) and in `CombFaultSim` — against the reference on the
+    /// unfolded view.
+    #[test]
+    fn pin_injection_matches_the_reference_in_both_engines() {
+        let mut x = 0x1F2E_3D4C_5B6A_7988u64;
+        let words: Vec<u64> = (0..96)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x & 0xF
+            })
+            .collect();
+        let rows = rows_of(&words, 4);
+
+        let nl = branchy(true);
+        let modes = [ObserveMode::Outputs, ObserveMode::misr_default(4, 6)];
+        let (mut settled, mut handed_back) = (0, 0);
+        for universe in [FaultUniverse::stuck_at(&nl), FaultUniverse::transition(&nl)] {
+            let reference = reference_fault_sim(&universe, &rows, &modes);
+            for (observe, want) in modes.iter().zip(&reference) {
+                for collect_syndromes in [false, true] {
+                    for window in [3, 64] {
+                        let config = SeqFaultSimConfig {
+                            window,
+                            observe: observe.clone(),
+                            collect_syndromes,
+                            ..Default::default()
+                        };
+                        let got = SeqFaultSim::new(&universe, config)
+                            .run(&mut VectorStimulus::new(words.clone()))
+                            .unwrap();
+                        let what = format!("{observe:?} syndromes={collect_syndromes} {window}");
+                        assert!(got.detected_count() > 0, "{what}");
+                        assert!(got.stats.folded_branch_faults > 0, "{what}");
+                        assert_eq!(
+                            diff_against_reference(
+                                &universe,
+                                &got,
+                                want,
+                                window,
+                                !collect_syndromes
+                            ),
+                            None,
+                            "{what}"
+                        );
+                        settled += got.stats.settled_fault_windows;
+                        handed_back += got.stats.handed_back_fault_windows;
+                    }
+                }
+            }
+        }
+        assert!(settled > 0 && handed_back > 0, "{settled}/{handed_back}");
+
+        let nl = branchy(false);
+        let universe = FaultUniverse::stuck_at(&nl);
+        let reference = reference_fault_sim(&universe, &rows, &[ObserveMode::Outputs]);
+        let patterns = soctest_fault::PatternSet::from_rows(4, &rows);
+        for collect in [false, true] {
+            let mut sim = soctest_fault::CombFaultSim::new(&universe);
+            if collect {
+                sim = sim.with_syndromes();
+            }
+            let got = sim.run_stuck_at(&patterns).unwrap();
+            assert!(got.stats.folded_branch_faults > 0);
+            assert_eq!(
+                diff_against_reference(&universe, &got, &reference[0], 64, false),
+                None,
+                "comb syndromes={collect}"
+            );
+        }
+    }
+
+    /// The fault kernel schedules the source netlist's gates plus its
+    /// flip-flop `d` branch buffers, and no other buffer of the view.
+    #[test]
+    fn fault_kernels_schedule_the_netlist_plus_d_pin_branches() {
+        let expected = |nl: &Netlist| {
+            let mut fanout = vec![0u32; nl.len()];
+            for gate in nl.gates() {
+                for &p in &gate.pins {
+                    fanout[p.index()] += 1;
+                }
+            }
+            let comb = nl.gates().iter().filter(|g| !g.kind.is_source()).count();
+            let d_branches = nl
+                .dffs()
+                .iter()
+                .filter(|&&q| fanout[nl.gate(q).pins[0].index()] > 1)
+                .count();
+            (comb, d_branches)
+        };
+        let nl = branchy(true);
+        assert_eq!(expected(&nl), (6, 1));
+        let kernel = FaultUniverse::stuck_at(&nl).kernel().unwrap();
+        assert_eq!(kernel.ops(), 7);
+        let case = soctest_core::casestudy::CaseStudy::paper().unwrap();
+        for module in case.modules() {
+            let (comb, d_branches) = expected(module);
+            let universe = FaultUniverse::transition(module);
+            assert_eq!(
+                universe.kernel().unwrap().ops(),
+                comb + d_branches,
+                "{}",
+                module.name()
+            );
+            if module.name() == "CHECK_NODE" {
+                assert_eq!((comb, d_branches), (2_876, 1));
+            }
+        }
+    }
+
     #[test]
     fn survivors_follow_first_detections() {
         let run = RefFaultRun {

@@ -14,7 +14,7 @@
 //!   without syndromes; sequential stuck-at and transition, per-cycle
 //!   outputs with and without syndromes and an off-boundary MISR read
 //!   schedule across window seams, summing each mode's word-pass
-//!   [`Routes`].
+//!   [`Routes`] and folded-branch faults.
 //! * **`bist`** — behavioral `Alfsr`/`Misr`/`fold_xor`/`HoldCycler`/
 //!   control unit/`BistEngine` vs the `bist::structural` netlists,
 //!   including a full `insert_bist` assembly run against a hand-rolled
@@ -69,8 +69,8 @@ fn mask(width: usize) -> u64 {
 }
 
 /// Runs every pair differential for one seed, adding the `fault` pair's
-/// sequential word-pass routes per mode (aligned with [`FAULT_MODES`]) to
-/// `fault_routes`.
+/// sequential word-pass routes and folded-branch faults per mode (aligned
+/// with [`FAULT_MODES`]) to `fault_routes`.
 pub fn run_all_pairs(seed: u64, max_gates: usize, fault_routes: &mut [Routes; 3]) -> Vec<Mismatch> {
     let mut out = Vec::new();
     out.extend(pair_sim(seed, max_gates));
@@ -1061,7 +1061,8 @@ pub fn fault_comb_divergence(
 /// simulator under shared stimulus, for stuck-at and transition faults,
 /// in each of [`FAULT_MODES`]: per-cycle outputs with and without
 /// syndrome collection, and an off-boundary MISR read schedule with
-/// syndromes. Adds each mode's word-pass routes to `routes`.
+/// syndromes. Adds each mode's word-pass routes and folded-branch faults
+/// to `routes`.
 pub fn fault_seq_divergence(
     nl: &Netlist,
     probe_seed: u64,
@@ -1143,7 +1144,12 @@ mod tests {
             let ms = run_all_pairs(seed, 60, &mut routes);
             assert!(ms.is_empty(), "seed {seed}: {ms:?}");
         }
-        assert!(routes.iter().all(|r| r.settled > 0), "{routes:?}");
+        assert!(
+            routes
+                .iter()
+                .all(|r| r.settled > 0 && r.folded_branch_faults > 0),
+            "{routes:?}"
+        );
     }
 
     #[test]

@@ -169,16 +169,17 @@ pub fn render_report(
     s
 }
 
-/// `{"<mode>": {"settled": N, "handed_back": M}, ...}` in
-/// [`FAULT_MODES`] order.
+/// `{"<mode>": {"settled": N, "handed_back": M, "folded_branch_faults":
+/// F}, ...}` in [`FAULT_MODES`] order.
 fn routes_json(routes: &[Routes; 3]) -> String {
     let fields: Vec<String> = FAULT_MODES
         .iter()
         .zip(routes)
         .map(|((mode, _, _), r)| {
             format!(
-                "\"{mode}\": {{\"settled\": {}, \"handed_back\": {}}}",
-                r.settled, r.handed_back
+                "\"{mode}\": {{\"settled\": {}, \"handed_back\": {}, \
+                 \"folded_branch_faults\": {}}}",
+                r.settled, r.handed_back, r.folded_branch_faults
             )
         })
         .collect();
@@ -406,6 +407,7 @@ mod tests {
         let routes = |settled, handed_back| Routes {
             settled,
             handed_back,
+            folded_branch_faults: settled + 10,
         };
         let leg = CaseStudyLeg {
             patterns: 64,
@@ -448,5 +450,7 @@ mod tests {
         let pair = doc.get("fault_routes").expect("fault-pair routes");
         assert_eq!(count(pair, "outputs", "settled"), Some(4.0));
         assert_eq!(count(pair, "outputs", "handed_back"), Some(0.0));
+        assert_eq!(count(pair, "outputs", "folded_branch_faults"), Some(14.0));
+        assert_eq!(count(misr, "misr", "folded_branch_faults"), Some(19.0));
     }
 }

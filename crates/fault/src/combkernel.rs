@@ -8,7 +8,10 @@
 //! pins straight out of the cached good vector, and stamping a gate only
 //! when its faulty output actually deviates. Gates whose pins are all
 //! undisturbed are skipped without evaluation, so per-fault cost tracks the
-//! deviated frontier, not the cone size.
+//! deviated frontier, not the cone size. A fault on a folded fanout branch
+//! (see [`crate::FaultUniverse`]) starts one gate later: its sink is
+//! evaluated with the branch's pin forced — the stem's good and launch
+//! words are the branch's — and the sweep covers the sink's output cone.
 //!
 //! The bookkeeping is per 64-pattern block, word by word: one propagation
 //! pass counted per excited block, first detection at the lowest absolute
@@ -23,6 +26,7 @@ use soctest_netlist::{CompiledNetlist, NetId, NetlistError, LANE_WORDS};
 
 use crate::combsim::{CombCampaign, CombFaultSim, PatternSet};
 use crate::par::join_all;
+use crate::universe::Site;
 use crate::{FaultKind, Syndrome};
 
 /// Per-worker scratch for the cone sweep: faulty value words, per-net epoch
@@ -58,6 +62,7 @@ impl CombFaultSim<'_> {
         let kernel = self.universe.kernel()?;
         let view = self.universe.view();
         let faults = self.universe.faults();
+        let sites = self.universe.sites(&kernel);
         let pis = view.primary_inputs();
         assert_eq!(
             patterns.width(),
@@ -87,6 +92,7 @@ impl CombFaultSim<'_> {
 
         let nthreads = self.parallel.workers_for(faults.len());
         campaign.stats.threads = nthreads;
+        campaign.stats.folded_branch_faults = Site::count_pins(&sites);
         let offset = campaign.applied;
 
         // Building the scratches forces the cone table before any worker
@@ -135,6 +141,7 @@ impl CombFaultSim<'_> {
                     &kernel,
                     obs,
                     faults,
+                    &sites,
                     &values,
                     &launch,
                     &masks,
@@ -166,11 +173,13 @@ impl CombFaultSim<'_> {
                     for (t, ((det, syn_shard), scratch)) in shards.enumerate() {
                         let f0 = t * shard;
                         let fault_shard = &faults[f0..(f0 + det.len())];
+                        let site_shard = &sites[f0..(f0 + det.len())];
                         handles.push(s.spawn(move || {
                             simulate_group(
                                 kernel_ref,
                                 obs,
                                 fault_shard,
+                                site_shard,
                                 values_ref,
                                 launch_ref,
                                 masks_ref,
@@ -225,6 +234,7 @@ fn simulate_group(
     kernel: &CompiledNetlist,
     obs: &[NetId],
     faults: &[crate::Fault],
+    sites: &[Site],
     values: &[u64],
     launch: &[u64],
     masks: &[u64; LANE_WORDS],
@@ -242,18 +252,19 @@ fn simulate_group(
         if detection[fi].is_some() && !collect {
             continue;
         }
-        let site = fault.net.0 as usize;
+        let site = sites[fi];
+        let g_net = site.good_net(kernel) as usize;
         let mut fword = [0u64; W];
         let mut excite = [0u64; W];
         let mut any = 0u64;
         for w in 0..gw {
-            let good = values[site * W + w];
+            let good = values[g_net * W + w];
             let faulty = match fault.kind {
                 FaultKind::Sa0 => 0,
                 FaultKind::Sa1 => u64::MAX,
                 // Excited where launch=0 and capture=1; holds the launch 0.
-                FaultKind::SlowToRise => good & launch[site * W + w],
-                FaultKind::SlowToFall => good | launch[site * W + w],
+                FaultKind::SlowToRise => good & launch[g_net * W + w],
+                FaultKind::SlowToFall => good | launch[g_net * W + w],
             };
             fword[w] = faulty;
             excite[w] = (good ^ faulty) & masks[w];
@@ -263,15 +274,38 @@ fn simulate_group(
             continue;
         }
 
-        // Cone sweep: stamp the site, then re-evaluate downstream gates in
+        // Cone sweep: stamp the first deviating net — the faulted net, or
+        // the output of the sink whose folded-branch pin is forced,
+        // evaluated here — then re-evaluate the gates downstream of it in
         // schedule order. A gate with no stamped pin cannot deviate and is
         // skipped; a gate is stamped only when some word deviates, so
         // unstamped reads always fall back to the good vector.
         scratch.epoch += 1;
         let epoch = scratch.epoch;
-        scratch.stamp[site] = epoch;
-        scratch.fvals[site * W..site * W + gw].copy_from_slice(&fword[..gw]);
-        kernel.cone_of_net_into(fault.net.0, &mut scratch.cone);
+        let from = match site {
+            Site::Net(net) => Some(net as usize),
+            Site::Pin { op, slot } => {
+                let op = op as usize;
+                let pins = kernel.op_pins(op);
+                let out = kernel.op_out(op) as usize;
+                let mut dev = false;
+                for (k, f) in fword.iter_mut().enumerate().take(gw) {
+                    let mut v = pins.map(|n| values[n as usize * W + k]);
+                    v[slot as usize] = *f;
+                    *f = kernel.eval_pins(op, v);
+                    dev |= *f != values[out * W + k];
+                }
+                dev.then_some(out)
+            }
+        };
+        match from {
+            Some(from) => {
+                scratch.stamp[from] = epoch;
+                scratch.fvals[from * W..from * W + gw].copy_from_slice(&fword[..gw]);
+                kernel.cone_of_net_into(from as u32, &mut scratch.cone);
+            }
+            None => scratch.cone.fill(0),
+        }
         for wi in 0..scratch.cone.len() {
             let mut rem = scratch.cone[wi];
             while rem != 0 {

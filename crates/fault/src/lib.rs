@@ -6,7 +6,9 @@
 //!
 //! * **Fault models** — single stuck-at ([`FaultKind::Sa0`]/[`Sa1`]) and
 //!   gross-delay transition faults ([`SlowToRise`]/[`SlowToFall`]), placed on
-//!   every stem and every fanout branch ([`FaultUniverse`]);
+//!   every stem and every fanout branch ([`FaultUniverse`]; its simulation
+//!   kernel folds the branch buffers away and injects a branch fault at
+//!   its sink pin);
 //! * **Structural equivalence collapsing** with the classic gate rules;
 //! * A **sequential fault simulator** ([`SeqFaultSim`]) over the compiled
 //!   netlist kernel ([`soctest_netlist::CompiledNetlist`]), in windows of

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use soctest_obs::{CoverageCurve, MetricsRegistry};
+use soctest_obs::CoverageCurve;
 
 use crate::Syndrome;
 
@@ -36,39 +36,12 @@ pub struct FaultSimStats {
     /// Sequential only: fault·windows the word pass took but handed back
     /// to the lane engine, because a flip-flop deviated too early.
     pub handed_back_fault_windows: u64,
+    /// Faults of the campaign's universe that sit on folded fanout
+    /// branches and are injected at their sink gate's pin (see
+    /// [`crate::FaultUniverse`]): a count of faults, not of windows.
+    pub folded_branch_faults: u64,
     /// Wall-clock time spent inside the simulator.
     pub wall: Duration,
-}
-
-impl FaultSimStats {
-    /// Folds this campaign's accounting into the unified metrics registry.
-    /// Counters accumulate across campaigns; the gauges describe the most
-    /// recent one.
-    pub fn export_metrics(&self, registry: &MetricsRegistry) {
-        registry.inc("faultsim_windows_total", self.windows);
-        registry.inc("faultsim_good_cycles_total", self.good_cycles);
-        registry.inc("faultsim_faulty_cycles_total", self.faulty_cycles);
-        registry.inc(
-            "faultsim_settled_fault_windows_total",
-            self.settled_fault_windows,
-        );
-        registry.inc(
-            "faultsim_handed_back_fault_windows_total",
-            self.handed_back_fault_windows,
-        );
-        registry.inc(
-            "faultsim_wall_micros_total",
-            self.wall.as_micros().min(u128::from(u64::MAX)) as u64,
-        );
-        registry.set_gauge("faultsim_threads", self.threads as f64);
-        registry.set_gauge(
-            "faultsim_final_survivors",
-            self.survivors.last().copied().unwrap_or(0) as f64,
-        );
-        for &s in &self.survivors {
-            registry.observe("faultsim_window_survivors", s as u64);
-        }
-    }
 }
 
 impl fmt::Display for FaultSimStats {
@@ -286,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_display_and_export_carry_both_word_pass_routes() {
+    fn stats_display_carries_both_word_pass_routes() {
         let stats = FaultSimStats {
             threads: 1,
             windows: 2,
@@ -295,6 +268,7 @@ mod tests {
             faulty_cycles: 64,
             settled_fault_windows: 11,
             handed_back_fault_windows: 4,
+            folded_branch_faults: 9,
             wall: Duration::ZERO,
         };
         assert!(
@@ -303,11 +277,5 @@ mod tests {
                 .contains("good/faulty cycles 128/64, word pass settled/handed back 11/4"),
             "{stats}"
         );
-        let registry = MetricsRegistry::new();
-        stats.export_metrics(&registry);
-        let counters = registry.snapshot().counters;
-        assert_eq!(counters["faultsim_faulty_cycles_total"], 64);
-        assert_eq!(counters["faultsim_settled_fault_windows_total"], 11);
-        assert_eq!(counters["faultsim_handed_back_fault_windows_total"], 4);
     }
 }

@@ -17,7 +17,11 @@
 //! is forced whole: a stuck-at is a constant; a transition fault follows
 //! [`crate::seqsim::apply`]'s recurrence (slow-to-rise
 //! `good(t) ∧ faulty(t−1)`, slow-to-fall `good(t) ∨ faulty(t−1)`) as a
-//! prefix scan seeded by the carried `prev` bit. Output deviations are
+//! prefix scan seeded by the carried `prev` bit. A fault on a folded
+//! fanout branch (see [`crate::FaultUniverse`]) forces its sink gate's pin
+//! instead, with the stem's column as the branch's good word: the sink is
+//! evaluated once with the forced pin and the sweep starts from its
+//! output. Output deviations are
 //! read straight off the observation nets, and a MISR deviation is
 //! stepped on its own (the register is linear, so the faulty signature is
 //! the good one XOR the deviation). The fault is *settled* when it is
@@ -32,9 +36,11 @@
 //! sweeps only the gates that can deviate — seeded from the injection
 //! sites and from flip-flops whose lane word differs from the good
 //! machine — reading the broadcast good bit of lane `r` of the same
-//! columns. A bitmap marks the deviating flip-flops, and the clock edge
-//! only visits flip-flops whose `d` net was stored with a deviation this
-//! cycle (via the kernel's sequential-sink CSR).
+//! columns. An injected gate is evaluated every cycle: the pins its folded
+//! branches fed are forced per lane first (the stem's faulty word through
+//! `apply`), then its output. A bitmap marks the deviating flip-flops, and
+//! the clock edge only visits flip-flops whose `d` net was stored with a
+//! deviation this cycle (via the kernel's sequential-sink CSR).
 //!
 //! Both routes share one event-driven sweep ([`Deviations`]): a
 //! deviation word per net, a two-level pending bitmap over schedule
@@ -51,6 +57,7 @@ use soctest_netlist::{CompiledNetlist, NetId};
 use crate::seqsim::{
     apply, get_bit, set_bit, ActiveFault, ChunkOut, GoodTrace, InjEntry, WindowCtx,
 };
+use crate::universe::Site;
 use crate::FaultKind;
 
 /// The compiled-kernel window engine (see the [module docs](self)).
@@ -156,19 +163,19 @@ impl Deviations {
     }
 
     /// Event-driven sweep in schedule order, a level batch at a time:
-    /// re-evaluates every pending gate from its pins' good words (`good`)
-    /// XOR their deviations, passes the result through `inject` (fault
-    /// sites force their output; it gets the gate's schedule position and
-    /// output net), and stores the output's deviation. Each gate is
-    /// evaluated at most once and its output holds no deviation before, so
-    /// a zero deviation needs no store.
+    /// re-evaluates every pending gate through `eval` — which gets the
+    /// gate's schedule position, its output net, and its pins' good words
+    /// (`good`) XOR their deviations, and returns the output word (fault
+    /// sites force their pins or output there) — and stores the output's
+    /// deviation. Each gate is evaluated at most once and its output holds
+    /// no deviation before, so a zero deviation needs no store.
     #[inline]
     fn sweep(
         &mut self,
         kernel: &CompiledNetlist,
         level_end: &[u32],
         good: impl Fn(usize) -> u64,
-        mut inject: impl FnMut(usize, u32, u64) -> u64,
+        mut eval: impl FnMut(usize, u32, [u64; 3]) -> u64,
         live: u64,
     ) {
         while let Some((base, mut batch)) = self.pending.pop_level(level_end) {
@@ -177,16 +184,17 @@ impl Deviations {
                 batch &= batch - 1;
                 let [a, b, c] = kernel.op_pins(p);
                 let (a, b, c) = (a as usize, b as usize, c as usize);
-                let w = kernel.eval_pins(
+                let out = kernel.op_out(p);
+                let w = eval(
                     p,
+                    out,
                     [
                         good(a) ^ self.dev[a],
                         good(b) ^ self.dev[b],
                         good(c) ^ self.dev[c],
                     ],
                 );
-                let out = kernel.op_out(p);
-                let d = inject(p, out, w) ^ good(out as usize);
+                let d = w ^ good(out as usize);
                 if d != 0 {
                     self.store(kernel, out, d, live);
                 }
@@ -209,8 +217,8 @@ impl Deviations {
 /// machine; `qwords[j]` is only meaningful while bit `j` is set.
 /// `inj_mark` is stamped with `chunk_no` so it never needs clearing
 /// between chunks; while a net's stamp is current, `inj_slot` holds the
-/// index of its injection site. `inj_ops` marks the schedule positions of
-/// the chunk's gate sites (a bitmap small enough to stay in L1).
+/// index of its injection. `inj_ops` marks the schedule positions of the
+/// chunk's injected gates (a bitmap small enough to stay in L1).
 pub(crate) struct KernelScratch {
     devs: Deviations,
     qwords: Vec<u64>,
@@ -235,6 +243,18 @@ pub(crate) struct WordOut {
     pub(crate) settled: u64,
     /// Faults it took and handed back (a subset of `lane`).
     pub(crate) handed_back: u64,
+}
+
+/// The faults of one lane chunk injected at one place, each list in lane
+/// order: a source net, or a scheduled gate — its output and the pins its
+/// folded fanout branches fed.
+struct Injection {
+    /// The source net, or the gate's output net.
+    net: u32,
+    /// Faults forcing `net` itself.
+    out: Vec<InjEntry>,
+    /// Faults on folded branches, per pin slot of the gate.
+    pins: Vec<(u8, Vec<InjEntry>)>,
 }
 
 /// Broadcast of the good bit of `net` at window cycle `r`.
@@ -489,15 +509,36 @@ impl KernelEngine {
         let ndff = ctx.ndff;
         let last = wlen - 1;
         let fault = ctx.faults[af.idx];
-        let site = fault.net.0;
-        let g = cols[site as usize];
+        let site = ctx.sites[af.idx];
+        let g = cols[site.good_net(kernel) as usize];
         let forced = forced_site(fault.kind, g, get_bit(&af.state, ndff), window_start == 0);
         // Deviations stay inside the window's lanes: the site word is
         // masked, and a lane-pure sweep never spreads a zero lane.
         let site_dev = (forced ^ g) & low_mask(wlen);
         if site_dev != 0 {
-            devs.store(kernel, site, site_dev, u64::MAX);
-            devs.sweep(kernel, &self.level_end, |n| cols[n], |_, _, w| w, u64::MAX);
+            match site {
+                Site::Net(net) => devs.store(kernel, net, site_dev, u64::MAX),
+                Site::Pin { op, slot } => {
+                    // Only the sink reads a folded branch, and nothing
+                    // upstream of it deviates: evaluate it once, with the
+                    // forced pin.
+                    let op = op as usize;
+                    let mut pins = kernel.op_pins(op).map(|n| cols[n as usize]);
+                    pins[slot as usize] ^= site_dev;
+                    let out = kernel.op_out(op);
+                    let d = kernel.eval_pins(op, pins) ^ cols[out as usize];
+                    if d != 0 {
+                        devs.store(kernel, out, d, u64::MAX);
+                    }
+                }
+            }
+            devs.sweep(
+                kernel,
+                &self.level_end,
+                |n| cols[n],
+                |p, _, pins| kernel.eval_pins(p, pins),
+                u64::MAX,
+            );
         }
 
         // First cycle a flip-flop's `d` net deviates (64: none). Cycles up
@@ -676,30 +717,47 @@ impl KernelEngine {
             }
         }
 
-        // Injection sites: one per faulted net, in first-lane order, each
-        // with its entries in lane order; then split into scheduled gate
-        // sites and source sites.
+        // Injections: one per source net or gate a fault of the chunk sits
+        // on, keyed by that net (a gate's output net also keys the faults
+        // on its folded branch pins), in first-lane order, each list in
+        // lane order; then split into scheduled gates and source nets.
         scratch.chunk_no += 1;
         let chunk_no = scratch.chunk_no;
-        let mut sites: Vec<(u32, Vec<InjEntry>)> = Vec::new();
+        let mut injs: Vec<Injection> = Vec::new();
         for (l, af) in chunk.iter().enumerate() {
             let f = ctx.faults[af.idx];
-            let n = f.net.0 as usize;
-            if scratch.inj_mark[n] != chunk_no {
-                scratch.inj_mark[n] = chunk_no;
-                scratch.inj_slot[n] = sites.len() as u8;
-                sites.push((f.net.0, Vec::new()));
-            }
-            sites[scratch.inj_slot[n] as usize].1.push(InjEntry {
+            let entry = InjEntry {
                 lane: l as u8,
                 kind: f.kind,
                 prev: get_bit(&af.state, ndff),
-            });
+            };
+            let (net, slot) = match ctx.sites[af.idx] {
+                Site::Net(net) => (net, None),
+                Site::Pin { op, slot } => (kernel.op_out(op as usize), Some(slot)),
+            };
+            let n = net as usize;
+            if scratch.inj_mark[n] != chunk_no {
+                scratch.inj_mark[n] = chunk_no;
+                scratch.inj_slot[n] = injs.len() as u8;
+                injs.push(Injection {
+                    net,
+                    out: Vec::new(),
+                    pins: Vec::new(),
+                });
+            }
+            let inj = &mut injs[scratch.inj_slot[n] as usize];
+            match slot {
+                None => inj.out.push(entry),
+                Some(slot) => match inj.pins.iter_mut().find(|(s, _)| *s == slot) {
+                    Some((_, entries)) => entries.push(entry),
+                    None => inj.pins.push((slot, vec![entry])),
+                },
+            }
         }
         let mut site_ops: Vec<u32> = Vec::new();
         let mut src_sites: Vec<usize> = Vec::new();
-        for (s, &(net, _)) in sites.iter().enumerate() {
-            match kernel.sched_of(net) {
+        for (s, inj) in injs.iter().enumerate() {
+            match kernel.sched_of(inj.net) {
                 Some(p) => {
                     site_ops.push(p as u32);
                     scratch.inj_ops[p / 64] |= 1u64 << (p % 64);
@@ -733,14 +791,16 @@ impl KernelEngine {
             // Source-site injections (primary inputs, flip-flop outputs,
             // constants) — applied before the sweep.
             for &s in &src_sites {
-                let (net, entries) = &mut sites[s];
-                let n = *net as usize;
+                let inj = &mut injs[s];
+                let n = inj.net as usize;
                 let g = gbit(cols, n, r);
-                let w = apply(g ^ devs.dev[n], entries, first_ever);
-                devs.store(kernel, *net, w ^ g, live);
+                let w = apply(g ^ devs.dev[n], &mut inj.out, first_ever);
+                devs.store(kernel, inj.net, w ^ g, live);
             }
-            // Injected gates are evaluated every cycle: their outputs are
-            // forced, and transition injections must update `prev`.
+            // Injected gates are evaluated every cycle: their pins or
+            // outputs are forced, and transition injections must update
+            // `prev`. A folded branch's pin word is its stem's, forced
+            // per lane before the gate is evaluated.
             for &p in &site_ops {
                 devs.pending.mark(p);
             }
@@ -749,12 +809,16 @@ impl KernelEngine {
                 kernel,
                 &self.level_end,
                 |n| gbit(cols, n, r),
-                |p, out, w| {
-                    if (inj_ops[p / 64] >> (p % 64)) & 1 == 1 {
-                        apply(w, &mut sites[inj_slot[out as usize] as usize].1, first_ever)
-                    } else {
-                        w
+                |p, out, mut pins| {
+                    if (inj_ops[p / 64] >> (p % 64)) & 1 == 0 {
+                        return kernel.eval_pins(p, pins);
                     }
+                    let inj = &mut injs[inj_slot[out as usize] as usize];
+                    for (slot, entries) in &mut inj.pins {
+                        let pin = &mut pins[*slot as usize];
+                        *pin = apply(*pin, entries, first_ever);
+                    }
+                    apply(kernel.eval_pins(p, pins), &mut inj.out, first_ever)
                 },
                 live,
             );
@@ -852,8 +916,8 @@ impl KernelEngine {
         }
 
         // Extract survivor states: start from the good end-of-window state
-        // and overlay the deviating flip-flops, the transition `prev` bit,
-        // and the MISR lane words.
+        // and overlay the deviating flip-flops and the MISR lane words, then
+        // every lane's transition `prev` bit from its injection entry.
         for (l, af) in chunk.iter_mut().enumerate() {
             af.state.copy_from_slice(&trace.next_state);
             for wi in 0..scratch.qdev.len() {
@@ -864,13 +928,13 @@ impl KernelEngine {
                     set_bit(&mut af.state, j, (scratch.qwords[j] >> l) & 1 == 1);
                 }
             }
-            let f = ctx.faults[af.idx];
-            let entries = &sites[scratch.inj_slot[f.net.0 as usize] as usize].1;
-            if let Some(e) = entries.iter().find(|e| e.lane as usize == l) {
-                set_bit(&mut af.state, ndff, e.prev);
-            }
             for (j, &w) in scratch.misr.iter().enumerate() {
                 set_bit(&mut af.state, ndff + 1 + j, (w >> l) & 1 == 1);
+            }
+        }
+        for inj in &injs {
+            for e in inj.out.iter().chain(inj.pins.iter().flat_map(|(_, e)| e)) {
+                set_bit(&mut chunk[e.lane as usize].state, ndff, e.prev);
             }
         }
         out

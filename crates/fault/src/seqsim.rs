@@ -37,6 +37,7 @@ use soctest_netlist::{NetId, NetlistError};
 use crate::par::map_shards;
 use crate::seqkernel::KernelEngine;
 use crate::stimulus::StimulusMatrix;
+use crate::universe::Site;
 use crate::{
     Fault, FaultKind, FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, SeqStimulus,
     Syndrome,
@@ -175,6 +176,8 @@ pub(crate) struct WindowCtx<'b> {
     pub(crate) obs: &'b [NetId],
     pub(crate) stim: &'b StimulusMatrix,
     pub(crate) faults: &'b [Fault],
+    /// Where each fault enters the kernel, aligned with `faults`.
+    pub(crate) sites: &'b [Site],
     pub(crate) misr_width: usize,
     pub(crate) misr_taps: u64,
     pub(crate) misr_read: u64,
@@ -260,10 +263,12 @@ impl<'a> SeqFaultSim<'a> {
         };
         let kernel = self.universe.kernel()?;
         let stim = StimulusMatrix::materialize(stimulus, kernel.pis().len());
+        let sites = self.universe.sites(&kernel);
         let ctx = WindowCtx {
             obs: self.universe.observe_nets(),
             stim: &stim,
             faults: self.universe.faults(),
+            sites: &sites,
             misr_width,
             misr_taps,
             misr_read,
@@ -312,6 +317,7 @@ impl<'a> SeqFaultSim<'a> {
         let nthreads = self.config.parallel.workers_for(faults.len().div_ceil(64));
         let mut stats = FaultSimStats {
             threads: nthreads,
+            folded_branch_faults: Site::count_pins(ctx.sites),
             ..FaultSimStats::default()
         };
 

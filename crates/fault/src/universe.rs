@@ -1,9 +1,9 @@
-//! Fault universe construction: fanout-branch expansion and structural
-//! equivalence collapsing.
+//! Fault universe construction: fanout-branch expansion, structural
+//! equivalence collapsing, and the folded kernel the simulators run.
 
 use std::sync::{Arc, OnceLock};
 
-use soctest_netlist::{CompiledNetlist, GateKind, NetId, Netlist, NetlistError};
+use soctest_netlist::{compile_folding, CompiledNetlist, GateKind, NetId, Netlist, NetlistError};
 
 use crate::{Fault, FaultKind};
 
@@ -13,11 +13,22 @@ use crate::{Fault, FaultKind};
 /// # Fault view
 ///
 /// Classical fault lists place faults on gate output *stems* and on every
-/// fanout *branch* (gate input pin). To keep the simulators uniform, the
-/// universe materializes each branch of a multi-fanout net as an explicit
-/// buffer gate: the view netlist is functionally identical to the original
-/// (buffers are transparent), original net ids are preserved, and every
-/// classical fault site is now some net of the view.
+/// fanout *branch* (gate input pin). The view gives each branch of a
+/// multi-fanout net a net of its own — a buffer gate appended after the
+/// original nets — so every classical fault site is some net of the view:
+/// the view is functionally identical to the original (buffers are
+/// transparent), original net ids are preserved, and ATPG, the reference
+/// interpreter and [`FaultUniverse::describe`] work on it unchanged.
+///
+/// # Kernel
+///
+/// The simulators do not schedule those buffers. [`FaultUniverse::kernel`]
+/// compiles the view with every branch buffer that feeds a combinational
+/// gate folded away (see [`compile_folding`]): the sink pin reads the stem
+/// and the branch net stays as a dead id, so fault indices and net ids do
+/// not move. A fault on a folded branch is injected at its sink gate's pin,
+/// with the stem's value as the branch's good value; a branch into a
+/// flip-flop `d` pin stays a scheduled buffer.
 ///
 /// # Collapsing
 ///
@@ -37,9 +48,48 @@ pub struct FaultUniverse {
     members: Vec<Vec<Fault>>,
     total_sites: usize,
     observe: Vec<NetId>,
-    /// The view's compiled SoA kernel, built on first use and shared by
+    /// The first branch-buffer net: every view net from here on is one.
+    first_branch: usize,
+    /// The view's folded SoA kernel, built on first use and shared by
     /// every simulator (and worker thread) over this universe.
     kernel: OnceLock<Arc<CompiledNetlist>>,
+}
+
+/// Where a fault enters its universe's kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Site {
+    /// The fault forces its own net: a source, or a scheduled gate's
+    /// output.
+    Net(u32),
+    /// The fault sits on a folded fanout branch: it forces pin `slot` of
+    /// the gate at schedule position `op`, a pin the kernel wires to the
+    /// branch's stem.
+    Pin {
+        /// Schedule position of the sink gate.
+        op: u32,
+        /// The forced pin slot.
+        slot: u8,
+    },
+}
+
+impl Site {
+    /// The net whose good value is the site's good value: the faulted net
+    /// itself, or a folded branch's stem.
+    #[inline]
+    pub(crate) fn good_net(self, kernel: &CompiledNetlist) -> u32 {
+        match self {
+            Site::Net(net) => net,
+            Site::Pin { op, slot } => kernel.op_pins(op as usize)[slot as usize],
+        }
+    }
+
+    /// How many of `sites` are folded-branch pins.
+    pub(crate) fn count_pins(sites: &[Site]) -> u64 {
+        sites
+            .iter()
+            .filter(|s| matches!(s, Site::Pin { .. }))
+            .count() as u64
+    }
 }
 
 impl FaultUniverse {
@@ -55,6 +105,7 @@ impl FaultUniverse {
 
     fn build(netlist: &Netlist, stuck_at: bool) -> Self {
         let view = expand_fanout(netlist);
+        let first_branch = netlist.len();
         let eligible: Vec<bool> = view
             .gates()
             .iter()
@@ -147,6 +198,7 @@ impl FaultUniverse {
             members,
             total_sites,
             observe,
+            first_branch,
             kernel: OnceLock::new(),
         }
     }
@@ -156,9 +208,10 @@ impl FaultUniverse {
         &self.view
     }
 
-    /// The view's compiled SoA kernel (see [`Netlist::compile`]), compiled
-    /// on first call and cached — repeated campaigns and worker threads all
-    /// share the same `Arc`.
+    /// The view's compiled SoA kernel with its combinational branch
+    /// buffers folded away (see the [type docs](Self)), compiled on first
+    /// call and cached — repeated campaigns and worker threads all share
+    /// the same `Arc`.
     ///
     /// # Errors
     ///
@@ -168,8 +221,32 @@ impl FaultUniverse {
         if let Some(k) = self.kernel.get() {
             return Ok(Arc::clone(k));
         }
-        let k = self.view.compile()?;
+        let first_branch = self.first_branch;
+        let k = compile_folding(&self.view, |net| net.index() >= first_branch)?;
         Ok(Arc::clone(self.kernel.get_or_init(|| k)))
+    }
+
+    /// Where each fault enters `kernel` — this universe's
+    /// [`FaultUniverse::kernel`] — aligned with [`FaultUniverse::faults`].
+    pub(crate) fn sites(&self, kernel: &CompiledNetlist) -> Vec<Site> {
+        // Where a folded branch fed its sink, the view's pin is the branch
+        // and the kernel's is the stem.
+        let mut pin_of = vec![None; kernel.nets()];
+        for op in 0..kernel.ops() {
+            let pins = &self.view.gate(NetId(kernel.op_out(op))).pins;
+            for (slot, (branch, wired)) in pins.iter().zip(kernel.op_pins(op)).enumerate() {
+                if branch.0 != wired {
+                    pin_of[branch.index()] = Some(Site::Pin {
+                        op: op as u32,
+                        slot: slot as u8,
+                    });
+                }
+            }
+        }
+        self.faults
+            .iter()
+            .map(|f| pin_of[f.net.index()].unwrap_or(Site::Net(f.net.0)))
+            .collect()
     }
 
     /// Collapsed representative faults, one per equivalence class.
@@ -205,14 +282,9 @@ impl FaultUniverse {
         &self.members[index]
     }
 
-    /// Default observation nets: the primary outputs of the view.
+    /// Observation nets: the primary outputs of the view.
     pub fn observe_nets(&self) -> &[NetId] {
         &self.observe
-    }
-
-    /// Overrides the observation nets (e.g. to observe MISR inputs only).
-    pub fn set_observe_nets(&mut self, nets: Vec<NetId>) {
-        self.observe = nets;
     }
 
     /// Keeps a deterministic 1-in-`stride` sample of the collapsed faults
@@ -247,7 +319,9 @@ impl FaultUniverse {
     }
 }
 
-/// Inserts a transparent buffer for every branch of every multi-fanout net.
+/// Appends a transparent buffer for every branch of every multi-fanout net
+/// (after the original nets, so their ids are kept) and rewires each
+/// branch's sink pin to it.
 fn expand_fanout(netlist: &Netlist) -> Netlist {
     let mut view = netlist.clone();
     view.set_name(format!("{}_fv", netlist.name()));

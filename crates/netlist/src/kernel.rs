@@ -27,6 +27,10 @@
 //!   site's cone against the cached good values; everything outside the
 //!   cone provably holds the good-machine value.
 //!
+//! [`compile_folding`] compiles with chosen buffers folded away — the fault
+//! view's fanout-branch buffers — so the schedule holds only the gates a
+//! simulation must evaluate, while net ids stay those of the netlist.
+//!
 //! Evaluation over the compiled schedule is bit-identical to walking the
 //! graph with [`crate::GateKind::eval_word`]: same gate semantics, any
 //! topological order. `crates/conformance` pins the simulators built on it
@@ -56,7 +60,8 @@ pub struct CompiledNetlist {
     /// each run starting where the previous one ends.
     kind_runs: Vec<(GateKind, u32)>,
     level_offsets: Vec<u32>,
-    /// Per net: schedule position + 1 of its driving gate (0 = source).
+    /// Per net: schedule position + 1 of its driving gate (0 = source or
+    /// folded buffer).
     sched_of: Vec<u32>,
     pis: Vec<u32>,
     pos: Vec<u32>,
@@ -105,15 +110,61 @@ impl ConeTable {
 /// Returns [`NetlistError::CombinationalCycle`] if the combinational
 /// subgraph cannot be levelized.
 pub fn compile(netlist: &Netlist) -> Result<Arc<CompiledNetlist>, NetlistError> {
+    compile_folding(netlist, |_| false)
+}
+
+/// Compiles `netlist` with the buffers `fold` selects folded away. A
+/// selected [`GateKind::Buf`] that feeds no flip-flop `d` pin and is no
+/// primary output is not scheduled: every gate it feeds reads the buffer's
+/// input in its place. Its net keeps its id as a dead net — not a source,
+/// never written, 0 in every value array — so net ids and the ids of
+/// everything that refers to them do not move. Levels are those of the
+/// folded graph. The fault view folds its fanout-branch buffers this way
+/// and injects a branch fault at the pin the branch fed.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] if the combinational
+/// subgraph cannot be levelized.
+pub fn compile_folding(
+    netlist: &Netlist,
+    fold: impl Fn(NetId) -> bool,
+) -> Result<Arc<CompiledNetlist>, NetlistError> {
     let n = netlist.len();
-    let levels = netlist.levels()?;
+    let order = netlist.levelize()?;
+    let mut folded: Vec<bool> = netlist
+        .iter()
+        .map(|(id, g)| g.kind == GateKind::Buf && fold(id))
+        .collect();
+    for q in netlist.dffs() {
+        folded[netlist.gate(q).pins[0].index()] = false;
+    }
+    for po in netlist.primary_outputs() {
+        folded[po.index()] = false;
+    }
+    let resolve = |mut net: NetId| {
+        while folded[net.index()] {
+            net = netlist.gate(net).pins[0];
+        }
+        net
+    };
+    // Levels of the folded graph, along the unfolded topological order
+    // (folding only shortcuts edges, so the order stays topological).
+    let mut levels = vec![0u32; n];
+    for &id in &order {
+        if !folded[id.index()] {
+            let pins = &netlist.gate(id).pins;
+            let deepest = pins.iter().map(|&p| levels[resolve(p).index()]).max();
+            levels[id.index()] = deepest.unwrap_or(0) + 1;
+        }
+    }
     // Level-major schedule, grouped by gate kind within a level (gates of
     // one level are independent, so any order among them is valid) and
     // then by net id, so the layout is deterministic for a given netlist.
-    let mut sched: Vec<u32> = netlist
+    let mut sched: Vec<u32> = order
         .iter()
-        .filter(|(_, g)| !g.kind.is_source())
-        .map(|(id, _)| id.0)
+        .filter(|id| !folded[id.index()])
+        .map(|id| id.0)
         .collect();
     sched.sort_by_key(|&id| (levels[id as usize], netlist.gate(NetId(id)).kind as u8, id));
 
@@ -133,7 +184,7 @@ pub fn compile(netlist: &Netlist) -> Result<Arc<CompiledNetlist>, NetlistError> 
         }
         let mut pins = [0u32; 3];
         for (i, &pin) in gate.pins.iter().enumerate() {
-            pins[i] = pin.0;
+            pins[i] = resolve(pin).0;
         }
         op_kind.push(gate.kind);
         op_arity.push(gate.pins.len() as u8);
@@ -332,7 +383,8 @@ impl CompiledNetlist {
         self.op_arity[p] as usize
     }
 
-    /// Schedule position of the gate driving `net`, or `None` for sources.
+    /// Schedule position of the gate driving `net`, or `None` for sources
+    /// and for buffers [`compile_folding`] folded away.
     #[inline]
     pub fn sched_of(&self, net: u32) -> Option<usize> {
         let s = self.sched_of[net as usize];
@@ -671,6 +723,49 @@ mod tests {
             for &q in k.fanout_ops(net) {
                 let q = q as usize;
                 assert_eq!((buf[q / 64] >> (q % 64)) & 1, 1);
+            }
+        }
+    }
+
+    /// A folded buffer's readers read its input and its net stays dead; a
+    /// selected buffer into a flip-flop `d` pin or a primary output stays
+    /// scheduled. Every other net evaluates as in the unfolded kernel.
+    #[test]
+    fn folding_rewires_readers_and_keeps_d_pin_and_output_buffers() {
+        let mut mb = ModuleBuilder::new("fold");
+        let a = mb.input_bus("a", 2);
+        let (ba, bb) = (mb.buf(a[0]), mb.buf(a[1]));
+        let x = mb.and(ba, bb);
+        let y = mb.xor(bb, x);
+        let bd = mb.buf(y);
+        let q = mb.dff(bd);
+        let bo = mb.buf(q);
+        mb.output_bus("y", &[y, bo]);
+        let nl = mb.finish().unwrap();
+        let bufs = [ba, bb, bd, bo];
+        let plain = nl.compile().unwrap();
+        let folded = compile_folding(&nl, |n| bufs.contains(&n)).unwrap();
+        assert_eq!(folded.ops(), plain.ops() - 2);
+        assert_eq!(folded.levels(), plain.levels() - 1);
+        for (net, scheduled) in [(ba, false), (bb, false), (bd, true), (bo, true)] {
+            assert_eq!(folded.sched_of(net.0).is_some(), scheduled, "{net}");
+        }
+        let and = folded.sched_of(x.0).unwrap();
+        assert_eq!(folded.op_pins(and)[..2], [a[0].0, a[1].0]);
+        assert_eq!(folded.fanout_ops(a[1].0).len(), 2, "x and y read a[1]");
+        assert!(folded.fanout_ops(bb.0).is_empty());
+        for word in [0u64, u64::MAX, 0x5A5A_F0F0_3C3C_9999] {
+            let (mut pv, mut fv) = (plain.fresh_values(), folded.fresh_values());
+            for (v, &pi) in [word, !word.rotate_left(7)].iter().zip(plain.pis()) {
+                pv[pi as usize] = *v;
+                fv[pi as usize] = *v;
+            }
+            plain.eval(&mut pv);
+            folded.eval(&mut fv);
+            for net in 0..nl.len() {
+                let dead = net == ba.index() || net == bb.index();
+                let want = if dead { 0 } else { pv[net] };
+                assert_eq!(fv[net], want, "net {net}");
             }
         }
     }

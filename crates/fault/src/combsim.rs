@@ -2,12 +2,12 @@
 //! event-driven forward propagation) — the engine behind the full-scan
 //! baseline of Table 3.
 //!
-//! The good machine is evaluated once per group of 64-pattern blocks on the
-//! compiled kernel (see `combkernel`); the per-fault excite/propagate loop
-//! is then sharded across worker threads ([`ParallelPolicy`]), each with
-//! its own scratchpad. Shards are contiguous fault ranges, every fault sees
-//! the blocks in order, and detection/syndrome slots are disjoint per
-//! shard, so the parallel run is bit-identical to the serial one (first
+//! The fault list is sharded across worker threads ([`ParallelPolicy`]) in
+//! contiguous ranges; each worker evaluates the good machine on the
+//! compiled kernel one 64-pattern block at a time and propagates its
+//! faults with its own scratchpad (see `combkernel`). Every fault sees the
+//! blocks in order, and detection/syndrome slots are disjoint per shard,
+//! so the parallel run is bit-identical to the serial one (first
 //! detection = lowest absolute pattern index).
 
 use soctest_netlist::{NetId, NetlistError};
@@ -211,7 +211,9 @@ impl<'a> CombFaultSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a levelization error if the view is cyclic.
+    /// Returns a levelization error if the view is cyclic, and
+    /// [`NetlistError::WidthMismatch`] if the pattern width is not the
+    /// view's input count.
     pub fn run_stuck_at(&self, patterns: &PatternSet) -> Result<FaultSimResult, NetlistError> {
         let mut campaign = self.campaign();
         self.resume_stuck_at(patterns, &mut campaign)?;
@@ -229,7 +231,9 @@ impl<'a> CombFaultSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a levelization error if the view is cyclic.
+    /// Returns a levelization error if the view is cyclic, and
+    /// [`NetlistError::WidthMismatch`] if the pattern width is not the
+    /// view's input count.
     pub fn run_transition(
         &self,
         patterns: &PatternSet,
@@ -249,7 +253,11 @@ impl<'a> CombFaultSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a levelization error if the view is cyclic.
+    /// Returns a levelization error if the view is cyclic, and
+    /// [`NetlistError::WidthMismatch`] if the pattern width is not the
+    /// view's input count or the campaign was not started for this
+    /// universe (its detection — or, when this simulator collects
+    /// syndromes, its syndrome — slots are not one per fault).
     pub fn resume_stuck_at(
         &self,
         patterns: &PatternSet,
@@ -262,7 +270,11 @@ impl<'a> CombFaultSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a levelization error if the view is cyclic.
+    /// Returns a levelization error if the view is cyclic, and
+    /// [`NetlistError::WidthMismatch`] if the pattern width is not the
+    /// view's input count or the campaign was not started for this
+    /// universe (its detection — or, when this simulator collects
+    /// syndromes, its syndrome — slots are not one per fault).
     pub fn resume_transition(
         &self,
         patterns: &PatternSet,
@@ -606,6 +618,40 @@ mod tests {
         for d in resumed.detection.iter().flatten() {
             assert!(*d < 192, "absolute pattern index expected, got {d}");
         }
+    }
+
+    #[test]
+    fn mismatched_patterns_and_campaigns_are_typed_errors() {
+        let nl = comb_block();
+        let u = FaultUniverse::stuck_at(&nl);
+        let sim = CombFaultSim::new(&u);
+        let pats = PatternSet::from_rows(3, &exhaustive(3));
+        // Two pattern columns for a three-input view.
+        let narrow = sim.run_stuck_at(&PatternSet::from_rows(2, &exhaustive(2)));
+        assert!(matches!(
+            narrow,
+            Err(NetlistError::WidthMismatch {
+                left: 2,
+                right: 3,
+                ..
+            })
+        ));
+        // A campaign started for another universe.
+        let other = FaultUniverse::stuck_at(&wide_view());
+        let mut foreign = CombFaultSim::new(&other).campaign();
+        assert!(matches!(
+            sim.resume_stuck_at(&pats, &mut foreign),
+            Err(NetlistError::WidthMismatch { .. })
+        ));
+        // A campaign without syndrome slots, resumed by a simulator that
+        // collects them.
+        let mut plain = sim.campaign();
+        let collecting = CombFaultSim::new(&u).with_syndromes();
+        assert!(matches!(
+            collecting.resume_stuck_at(&pats, &mut plain),
+            Err(NetlistError::WidthMismatch { left: 0, right, .. }) if right == u.len()
+        ));
+        assert_eq!(plain.applied, 0, "a rejected batch applies nothing");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   with fault dropping between windows. This is what evaluates the BIST
 //!   runs of Table 3;
 //! * A **PPSFP combinational fault simulator** ([`CombFaultSim`]) for the
-//!   full-scan baseline (256 patterns per kernel pass, single-fault
-//!   cone-of-influence propagation);
+//!   full-scan baseline: 64 patterns per block, each fault propagated
+//!   alone by the event-driven deviation sweep the word pass runs too;
 //! * **Diagnosis**: per-fault syndromes, the diagnostic matrix, and
 //!   equivalent-fault-class statistics (max/median class size — Table 5).
 //!
@@ -75,6 +75,7 @@ mod report;
 mod seqkernel;
 mod seqsim;
 mod stimulus;
+mod sweep;
 mod universe;
 
 pub use combsim::{CombCampaign, CombFaultSim, PatternSet};

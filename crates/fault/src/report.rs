@@ -24,7 +24,8 @@ pub struct FaultSimStats {
     /// in schedule order — the fault-dropping trajectory.
     pub survivors: Vec<usize>,
     /// Good-machine simulation cycles (sequential: cycles simulated once
-    /// per window; combinational: patterns evaluated fault-free).
+    /// per window; combinational: 64-pattern block evaluations, two per
+    /// block in transition mode).
     pub good_cycles: u64,
     /// Faulty-machine simulation cost (sequential: the lane engine's
     /// chunk-cycles, Σ window length × 64-fault lane chunks; combinational:

@@ -21,14 +21,14 @@
 //! fanout branch (see [`crate::FaultUniverse`]) forces its sink gate's pin
 //! instead, with the stem's column as the branch's good word: the sink is
 //! evaluated once with the forced pin and the sweep starts from its
-//! output. Output deviations are
-//! read straight off the observation nets, and a MISR deviation is
-//! stepped on its own (the register is linear, so the faulty signature is
-//! the good one XOR the deviation). The fault is *settled* when it is
-//! detected no later than its first `d` deviation (syndromes off), or when
-//! no `d` net deviates before the window's last cycle — then it is carried
-//! to the next window with its flip-flops set to the good state XOR the
-//! last cycle's `d` deviations. Otherwise it is *handed back* untouched.
+//! output. Output deviations are read off the nets the sweep stored, and
+//! a MISR deviation is stepped on its own (the register is linear, so the
+//! faulty signature is the good one XOR the deviation). The fault is
+//! *settled* when it is detected no later than its first `d` deviation
+//! (syndromes off), or when no `d` net deviates before the window's last
+//! cycle — then it is carried to the next window with its flip-flops set
+//! to the good state XOR the last cycle's `d` deviations. Otherwise it is
+//! *handed back* untouched.
 //!
 //! **Lane engine** ([`KernelEngine::run_chunk`]). Handed-back faults and
 //! faults that start the window with deviated flip-flops share the 64
@@ -42,9 +42,11 @@
 //! the clock edge only visits flip-flops whose `d` net was stored with a
 //! deviation this cycle (via the kernel's sequential-sink CSR).
 //!
-//! Both routes share one event-driven sweep ([`Deviations`]): a
-//! deviation word per net, a two-level pending bitmap over schedule
-//! positions, and sparse cleanup of the nets it stored.
+//! Both routes run the event-driven deviation sweep of [`crate::sweep`],
+//! the one [`crate::CombFaultSim`] runs too: the word pass through its
+//! single-fault entry point [`Deviations::propagate`], the lane engine
+//! through [`Deviations::store`] and [`Deviations::sweep`] with its own
+//! evaluation of the injected gates.
 //!
 //! The contract — detections, syndrome streams, and survivor trajectories
 //! — is pinned against the naive reference interpreter by the `fault`
@@ -57,159 +59,15 @@ use soctest_netlist::{CompiledNetlist, NetId};
 use crate::seqsim::{
     apply, get_bit, set_bit, ActiveFault, ChunkOut, GoodTrace, InjEntry, WindowCtx,
 };
+use crate::sweep::{low_mask, Deviations};
 use crate::universe::Site;
 use crate::FaultKind;
 
 /// The compiled-kernel window engine (see the [module docs](self)).
 pub(crate) struct KernelEngine {
     kernel: Arc<CompiledNetlist>,
-    /// Per schedule position, the end of its level's position range.
-    level_end: Vec<u32>,
     /// Bitmap over nets: the observation nets.
     obs_nets: Vec<u64>,
-}
-
-/// Pending schedule positions of one sweep: a bitmap over positions plus a
-/// summary bitmap over its nonzero words, so a sweep visits only the words
-/// that hold work. Work is always marked beyond the level being evaluated
-/// (a gate's fanout sits at higher levels, and the schedule is
-/// level-major), so `pop_level` can keep a forward cursor until the sweep
-/// drains.
-struct Pending {
-    words: Vec<u64>,
-    summary: Vec<u64>,
-    cursor: usize,
-}
-
-impl Pending {
-    fn new(ops: usize) -> Self {
-        let words = ops.div_ceil(64).max(1);
-        Pending {
-            words: vec![0u64; words],
-            summary: vec![0u64; words.div_ceil(64)],
-            cursor: 0,
-        }
-    }
-
-    #[inline]
-    fn mark(&mut self, op: u32) {
-        let w = op as usize / 64;
-        self.words[w] |= 1u64 << (op % 64);
-        self.summary[w / 64] |= 1u64 << (w % 64);
-    }
-
-    /// The pending positions of the lowest pending word that share the
-    /// lowest one's level, removed, as `(word base, bits)`; `None` once
-    /// drained (which rewinds the cursor for the next sweep). A level's
-    /// gates never feed each other, so a batch can be evaluated in any
-    /// order — the CPU overlaps their independent loads — and all the work
-    /// it marks lies beyond it.
-    #[inline]
-    fn pop_level(&mut self, level_end: &[u32]) -> Option<(usize, u64)> {
-        while let Some(&s) = self.summary.get(self.cursor) {
-            if s == 0 {
-                self.cursor += 1;
-                continue;
-            }
-            let w = self.cursor * 64 + s.trailing_zeros() as usize;
-            let bits = self.words[w];
-            let base = w * 64;
-            let end = level_end[base + bits.trailing_zeros() as usize] as usize - base;
-            let batch = bits & low_mask(end as u64);
-            let rest = bits & !batch;
-            self.words[w] = rest;
-            if rest == 0 {
-                self.summary[self.cursor] &= !(1u64 << (w % 64));
-            }
-            return Some((base, batch));
-        }
-        self.cursor = 0;
-        None
-    }
-}
-
-/// The deviation overlay of one sweep: `dev[n]` is net `n`'s XOR against
-/// the good machine (nonzero only for nets in `stored`), `touched` lists
-/// the flip-flops whose `d` net was stored with a live deviation.
-struct Deviations {
-    dev: Vec<u64>,
-    stored: Vec<u32>,
-    touched: Vec<u32>,
-    pending: Pending,
-}
-
-impl Deviations {
-    fn new(kernel: &CompiledNetlist) -> Self {
-        Deviations {
-            dev: vec![0u64; kernel.nets()],
-            stored: Vec::new(),
-            touched: Vec::new(),
-            pending: Pending::new(kernel.ops()),
-        }
-    }
-
-    /// Stores `d` as `net`'s deviation; a deviation in a `live` bit
-    /// schedules the net's fanout and marks its flip-flop sinks.
-    #[inline]
-    fn store(&mut self, kernel: &CompiledNetlist, net: u32, d: u64, live: u64) {
-        self.dev[net as usize] = d;
-        self.stored.push(net);
-        if d & live != 0 {
-            for &op in kernel.fanout_ops(net) {
-                self.pending.mark(op);
-            }
-            self.touched.extend_from_slice(kernel.dff_d_sinks(net));
-        }
-    }
-
-    /// Event-driven sweep in schedule order, a level batch at a time:
-    /// re-evaluates every pending gate through `eval` — which gets the
-    /// gate's schedule position, its output net, and its pins' good words
-    /// (`good`) XOR their deviations, and returns the output word (fault
-    /// sites force their pins or output there) — and stores the output's
-    /// deviation. Each gate is evaluated at most once and its output holds
-    /// no deviation before, so a zero deviation needs no store.
-    #[inline]
-    fn sweep(
-        &mut self,
-        kernel: &CompiledNetlist,
-        level_end: &[u32],
-        good: impl Fn(usize) -> u64,
-        mut eval: impl FnMut(usize, u32, [u64; 3]) -> u64,
-        live: u64,
-    ) {
-        while let Some((base, mut batch)) = self.pending.pop_level(level_end) {
-            while batch != 0 {
-                let p = base + batch.trailing_zeros() as usize;
-                batch &= batch - 1;
-                let [a, b, c] = kernel.op_pins(p);
-                let (a, b, c) = (a as usize, b as usize, c as usize);
-                let out = kernel.op_out(p);
-                let w = eval(
-                    p,
-                    out,
-                    [
-                        good(a) ^ self.dev[a],
-                        good(b) ^ self.dev[b],
-                        good(c) ^ self.dev[c],
-                    ],
-                );
-                let d = w ^ good(out as usize);
-                if d != 0 {
-                    self.store(kernel, out, d, live);
-                }
-            }
-        }
-    }
-
-    /// Clears every stored deviation, so `dev` is all-zero again.
-    fn reset(&mut self) {
-        for &n in &self.stored {
-            self.dev[n as usize] = 0;
-        }
-        self.stored.clear();
-        self.touched.clear();
-    }
 }
 
 /// Per-worker scratch, reused across windows, chunks and faults. `qdev`
@@ -263,16 +121,6 @@ fn gbit(cols: &[u64], net: usize, r: u32) -> u64 {
     0u64.wrapping_sub((cols[net] >> r) & 1)
 }
 
-/// The low `n` bits set (`n` ≤ 64).
-#[inline]
-fn low_mask(n: u64) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
 /// Bits below the lowest clear bit of `g`: the cycles a slow-to-rise
 /// site keeps following a good value that has stayed 1 since the seed.
 #[inline]
@@ -321,20 +169,11 @@ fn ff_bits_match(a: &[u64], b: &[u64], ndff: usize) -> bool {
 
 impl KernelEngine {
     pub(crate) fn new(kernel: Arc<CompiledNetlist>, obs: &[NetId]) -> Self {
-        let mut level_end = vec![0u32; kernel.ops()];
-        for l in 1..=kernel.levels() {
-            let range = kernel.level_range(l);
-            level_end[range.clone()].fill(range.end as u32);
-        }
         let mut obs_nets = vec![0u64; kernel.nets().div_ceil(64)];
         for o in obs {
             obs_nets[o.index() / 64] |= 1u64 << (o.index() % 64);
         }
-        KernelEngine {
-            kernel,
-            level_end,
-            obs_nets,
-        }
+        KernelEngine { kernel, obs_nets }
     }
 
     /// Allocates one worker's scratchpad, reused across windows and chunks.
@@ -516,29 +355,7 @@ impl KernelEngine {
         // masked, and a lane-pure sweep never spreads a zero lane.
         let site_dev = (forced ^ g) & low_mask(wlen);
         if site_dev != 0 {
-            match site {
-                Site::Net(net) => devs.store(kernel, net, site_dev, u64::MAX),
-                Site::Pin { op, slot } => {
-                    // Only the sink reads a folded branch, and nothing
-                    // upstream of it deviates: evaluate it once, with the
-                    // forced pin.
-                    let op = op as usize;
-                    let mut pins = kernel.op_pins(op).map(|n| cols[n as usize]);
-                    pins[slot as usize] ^= site_dev;
-                    let out = kernel.op_out(op);
-                    let d = kernel.eval_pins(op, pins) ^ cols[out as usize];
-                    if d != 0 {
-                        devs.store(kernel, out, d, u64::MAX);
-                    }
-                }
-            }
-            devs.sweep(
-                kernel,
-                &self.level_end,
-                |n| cols[n],
-                |p, _, pins| kernel.eval_pins(p, pins),
-                u64::MAX,
-            );
+            devs.propagate(kernel, site, site_dev, cols);
         }
 
         // First cycle a flip-flop's `d` net deviates (64: none). Cycles up
@@ -802,12 +619,11 @@ impl KernelEngine {
             // `prev`. A folded branch's pin word is its stem's, forced
             // per lane before the gate is evaluated.
             for &p in &site_ops {
-                devs.pending.mark(p);
+                devs.mark(p);
             }
             let (inj_ops, inj_slot) = (&scratch.inj_ops, &scratch.inj_slot);
             devs.sweep(
                 kernel,
-                &self.level_end,
                 |n| gbit(cols, n, r),
                 |p, out, mut pins| {
                     if (inj_ops[p / 64] >> (p % 64)) & 1 == 0 {
@@ -984,59 +800,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn pending_pops_one_level_batch_at_a_time() {
-        // Levels end at 40, 70 and 5000: word 0 splits at 40, word 1 at 70.
-        let level_end: Vec<u32> = (0..5000u32)
-            .map(|p| match p {
-                0..40 => 40,
-                40..70 => 70,
-                _ => 5000,
-            })
-            .collect();
-        let mut p = Pending::new(5000);
-        for op in [4999u32, 3, 39, 41, 63, 64, 100, 3] {
-            p.mark(op);
-        }
-        let mut got = Vec::new();
-        while let Some((base, bits)) = p.pop_level(&level_end) {
-            // Marks beyond the batch are picked up by the same drain.
-            if base == 0 && bits & 1 << 3 != 0 {
-                p.mark(69);
-            }
-            got.push((base, bits));
-        }
-        assert_eq!(
-            got,
-            [
-                (0, 1 << 3 | 1 << 39),
-                (0, 1 << 41 | 1 << 63),
-                (64, 1 << 0 | 1 << 5),
-                (64, 1 << 36),
-                (4992, 1 << 7)
-            ]
-        );
-        assert!(p.words.iter().chain(&p.summary).all(|&w| w == 0));
-        assert_eq!(p.cursor, 0, "a drained sweep rewinds");
-    }
-
-    /// Every scheduled gate lies inside its level's range.
-    #[test]
-    fn level_ends_bound_every_gate() {
-        let mut mb = soctest_netlist::ModuleBuilder::new("lv");
-        let a = mb.input_bus("a", 3);
-        let x = mb.xor(a[0], a[1]);
-        let y = mb.and(x, a[2]);
-        let z = mb.or(y, x);
-        let q = mb.register(&[z]);
-        mb.output_bus("q", &q);
-        let kernel = mb.finish().unwrap().compile().unwrap();
-        let engine = KernelEngine::new(kernel.clone(), &[]);
-        for p in 0..kernel.ops() {
-            assert!(p < engine.level_end[p] as usize, "gate {p}");
         }
     }
 }

@@ -8,7 +8,7 @@
 //! compilation serves every engine, window, and worker thread of a
 //! campaign.
 //!
-//! The kernel carries three things on top of the plain gate list:
+//! The kernel carries two things on top of the plain gate list:
 //!
 //! * **Levelized SoA schedule** — every combinational gate as parallel
 //!   arrays (`kind`, output net, fixed-width pin triple), ordered
@@ -20,12 +20,6 @@
 //!   positions of the combinational gates it feeds
 //!   ([`CompiledNetlist::fanout_ops`]), the seed set for event-driven
 //!   incremental re-evaluation.
-//! * **Cone-of-influence table** — for every schedule position, the bitset
-//!   of downstream schedule positions ([`ConeTable`]), computed once per
-//!   kernel (lazily, cached in the `Arc`-shared structure) by a reverse
-//!   topological bitset sweep. A fault simulator re-evaluates only a fault
-//!   site's cone against the cached good values; everything outside the
-//!   cone provably holds the good-machine value.
 //!
 //! [`compile_folding`] compiles with chosen buffers folded away — the fault
 //! view's fanout-branch buffers — so the schedule holds only the gates a
@@ -37,12 +31,9 @@
 //! against a naive one-bit reference interpreter.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::{GateKind, NetId, Netlist, NetlistError};
-
-/// Number of 64-bit words in a wide evaluation group (256 pattern lanes).
-pub const LANE_WORDS: usize = 4;
 
 /// A flattened, levelized, structure-of-arrays compile of a [`Netlist`].
 ///
@@ -53,7 +44,6 @@ pub struct CompiledNetlist {
     nets: usize,
     // SoA over scheduled (combinational) gates, level-major order.
     op_kind: Vec<GateKind>,
-    op_arity: Vec<u8>,
     op_out: Vec<u32>,
     op_pins: Vec<[u32; 3]>,
     /// Maximal runs of one gate kind over the schedule: `(kind, end)`,
@@ -74,33 +64,6 @@ pub struct CompiledNetlist {
     // CSR: net -> indices of flip-flops whose `d` pin it drives.
     dsink_off: Vec<u32>,
     dsink_idx: Vec<u32>,
-    cones: OnceLock<ConeTable>,
-}
-
-/// The cone-of-influence table of a compiled kernel: for every schedule
-/// position, the bitset (over schedule positions) of gates downstream of
-/// it within one combinational pass. Built by [`CompiledNetlist::cones`].
-#[derive(Debug)]
-pub struct ConeTable {
-    words: usize,
-    reach: Vec<u64>,
-}
-
-impl ConeTable {
-    /// Words per cone bitset (`ceil(ops / 64)`).
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// The reachability bitset of schedule position `p` (includes `p`).
-    pub fn reach(&self, p: usize) -> &[u64] {
-        &self.reach[p * self.words..(p + 1) * self.words]
-    }
-
-    /// Number of schedule positions in the cone of `p` (including `p`).
-    pub fn cone_len(&self, p: usize) -> usize {
-        self.reach(p).iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 /// Compiles `netlist` into an [`Arc`]-shared [`CompiledNetlist`].
@@ -171,7 +134,7 @@ pub fn compile_folding(
     let max_level = sched.last().map_or(0, |&id| levels[id as usize] as usize);
     let mut level_offsets = vec![0u32; max_level + 2];
     let mut op_kind = Vec::with_capacity(sched.len());
-    let mut op_arity = Vec::with_capacity(sched.len());
+    let mut arity = Vec::with_capacity(sched.len());
     let mut op_out = Vec::with_capacity(sched.len());
     let mut op_pins = Vec::with_capacity(sched.len());
     let mut sched_of = vec![0u32; n];
@@ -187,7 +150,7 @@ pub fn compile_folding(
             pins[i] = resolve(pin).0;
         }
         op_kind.push(gate.kind);
-        op_arity.push(gate.pins.len() as u8);
+        arity.push(gate.pins.len() as u8);
         op_out.push(id);
         op_pins.push(pins);
         sched_of[id as usize] = p as u32 + 1;
@@ -204,7 +167,7 @@ pub fn compile_folding(
     // Fanout CSR over scheduled sinks, ascending by construction.
     let mut fan_count = vec![0u32; n];
     for (p, pins) in op_pins.iter().enumerate() {
-        for (i, &pin) in pins.iter().enumerate().take(op_arity[p] as usize) {
+        for (i, &pin) in pins.iter().enumerate().take(arity[p] as usize) {
             // Skip duplicate pins on the same net (count each sink once).
             if i == 0 || pins[..i].iter().all(|&q| q != pin) {
                 fan_count[pin as usize] += 1;
@@ -218,7 +181,7 @@ pub fn compile_folding(
     let mut fan_ops = vec![0u32; fan_off[n] as usize];
     let mut cursor: Vec<u32> = fan_off[..n].to_vec();
     for (p, pins) in op_pins.iter().enumerate() {
-        for (i, &pin) in pins.iter().enumerate().take(op_arity[p] as usize) {
+        for (i, &pin) in pins.iter().enumerate().take(arity[p] as usize) {
             if i == 0 || pins[..i].iter().all(|&q| q != pin) {
                 fan_ops[cursor[pin as usize] as usize] = p as u32;
                 cursor[pin as usize] += 1;
@@ -267,7 +230,6 @@ pub fn compile_folding(
     Ok(Arc::new(CompiledNetlist {
         nets: n,
         op_kind,
-        op_arity,
         op_out,
         op_pins,
         kind_runs,
@@ -282,7 +244,6 @@ pub fn compile_folding(
         fan_ops,
         dsink_off,
         dsink_idx,
-        cones: OnceLock::new(),
     }))
 }
 
@@ -358,12 +319,6 @@ impl CompiledNetlist {
         self.level_offsets[l - 1] as usize..self.level_offsets[l] as usize
     }
 
-    /// Gate kind at schedule position `p`.
-    #[inline]
-    pub fn op_kind(&self, p: usize) -> GateKind {
-        self.op_kind[p]
-    }
-
     /// Output net of the gate at schedule position `p`.
     #[inline]
     pub fn op_out(&self, p: usize) -> u32 {
@@ -374,13 +329,6 @@ impl CompiledNetlist {
     #[inline]
     pub fn op_pins(&self, p: usize) -> [u32; 3] {
         self.op_pins[p]
-    }
-
-    /// Number of used pin slots of the gate at schedule position `p`
-    /// (trailing [`CompiledNetlist::op_pins`] slots beyond it are padding).
-    #[inline]
-    pub fn op_arity(&self, p: usize) -> usize {
-        self.op_arity[p] as usize
     }
 
     /// Schedule position of the gate driving `net`, or `None` for sources
@@ -471,34 +419,6 @@ impl CompiledNetlist {
         }
     }
 
-    /// One full evaluation pass over [`LANE_WORDS`] interleaved words per
-    /// net (`values[net * LANE_WORDS + w]`): 256 pattern lanes per sweep.
-    pub fn eval_wide(&self, values: &mut [u64]) {
-        const W: usize = LANE_WORDS;
-        for p in 0..self.op_kind.len() {
-            let [a, b, c] = self.op_pins[p];
-            let kind = self.op_kind[p];
-            let (a, b, c) = (a as usize * W, b as usize * W, c as usize * W);
-            let out = self.op_out[p] as usize * W;
-            for w in 0..W {
-                values[out + w] = eval_op(kind, values[a + w], values[b + w], values[c + w]);
-            }
-        }
-    }
-
-    /// Evaluates the single gate at schedule position `p` against `values`
-    /// and returns the result without storing it.
-    #[inline]
-    pub fn eval_pos(&self, p: usize, values: &[u64]) -> u64 {
-        let [a, b, c] = self.op_pins[p];
-        eval_op(
-            self.op_kind[p],
-            values[a as usize],
-            values[b as usize],
-            values[c as usize],
-        )
-    }
-
     /// Evaluates the gate at schedule position `p` against caller-supplied
     /// pin words (in `op_pins` slot order; unused slots are ignored) and
     /// returns the result. Lets incremental engines substitute per-pin
@@ -506,48 +426,6 @@ impl CompiledNetlist {
     #[inline]
     pub fn eval_pins(&self, p: usize, pins: [u64; 3]) -> u64 {
         eval_op(self.op_kind[p], pins[0], pins[1], pins[2])
-    }
-
-    /// The cone-of-influence table, built on first use and cached in the
-    /// shared kernel (a reverse-schedule bitset sweep, `O(ops · edges/64)`).
-    pub fn cones(&self) -> &ConeTable {
-        self.cones.get_or_init(|| self.build_cones())
-    }
-
-    fn build_cones(&self) -> ConeTable {
-        let n_ops = self.op_kind.len();
-        let words = n_ops.div_ceil(64).max(1);
-        let mut reach = vec![0u64; n_ops * words];
-        for p in (0..n_ops).rev() {
-            reach[p * words + p / 64] |= 1u64 << (p % 64);
-            let out = self.op_out[p] as usize;
-            let (s, e) = (self.fan_off[out] as usize, self.fan_off[out + 1] as usize);
-            for k in s..e {
-                let q = self.fan_ops[k] as usize;
-                debug_assert!(q > p, "schedule must be topological");
-                let (lo, hi) = reach.split_at_mut(q * words);
-                let dst = &mut lo[p * words..p * words + words];
-                let src = &hi[..words];
-                for w in 0..words {
-                    dst[w] |= src[w];
-                }
-            }
-        }
-        ConeTable { words, reach }
-    }
-
-    /// ORs the cone of `net` (the union of its scheduled sinks' reach
-    /// bitsets — the net's own driver is *not* included) into `buf`,
-    /// which must hold [`ConeTable::words`] words and is cleared first.
-    pub fn cone_of_net_into(&self, net: u32, buf: &mut [u64]) {
-        let cones = self.cones();
-        buf.fill(0);
-        for &q in self.fanout_ops(net) {
-            let src = cones.reach(q as usize);
-            for (d, s) in buf.iter_mut().zip(src) {
-                *d |= s;
-            }
-        }
     }
 }
 
@@ -626,36 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_wide_matches_four_scalar_passes() {
-        let nl = sample();
-        let k = nl.compile().unwrap();
-        let mut wide = vec![0u64; k.nets() * LANE_WORDS];
-        for &c in k.const1() {
-            for w in 0..LANE_WORDS {
-                wide[c as usize * LANE_WORDS + w] = u64::MAX;
-            }
-        }
-        let mut scalars: Vec<Vec<u64>> = (0..LANE_WORDS).map(|_| k.fresh_values()).collect();
-        let mut s = 0x1234_5678_9ABC_DEF0u64;
-        for &pi in k.pis() {
-            for (w, sc) in scalars.iter_mut().enumerate() {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                sc[pi as usize] = s;
-                wide[pi as usize * LANE_WORDS + w] = s;
-            }
-        }
-        k.eval_wide(&mut wide);
-        for (w, sc) in scalars.iter_mut().enumerate() {
-            k.eval(sc);
-            for net in 0..k.nets() {
-                assert_eq!(wide[net * LANE_WORDS + w], sc[net], "net {net} word {w}");
-            }
-        }
-    }
-
-    #[test]
     fn fanout_ops_are_ascending_and_complete() {
         let nl = sample();
         let k = nl.compile().unwrap();
@@ -674,55 +522,6 @@ mod tests {
             let arity = nl.gate(NetId(k.op_out(p))).pins.len();
             for &pin in k.op_pins(p).iter().take(arity) {
                 assert!(k.fanout_ops(pin).contains(&(p as u32)));
-            }
-        }
-    }
-
-    #[test]
-    fn cones_cover_exact_forward_reachability() {
-        let nl = sample();
-        let k = nl.compile().unwrap();
-        let cones = k.cones();
-        // Reference reachability by DFS over fanout_ops.
-        for p in 0..k.ops() {
-            let mut seen = vec![false; k.ops()];
-            let mut stack = vec![p];
-            while let Some(x) = stack.pop() {
-                if seen[x] {
-                    continue;
-                }
-                seen[x] = true;
-                for &q in k.fanout_ops(k.op_out(x)) {
-                    stack.push(q as usize);
-                }
-            }
-            let bits = cones.reach(p);
-            for (q, &s) in seen.iter().enumerate() {
-                let in_cone = (bits[q / 64] >> (q % 64)) & 1 == 1;
-                assert_eq!(in_cone, s, "op {p} -> {q}");
-            }
-            assert_eq!(cones.cone_len(p), seen.iter().filter(|&&s| s).count());
-        }
-    }
-
-    #[test]
-    fn cone_of_net_excludes_the_driver_and_matches_sinks() {
-        let nl = sample();
-        let k = nl.compile().unwrap();
-        let words = k.cones().words();
-        let mut buf = vec![0u64; words];
-        for net in 0..k.nets() as u32 {
-            k.cone_of_net_into(net, &mut buf);
-            if let Some(p) = k.sched_of(net) {
-                // A net's driver never needs re-evaluation: the site value
-                // is forced, only downstream gates react.
-                if !k.fanout_ops(net).contains(&(p as u32)) {
-                    assert_eq!((buf[p / 64] >> (p % 64)) & 1, 0, "net {net}");
-                }
-            }
-            for &q in k.fanout_ops(net) {
-                let q = q as usize;
-                assert_eq!((buf[q / 64] >> (q % 64)) & 1, 1);
             }
         }
     }
@@ -780,7 +579,6 @@ mod tests {
                 s.spawn(move || {
                     let mut v = k.fresh_values();
                     k.eval(&mut v);
-                    let _ = k.cones().words();
                 });
             }
         });

@@ -51,5 +51,5 @@ pub use builder::{AddResult, FsmSpec, ModuleBuilder, Word};
 pub use error::NetlistError;
 pub use gate::{Gate, GateKind, NetId, PinIndex};
 pub use graph::{Netlist, Port, PortDir};
-pub use kernel::{compile, compile_folding, CompiledNetlist, ConeTable, LANE_WORDS};
+pub use kernel::{compile, compile_folding, CompiledNetlist};
 pub use stats::NetlistStats;

@@ -92,7 +92,6 @@ use soctest_core::casestudy::CaseStudy;
 use soctest_core::cockpit;
 use soctest_core::experiments::{self, Budget};
 use soctest_core::fleet::{DefectMix, DriftSpec, Fleet, FleetConfig};
-use soctest_core::health::HealthConfig;
 use soctest_core::robust::RobustSession;
 use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::json::{self, JsonValue};
@@ -370,7 +369,7 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
     let plain = Fleet::new(case, cfg.clone()).expect("fleet cache builds");
     let monitored = Fleet::new(case, cfg.clone())
         .expect("fleet cache builds")
-        .with_monitor(HealthConfig::default());
+        .with_monitor();
     let profiled =
         Fleet::new_profiled(case, cfg, ProfileHandle::enabled()).expect("fleet cache builds");
     let flight_wall = |fleet: &Fleet| {
@@ -415,7 +414,7 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
     });
     let drifted = Fleet::new(case, drift_cfg)
         .expect("fleet cache builds")
-        .with_monitor(HealthConfig::default());
+        .with_monitor();
     let health = drifted.run().health.expect("monitor was armed");
     let detect_latency_batches = health
         .detection_latency(20)
@@ -606,9 +605,8 @@ fn obs_demo(
             Some(&1),
             "metrics record the quarantine"
         );
-        json::parse(&snap.to_json()).expect("JSON exposition parses");
         println!(
-            "wrote {path} ({} counters, {} gauges, {} histograms; Prometheus + JSON validated)",
+            "wrote {path} ({} counters, {} gauges, {} histograms; Prometheus validated)",
             snap.counters.len(),
             snap.gauges.len(),
             snap.histograms.len()
@@ -695,7 +693,7 @@ fn fleet_demo(case: &CaseStudy, budget: &Budget, fa: &FleetArgs) {
         fleet = fleet.with_trace_sampling(SamplerPolicy::new(every, 2), 0);
     }
     if fa.monitor {
-        fleet = fleet.with_monitor(HealthConfig::default());
+        fleet = fleet.with_monitor();
     }
     println!(
         "fleet: cache built in {:.2?} ({} stuck-at sites, {} ladder rungs)",

@@ -10,7 +10,7 @@
 //!
 //! Layout:
 //! * [`generator`] — seeded random netlist/FSM generator;
-//! * [`reference`] — the naive fixpoint interpreter ([`RefMachine`]);
+//! * [`reference`](mod@reference) — the naive fixpoint interpreter ([`RefMachine`]);
 //! * [`faultref`] — the reference fault simulator: one [`RefMachine`] per
 //!   fault, the oracle for `soctest-fault`;
 //! * [`campaign`] — the case-study leg: sampled faults of the paper's

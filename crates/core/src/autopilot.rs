@@ -1,19 +1,23 @@
 //! The closed-loop coverage autopilot: the paper's Fig. 4 feedback loop
 //! with the designer taken out of it.
 //!
-//! [`crate::eval::step2`] *measures* and `soctest_obs::analyze` *advises*;
-//! neither acts. [`Autopilot`] closes the loop: after each fault-simulation
-//! round it reads the [`CurveSummary`] and pulls the lever the paper's §3.2
-//! feedback would have asked a designer to pull — add patterns while the
-//! curve still climbs, reseed or switch to the reciprocal primitive
-//! polynomial when the tail flattens below target, and as the last resort
-//! synthesize a weighted-random constraint generator from the module's
-//! cold-net polarity ([`crate::eval::learn_input_weights`]).
+//! [`crate::eval::step2`] *measures* one campaign and
+//! `soctest_obs::analyze` *advises*; neither acts. [`Autopilot`] closes the
+//! loop: after each fault-simulation round it reads the [`CurveSummary`]
+//! and pulls the lever the paper's §3.2 feedback would have asked a
+//! designer to pull — add patterns while the curve still climbs, reseed or
+//! switch to the reciprocal primitive polynomial when the tail flattens
+//! below target, and as the last resort synthesize a weighted-random
+//! constraint generator from the module's cold-net polarity
+//! ([`crate::eval::learn_input_weights`]).
+//!
+//! Before the loop, the DUT is screened by one single-rung
+//! [`RobustSession::run`] over every module.
 //!
 //! The robustness contract:
 //!
-//! * **Typed failures** — configuration mistakes and session errors come
-//!   back as [`AutopilotError`], never a panic or a hang;
+//! * **Typed failures** — configuration mistakes come back as
+//!   [`AutopilotError`], never a panic or a hang;
 //! * **Hard ceilings** — rounds per module, patterns per round, and total
 //!   simulated patterns are all bounded; crossing one ends the module with
 //!   [`Verdict::BudgetExhausted`];
@@ -22,10 +26,11 @@
 //!   again, and each failed round reverts to the best configuration seen;
 //! * **Oscillation guard** — an A/B/A/B lever cycle with no net gain
 //!   terminates the module with [`Verdict::Stalled`];
-//! * **Per-module isolation** — a DUT module that hangs or mismatches its
-//!   golden signature during the pre-loop screen (or errors mid-flight) is
-//!   degraded to [`Verdict::Quarantined`] while the other modules continue
-//!   to their own verdicts;
+//! * **Per-module isolation** — a DUT module that mismatches its golden
+//!   signature in the screen (or errors mid-flight) is degraded to
+//!   [`Verdict::Quarantined`] while the other modules continue to their
+//!   own verdicts; a screen that fails as a whole (a hung engine, a spent
+//!   TCK budget) quarantines every module;
 //! * **Decision trail** — every decision is emitted as a cycle-stamped
 //!   trace event (the stamp is the cumulative number of simulated
 //!   patterns, so the trail is seed-deterministic and replayable) and
@@ -35,13 +40,12 @@ use std::fmt;
 
 use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::{CurveSummary, TraceEvent, TraceHandle, Tracer};
-use soctest_p1500::{FaultyBackend, ProtocolError, TapDriver};
 
 use crate::casestudy::CaseStudy;
 use crate::error::SessionError;
 use crate::eval;
-use crate::experiments::Budget;
-use crate::robust::{RobustSession, ScreenOutcome, SessionBudget};
+use crate::fleet::ReplayCore;
+use crate::robust::{RetryStrategy, RobustSession, SessionBudget, SessionReport};
 
 /// Knobs of one autopilot run. Validated once by [`Autopilot::new`], so a
 /// constructed autopilot never fails on configuration.
@@ -279,24 +283,6 @@ impl AutopilotReport {
             .filter(|m| m.verdict != Verdict::Quarantined)
             .all(|m| m.verdict == Verdict::Converged)
     }
-
-    /// Auto-sizes a campaign budget from the run: BIST patterns become the
-    /// largest per-module knee (stop at the knee instead of the paper's
-    /// fixed 4,096), everything else copied from `base`.
-    pub fn sized_budget(&self, base: &Budget) -> Budget {
-        let knee = self
-            .modules
-            .iter()
-            .filter_map(|m| {
-                m.recommended_patterns
-                    .or_else(|| m.rounds.last().map(|r| r.patterns))
-            })
-            .max();
-        Budget {
-            bist_patterns: knee.unwrap_or(base.bist_patterns).max(1),
-            ..*base
-        }
-    }
 }
 
 /// What one module's coverage loop concluded (internal).
@@ -390,9 +376,9 @@ impl Autopilot {
         &self.config
     }
 
-    /// Fault drill: module `m`'s screening session is driven against a
-    /// backend that never raises `end_test`, so the run exercises the
-    /// hang→quarantine degradation without a broken netlist.
+    /// Fault drill: module `m`'s screen is a session over a hung
+    /// [`ReplayCore`] that never raises `end_test`, so the run exercises
+    /// the hang→quarantine degradation without a broken netlist.
     pub fn with_injected_hang(mut self, m: usize) -> Self {
         self.hang_modules.push(m);
         self
@@ -404,12 +390,16 @@ impl Autopilot {
     /// with no human in the loop. Quarantined modules degrade to
     /// best-effort; the rest continue.
     ///
+    /// The screen is one [`RobustSession::run`] over every module on a
+    /// single [`RetryStrategy::Rerun`] rung, under
+    /// [`AutopilotConfig::session`]'s watchdogs: a mismatching module is
+    /// quarantined, and a session error (a hung engine, a spent TCK budget)
+    /// quarantines every module, because the screen could vouch for none.
+    ///
     /// # Errors
     ///
-    /// [`AutopilotError::Session`] only for failures *outside* the
-    /// per-module isolation boundary (the fault-free reference cannot be
-    /// built or simulated at all). Per-module trouble becomes a
-    /// [`Verdict::Quarantined`], not an error.
+    /// None at present: per-module trouble, in the screen or in a round,
+    /// becomes a [`Verdict::Quarantined`], not an error.
     pub fn run(
         &self,
         reference: &CaseStudy,
@@ -428,30 +418,41 @@ impl Autopilot {
             },
         );
 
-        // The screener runs untraced: the trail stays a pure record of
+        // The screen: one single-rung session over every module. The
+        // screener runs untraced, so the trail stays a pure record of
         // autopilot decisions, not TAP chatter.
-        let screener = RobustSession::new(self.config.session);
+        let screener =
+            RobustSession::new(self.config.session).with_strategies(vec![RetryStrategy::Rerun]);
+        let patterns = self.config.screen_patterns;
+        let mut passed = screened(screener.run(reference, dut, patterns), nmodules);
+        if !self.hang_modules.is_empty() {
+            // Fault drill: the same session over an engine that never
+            // raises `end_test` stands in for the drilled modules' screen.
+            let spec = dut.spec();
+            let drill = screened(
+                screener.run_with(&names, patterns, |_| {
+                    let hung =
+                        ReplayCore::new(spec.counter_bits, Vec::new(), spec.misr_width, true);
+                    Ok((Vec::new(), hung))
+                }),
+                nmodules,
+            );
+            for &m in &self.hang_modules {
+                if let Some(p) = passed.get_mut(m) {
+                    *p = drill[m];
+                }
+            }
+        }
+
         let mut sim_patterns = 0u64;
         let mut modules = Vec::with_capacity(nmodules);
         for (m, name) in names.into_iter().enumerate() {
-            let screen = if self.hang_modules.contains(&m) {
-                self.injected_hang_screen()?
+            let outcome = if passed[m] {
+                // Mid-loop session errors degrade the module.
+                self.converge_module(reference, m, &trace, &mut sim_patterns)
+                    .unwrap_or_else(|_| quarantined())
             } else {
-                // Per-module isolation: a screening error is that module's
-                // problem, not the session's.
-                screener
-                    .screen_module(reference, dut, m, self.config.screen_patterns)
-                    .unwrap_or(ScreenOutcome::Hung { cycles: 0 })
-            };
-            let outcome = match screen {
-                ScreenOutcome::Passed => {
-                    match self.converge_module(reference, m, &trace, &mut sim_patterns) {
-                        Ok(c) => c,
-                        // Mid-loop session errors degrade the module.
-                        Err(_) => quarantined(),
-                    }
-                }
-                ScreenOutcome::Mismatch { .. } | ScreenOutcome::Hung { .. } => quarantined(),
+                quarantined()
             };
             trace.emit(
                 sim_patterns,
@@ -479,24 +480,6 @@ impl Autopilot {
             trail_jsonl: trace.with(|t| t.to_jsonl()).unwrap_or_default(),
             sim_patterns,
         })
-    }
-
-    /// Drives the screening protocol against a backend wired to hang, so
-    /// the DoneTimeout→quarantine path runs under test without a netlist
-    /// that can actually wedge.
-    fn injected_hang_screen(&self) -> Result<ScreenOutcome, AutopilotError> {
-        let backend = FaultyBackend::new(16, self.config.screen_patterns).with_hang();
-        let mut ate = TapDriver::new(backend);
-        ate.reset();
-        ate.bist_load_pattern_count(self.config.screen_patterns);
-        ate.bist_start();
-        match ate.wait_for_done(self.config.session.burst, self.config.session.max_bursts) {
-            Err(ProtocolError::DoneTimeout { cycles_waited, .. }) => Ok(ScreenOutcome::Hung {
-                cycles: cycles_waited,
-            }),
-            Err(e) => Err(AutopilotError::Session(e.into())),
-            Ok(_) => Ok(ScreenOutcome::Passed),
-        }
     }
 
     /// The per-module coverage loop (the heart of the controller).
@@ -675,6 +658,16 @@ impl Autopilot {
     }
 }
 
+/// Which modules a screening session cleared. A session error (a hung
+/// engine, a spent TCK budget, a status read with no majority) clears none:
+/// the screen cannot vouch for any module it covered.
+fn screened(report: Result<SessionReport, SessionError>, nmodules: usize) -> Vec<bool> {
+    match report {
+        Ok(report) => report.outcomes.iter().map(|o| !o.quarantined).collect(),
+        Err(_) => vec![false; nmodules],
+    }
+}
+
 /// A degraded (quarantined) module outcome.
 fn quarantined() -> Converged {
     Converged {
@@ -789,9 +782,34 @@ mod tests {
         assert!(report.trail_jsonl.contains("\"AutopilotDecision\""));
         assert!(report.trail_jsonl.contains("\"Converged\""));
         assert!(report.sim_patterns >= 48, "3 modules x 16 patterns");
-        // Budget auto-sizing stops at the knee, not the paper's 4,096.
-        let sized = report.sized_budget(&Budget::quick());
-        assert!(sized.bist_patterns >= 1 && sized.bist_patterns <= 32);
+    }
+
+    #[test]
+    fn screen_quarantines_a_defective_module_and_clears_the_rest() {
+        let reference = CaseStudy::paper().unwrap();
+        let mut dut = CaseStudy::paper().unwrap();
+        // Plant the defect: CHECK_NODE's first output net stuck at 1.
+        let victim = dut.modules()[1].primary_outputs()[0];
+        dut.module_mut(1).force_constant(victim, true);
+        let pilot = Autopilot::new(AutopilotConfig {
+            target_percent: 5.0,
+            start_patterns: 16,
+            max_patterns: 32,
+            max_rounds: 2,
+            screen_patterns: 32,
+            ..Default::default()
+        })
+        .unwrap();
+        let report = pilot.run(&reference, &dut).unwrap();
+        let check_node = &report.modules[1];
+        assert_eq!(check_node.module, "CHECK_NODE");
+        assert_eq!(check_node.verdict, Verdict::Quarantined);
+        assert!(check_node.rounds.is_empty());
+        // The other two passed the screen and ran their coverage loops.
+        for m in [&report.modules[0], &report.modules[2]] {
+            assert_eq!(m.verdict, Verdict::Converged, "{}", m.module);
+            assert_eq!(m.rounds.len(), 1);
+        }
     }
 
     #[test]

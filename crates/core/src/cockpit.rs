@@ -2,8 +2,8 @@
 //! loop end to end and renders it as a self-contained HTML report.
 //!
 //! [`run_campaign`] executes step 1 (toggle activity + cold nets), the
-//! step-2 coverage campaigns per module × fault model (with the exact
-//! configuration `experiments::table3` uses for its BIST cells, so the
+//! step-2 coverage campaigns per module × fault model ([`eval::step2`],
+//! the campaign `experiments::table3` runs for its BIST cells, so the
 //! report's final coverage figures byte-match the text tables), the
 //! step-3 diagnosis sweep (class sizes and resolution vs pattern count),
 //! and one [`RobustSession`] against the supplied DUT, capturing its
@@ -12,7 +12,6 @@
 
 use std::fmt::Write as _;
 
-use soctest_fault::{FaultUniverse, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::analyze::{self, AdvisorInput, CurveFacts, ToggleRow};
 use soctest_obs::svg::{self, escape, Bar, LineSeries, TimelinePoint};
 use soctest_obs::{report, CoverageCurve, HtmlReport, Profiler, TraceHandle, TraceRecord, Tracer};
@@ -143,29 +142,15 @@ pub fn run_campaign(
     let patterns = budget.bist_patterns;
     let step1 = eval::step1(reference, patterns)?;
 
-    // Step 2 — the exact BIST-cell configuration of `experiments::table3`:
-    // same stimulus, same default window, same parallel policy, so the
-    // resulting coverage figures byte-match the rendered tables.
-    let pgen = reference.pattern_generator();
+    // Step 2 — the same campaign as Table 3's BIST cells, so the report's
+    // final coverage figures byte-match the rendered tables.
     let mut curves = Vec::new();
     for (m, module) in reference.modules().iter().enumerate() {
         for (model, label) in [
             (FaultModel::StuckAt, "SAF"),
             (FaultModel::Transition, "TDF"),
         ] {
-            let universe = match model {
-                FaultModel::StuckAt => FaultUniverse::stuck_at(module),
-                FaultModel::Transition => FaultUniverse::transition(module),
-            };
-            let mut stim = pgen.stimulus(m, patterns);
-            let sim = SeqFaultSim::new(
-                &universe,
-                SeqFaultSimConfig {
-                    parallel: budget.parallel,
-                    ..Default::default()
-                },
-            );
-            let result = sim.run(&mut stim)?;
+            let (universe, result) = eval::step2(reference, m, model, patterns, budget.parallel)?;
             let undetected = result
                 .undetected()
                 .into_iter()
@@ -220,9 +205,7 @@ pub fn run_campaign(
     // The robust session, traced whole so the timeline can be drawn from
     // its records.
     let trace = TraceHandle::new(Tracer::default());
-    let session_runner = RobustSession::default()
-        .with_parallelism(budget.parallel)
-        .with_trace(trace.clone());
+    let session_runner = RobustSession::default().with_trace(trace.clone());
     let session = session_runner.run(reference, dut, patterns)?;
     let session_trace = trace
         .with(|t| t.records().copied().collect())
@@ -1113,7 +1096,6 @@ mod tests {
     #[test]
     fn attached_health_record_renders_charts_and_excursions() {
         use crate::fleet::{DriftSpec, Fleet, FleetConfig};
-        use crate::health::HealthConfig;
 
         let (reference, dut) = planted_case();
         let mut budget = Budget::quick();
@@ -1134,9 +1116,7 @@ mod tests {
                 ..Default::default()
             },
         });
-        let fleet = Fleet::new(&reference, cfg)
-            .unwrap()
-            .with_monitor(HealthConfig::default());
+        let fleet = Fleet::new(&reference, cfg).unwrap().with_monitor();
         let outcome = fleet.run();
         let health = outcome.health.expect("monitor armed");
         assert!(!health.in_control(), "drift must be flagged");
@@ -1154,7 +1134,6 @@ mod tests {
     #[test]
     fn in_control_health_record_renders_quiet_verdict() {
         use crate::fleet::{Fleet, FleetConfig};
-        use crate::health::HealthConfig;
 
         let (reference, dut) = planted_case();
         let mut budget = Budget::quick();
@@ -1164,9 +1143,7 @@ mod tests {
         let mut cfg = FleetConfig::new(600, 42);
         cfg.workers = 1;
         cfg.batch = 30;
-        let fleet = Fleet::new(&reference, cfg)
-            .unwrap()
-            .with_monitor(HealthConfig::default());
+        let fleet = Fleet::new(&reference, cfg).unwrap().with_monitor();
         let outcome = fleet.run();
         let health = outcome.health.expect("monitor armed");
         assert!(health.in_control(), "clean run must stay quiet");

@@ -207,12 +207,14 @@ pub fn learn_input_weights(
         .collect())
 }
 
-/// Runs step 2 for one module: fault coverage under the BIST pattern
-/// generator, repeating with doubled pattern counts until `target_percent`
-/// is reached or `max_patterns` is exceeded — the Fig. 4 loop.
+/// Runs step 2 for one module: the outputs-observed BIST campaign. It
+/// builds the module's `model` fault universe and fault-simulates
+/// `patterns` cycles of the case study's default stimulus under the
+/// default window, returning the universe with the result.
 ///
-/// Returns every `(pattern_count, result)` iteration of the loop, last one
-/// final.
+/// One run answers every shorter budget as well: the stimulus row at
+/// cycle `t` depends on `t` alone, so [`FaultSimResult::curve`] reads the
+/// coverage at each prefix (Fig. 4) without simulating it again.
 ///
 /// # Errors
 ///
@@ -221,32 +223,21 @@ pub fn step2(
     case: &CaseStudy,
     module: usize,
     model: FaultModel,
-    start_patterns: u64,
-    target_percent: f64,
-    max_patterns: u64,
+    patterns: u64,
     parallel: ParallelPolicy,
-) -> Result<Vec<(u64, FaultSimResult)>, SessionError> {
+) -> Result<(FaultUniverse, FaultSimResult), SessionError> {
     let universe = model.universe(&case.modules()[module]);
     let pgen = case.pattern_generator();
-    let mut npatterns = start_patterns.max(1);
-    let mut out = Vec::new();
-    loop {
-        let mut stim = pgen.stimulus(module, npatterns);
-        let sim = SeqFaultSim::new(
-            &universe,
-            SeqFaultSimConfig {
-                parallel,
-                ..Default::default()
-            },
-        );
-        let result = sim.run(&mut stim)?;
-        let coverage = result.coverage_percent();
-        out.push((npatterns, result));
-        if coverage >= target_percent || npatterns >= max_patterns {
-            return Ok(out);
-        }
-        npatterns = (npatterns * 2).min(max_patterns);
-    }
+    let mut stim = pgen.stimulus(module, patterns);
+    let result = SeqFaultSim::new(
+        &universe,
+        SeqFaultSimConfig {
+            parallel,
+            ..Default::default()
+        },
+    )
+    .run(&mut stim)?;
+    Ok((universe, result))
 }
 
 /// Step-3 outcome for one module and pattern source.
@@ -352,25 +343,16 @@ mod tests {
     }
 
     #[test]
-    fn step2_loop_grows_until_target_or_cap() {
+    fn one_step2_run_reads_every_shorter_budget() {
         let case = CaseStudy::paper().unwrap();
-        // CONTROL_UNIT is the smallest module; an unreachable target makes
-        // the loop run to the cap.
-        let runs = step2(
-            &case,
-            2,
-            FaultModel::StuckAt,
-            32,
-            101.0,
-            128,
-            ParallelPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(runs.len(), 3, "32 → 64 → 128");
-        assert!(runs.last().unwrap().0 == 128);
-        let c0 = runs[0].1.coverage_percent();
-        let c2 = runs[2].1.coverage_percent();
-        assert!(c2 >= c0, "more patterns cannot lose coverage");
+        // CONTROL_UNIT, the smallest module: the 128-pattern run's curve
+        // after 64 patterns (cycle indices 0..=63) is the 64-pattern run's
+        // final count.
+        let run = |n| step2(&case, 2, FaultModel::StuckAt, n, ParallelPolicy::default()).unwrap();
+        let (universe, long) = run(128);
+        let (_, short) = run(64);
+        assert_eq!(long.fault_count(), universe.len());
+        assert_eq!(long.curve().detected_at(63), short.detected_count());
     }
 
     #[test]

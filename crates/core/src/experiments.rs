@@ -181,26 +181,14 @@ pub struct Table3Row {
 ///
 /// Propagates simulator and construction errors.
 pub fn table3(case: &CaseStudy, budget: &Budget) -> Result<Vec<Table3Row>, SessionError> {
-    let pgen = case.pattern_generator();
     let mut rows = Vec::new();
     for (m, module) in case.modules().iter().enumerate() {
         // --- BIST: at-speed patterns from the engine, per-cycle observed.
-        let saf_u = FaultUniverse::stuck_at(module);
-        let tdf_u = FaultUniverse::transition(module);
         let bist = {
             let started = std::time::Instant::now();
-            let seq_cfg = SeqFaultSimConfig {
-                parallel: budget.parallel,
-                ..Default::default()
-            };
-            let saf = {
-                let mut stim = pgen.stimulus(m, budget.bist_patterns);
-                SeqFaultSim::new(&saf_u, seq_cfg.clone()).run(&mut stim)?
-            };
-            let tdf = {
-                let mut stim = pgen.stimulus(m, budget.bist_patterns);
-                SeqFaultSim::new(&tdf_u, seq_cfg).run(&mut stim)?
-            };
+            let step2 = |model| eval::step2(case, m, model, budget.bist_patterns, budget.parallel);
+            let (saf_u, saf) = step2(FaultModel::StuckAt)?;
+            let (_, tdf) = step2(FaultModel::Transition)?;
             Table3Cell {
                 faults: saf_u.len(),
                 saf_percent: saf.coverage_percent(),
@@ -306,7 +294,6 @@ pub struct Table5Row {
 ///
 /// Propagates simulator errors.
 pub fn table5(case: &CaseStudy, budget: &Budget) -> Result<Vec<Table5Row>, SessionError> {
-    let pgen = case.pattern_generator();
     let mut rows = Vec::new();
     for (m, module) in case.modules().iter().enumerate() {
         // BIST: signature syndromes with periodic reads.
@@ -368,7 +355,6 @@ pub fn table5(case: &CaseStudy, budget: &Budget) -> Result<Vec<Table5Row>, Sessi
             sequential,
             full_scan,
         });
-        let _ = &pgen;
     }
     Ok(rows)
 }
@@ -405,7 +391,8 @@ pub fn fig3(case: &CaseStudy, checkpoints: &[u64]) -> Result<Vec<Fig3Point>, Ses
 }
 
 /// Regenerates the Fig. 4 curve for one module: stuck-at coverage versus
-/// applied BIST patterns (from the detection times of a single run).
+/// applied BIST patterns, read off one [`eval::step2`] run at `points`
+/// evenly spaced checkpoints.
 ///
 /// # Errors
 ///
@@ -416,38 +403,13 @@ pub fn fig4(
     max_patterns: u64,
     points: usize,
 ) -> Result<Vec<(u64, f64)>, SessionError> {
-    fig4_with(
+    let (universe, result) = eval::step2(
         case,
         module,
+        FaultModel::StuckAt,
         max_patterns,
-        points,
         ParallelPolicy::default(),
-    )
-}
-
-/// [`fig4`] with an explicit worker-thread policy.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig4_with(
-    case: &CaseStudy,
-    module: usize,
-    max_patterns: u64,
-    points: usize,
-    parallel: ParallelPolicy,
-) -> Result<Vec<(u64, f64)>, SessionError> {
-    let universe = FaultUniverse::stuck_at(&case.modules()[module]);
-    let pgen = case.pattern_generator();
-    let mut stim = pgen.stimulus(module, max_patterns);
-    let result = SeqFaultSim::new(
-        &universe,
-        SeqFaultSimConfig {
-            parallel,
-            ..Default::default()
-        },
-    )
-    .run(&mut stim)?;
+    )?;
     let checkpoints: Vec<u64> = (1..=points as u64)
         .map(|i| i * max_patterns / points as u64)
         .collect();

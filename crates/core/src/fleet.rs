@@ -55,7 +55,7 @@ use soctest_prng::SplitMix64;
 
 use crate::casestudy::CaseStudy;
 use crate::error::SessionError;
-use crate::health::{self, HealthConfig, HealthReport};
+use crate::health::{self, HealthReport};
 use crate::robust::{RetryStrategy, RobustSession, SessionBackend, SessionBudget, SessionReport};
 use crate::session::WrappedCore;
 
@@ -960,7 +960,7 @@ pub struct Fleet {
     profile: ProfileHandle,
     sampling: Option<SamplerPolicy>,
     trace_capacity: usize,
-    monitor: Option<HealthConfig>,
+    monitor: bool,
 }
 
 impl Fleet {
@@ -1110,7 +1110,7 @@ impl Fleet {
             profile,
             sampling: None,
             trace_capacity: TRACE_RING_DEFAULT,
-            monitor: None,
+            monitor: false,
         })
     }
 
@@ -1162,8 +1162,8 @@ impl Fleet {
     /// and the resulting [`HealthReport`] rides in
     /// [`FleetOutcome::health`]. Monitoring never changes any
     /// [`DieRecord`] or the [`FleetReport`] JSON.
-    pub fn with_monitor(mut self, cfg: HealthConfig) -> Self {
-        self.monitor = Some(cfg);
+    pub fn with_monitor(mut self) -> Self {
+        self.monitor = true;
         self
     }
 
@@ -1380,9 +1380,9 @@ impl Fleet {
         // The health monitor scores the report's batches — a pure
         // function of the die records, so its report is byte-identical for
         // any worker count.
-        let health = self.monitor.as_ref().map(|cfg| {
+        let health = self.monitor.then(|| {
             let _s = self.profile.scope("health_monitor");
-            health::score_batches(&report.batches, cfg, &self.module_names)
+            health::score_batches(&report.batches, &self.module_names)
         });
         FleetOutcome {
             report,

@@ -38,13 +38,6 @@ use soctest_obs::{
 
 use crate::fleet::{BatchSummary, DefectClass};
 
-/// Health-monitor configuration: one SPC tuning shared by both charts.
-#[derive(Debug, Clone, Default)]
-pub struct HealthConfig {
-    /// Control-chart tuning (see [`SpcConfig`] for the defaults).
-    pub spc: SpcConfig,
-}
-
 /// A flagged process excursion with attribution: the chart evidence plus
 /// which defect class and which module's quarantine mix moved most
 /// against the in-control baseline.
@@ -175,13 +168,9 @@ impl HealthReport {
 /// Scores a flight's report batches, in batch order, on both control
 /// charts, attributes every onset signal, and returns the health record.
 /// Batches with no dies are skipped, so a 0-die flight scores 0 batches.
-pub fn score_batches(
-    batches: &[BatchSummary],
-    cfg: &HealthConfig,
-    module_names: &[String],
-) -> HealthReport {
-    let mut yield_chart = SpcChart::new("yield", cfg.spc);
-    let mut recovered_chart = SpcChart::new("recovered_rate", cfg.spc);
+pub fn score_batches(batches: &[BatchSummary], module_names: &[String]) -> HealthReport {
+    let mut yield_chart = SpcChart::new("yield", SpcConfig::default());
+    let mut recovered_chart = SpcChart::new("recovered_rate", SpcConfig::default());
     // The baseline window's class and quarantine mix.
     let mut baseline = BatchSummary::empty(0);
     let (mut scored, mut dies) = (0u64, 0u64);
@@ -328,7 +317,7 @@ mod tests {
         for rec in records {
             batches[(rec.die / size) as usize].absorb(rec);
         }
-        score_batches(&batches, &HealthConfig::default(), &modules())
+        score_batches(&batches, &modules())
     }
 
     #[test]
@@ -364,11 +353,7 @@ mod tests {
         assert_eq!(report.batches, 21);
         assert_eq!(report.dies, 1030);
         // A 0-die flight's one empty report batch is not scored.
-        let empty = score_batches(
-            &[BatchSummary::empty(0)],
-            &HealthConfig::default(),
-            &modules(),
-        );
+        let empty = score_batches(&[BatchSummary::empty(0)], &modules());
         assert_eq!(empty.batches, 0);
     }
 

@@ -12,8 +12,8 @@
 //!   module netlists that plugs in behind the P1500 wrapper, so a test
 //!   session can be driven end-to-end from the TAP pins;
 //! * [`eval`] — the three-step evaluation flow of §3.2: statement coverage
-//!   and toggle activity (Fig. 3), fault-coverage measurement with the
-//!   add-patterns loop (Fig. 4), and equivalent-fault-class analysis;
+//!   and toggle activity (Fig. 3), the one step-2 BIST coverage campaign
+//!   whose curve Fig. 4 reads, and equivalent-fault-class analysis;
 //! * [`experiments`] — one function per table/figure of the paper,
 //!   returning structured rows that the `repro` binary renders;
 //! * [`error`] — the [`error::SessionError`] taxonomy that the whole stack

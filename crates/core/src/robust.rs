@@ -22,13 +22,11 @@
 //!   history, the quarantine list, and the TCK/functional-cycle bill.
 
 use soctest_bist::EngineError;
-use soctest_fault::ParallelPolicy;
 use soctest_obs::{MetricsHandle, MetricsRegistry, TraceEvent, TraceHandle};
 use soctest_p1500::{BistBackend, HungBackend, PinFaults, ProtocolError, TapDriver};
 
 use crate::casestudy::CaseStudy;
 use crate::error::SessionError;
-use crate::eval::{self, FaultModel, Step3Report};
 use crate::session::WrappedCore;
 
 /// The backend surface a robust session drives beyond the raw
@@ -234,46 +232,12 @@ impl SessionReport {
     }
 }
 
-/// What a pre-loop screen of one module observed (see
-/// [`RobustSession::screen_module`]). Unlike [`RobustSession::run`], a
-/// hang here is a *verdict*, not an error: callers that own a per-module
-/// loop (the autopilot) degrade that one module and keep going.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScreenOutcome {
-    /// The module's signature matched the rehearsal.
-    Passed,
-    /// The signature mismatched — a candidate defect.
-    Mismatch {
-        /// The rehearsed fault-free signature.
-        golden: u64,
-        /// The signature read from the DUT.
-        signature: u64,
-    },
-    /// The engine never raised `end_test` within the burst budget.
-    Hung {
-        /// Functional cycles waited before giving up.
-        cycles: u64,
-    },
-}
-
-/// One quarantined module's post-session diagnosis: the step-3 equivalent
-/// fault-class statistics, computed by fault-simulating the module with
-/// syndrome collection under the BIST pattern generator.
-#[derive(Debug, Clone)]
-pub struct Diagnosis {
-    /// Module name (matches [`SessionReport::quarantined`]).
-    pub module: String,
-    /// The step-3 diagnostic report for this module.
-    pub report: Step3Report,
-}
-
 /// A fault-tolerant test session runner. Build one with a budget, then
 /// [`RobustSession::run`] it against a device under test.
 #[derive(Debug, Clone)]
 pub struct RobustSession {
     budget: SessionBudget,
     strategies: Vec<RetryStrategy>,
-    parallel: ParallelPolicy,
     trace: TraceHandle,
     metrics: MetricsHandle,
     vcd: bool,
@@ -297,7 +261,6 @@ impl RobustSession {
                 RetryStrategy::ReciprocalPolynomial,
                 RetryStrategy::Reseed(0x5EED_CAFE),
             ],
-            parallel: ParallelPolicy::default(),
             trace: TraceHandle::none(),
             metrics: MetricsHandle::none(),
             vcd: false,
@@ -325,14 +288,6 @@ impl RobustSession {
     /// lands in [`SessionReport::vcd`].
     pub fn with_vcd(mut self, vcd: bool) -> Self {
         self.vcd = vcd;
-        self
-    }
-
-    /// Sets the worker-thread policy used by [`RobustSession::diagnose`]'s
-    /// fault simulations. The session protocol itself is single-threaded
-    /// (it models one serial TAP); only diagnosis fans out.
-    pub fn with_parallelism(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -413,7 +368,8 @@ impl RobustSession {
     /// This is the seam that lets very different backends share one session
     /// discipline: [`run`](RobustSession::run) plugs in gate-level
     /// [`WrappedCore`]s, the fleet plugs in signature-replay cores fed from
-    /// a shared cache, and test harnesses plug in
+    /// a shared cache, the autopilot's hang drill plugs in a hung replay
+    /// core, and test harnesses plug in
     /// [`soctest_p1500::HungBackend`]-wrapped cores.
     ///
     /// # Errors
@@ -584,104 +540,6 @@ impl RobustSession {
         }
         Ok(report)
     }
-
-    /// Screens a single module: rehearses its golden signature, runs one
-    /// TAP-driven session against the DUT under this session's budget, and
-    /// compares the majority-voted signature. Where [`RobustSession::run`]
-    /// treats a hung engine as a session-fatal error, here it comes back as
-    /// [`ScreenOutcome::Hung`] so a per-module controller can quarantine
-    /// just that module and keep working on the others.
-    ///
-    /// # Errors
-    ///
-    /// * [`SessionError::MissingSource`] when `module` is out of range;
-    /// * protocol errors other than the done-timeout (e.g. no status-read
-    ///   majority) from the TAP layer;
-    /// * simulator-construction errors from the rehearsal.
-    pub fn screen_module(
-        &self,
-        reference: &CaseStudy,
-        dut: &CaseStudy,
-        module: usize,
-        npatterns: u64,
-    ) -> Result<ScreenOutcome, SessionError> {
-        let goldens = reference.golden_signatures(npatterns)?;
-        let golden = goldens
-            .get(module)
-            .copied()
-            .ok_or_else(|| SessionError::MissingSource {
-                module: format!("module {module}"),
-                port: "signature".to_owned(),
-            })?;
-        let mut backend = WrappedCore::new(dut)?;
-        backend.set_trace(self.trace.clone());
-        let mut ate = TapDriver::new(backend);
-        ate.set_trace(self.trace.clone());
-        ate.reset();
-        ate.bist_load_pattern_count(npatterns);
-        ate.bist_start();
-        match ate.wait_for_done(self.budget.burst, self.budget.max_bursts) {
-            Ok(_) => {}
-            Err(ProtocolError::DoneTimeout { cycles_waited, .. }) => {
-                return Ok(ScreenOutcome::Hung {
-                    cycles: cycles_waited,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        }
-        ate.bist_select_result(module as u8);
-        let (_, signature) = ate.read_status_voted(self.budget.status_votes)?;
-        Ok(if signature == golden {
-            ScreenOutcome::Passed
-        } else {
-            ScreenOutcome::Mismatch { golden, signature }
-        })
-    }
-
-    /// Diagnoses the quarantined modules of a finished session: each one is
-    /// fault-simulated (stuck-at, MISR-observed, syndrome-collecting) under
-    /// the BIST pattern generator and reduced to its step-3 equivalent
-    /// fault-class statistics — the shortlist a failure analyst would start
-    /// from. Healthy modules are skipped; a clean report returns an empty
-    /// vector.
-    ///
-    /// The simulations run under this session's [`ParallelPolicy`] (see
-    /// [`RobustSession::with_parallelism`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors from the underlying step-3 runs.
-    pub fn diagnose(
-        &self,
-        case: &CaseStudy,
-        report: &SessionReport,
-        npatterns: u64,
-    ) -> Result<Vec<Diagnosis>, SessionError> {
-        let names = case.module_names();
-        let mut out = Vec::new();
-        for outcome in &report.outcomes {
-            if !outcome.quarantined {
-                continue;
-            }
-            let Some(m) = names.iter().position(|n| *n == outcome.module) else {
-                continue;
-            };
-            let step3 = eval::step3(
-                case,
-                m,
-                FaultModel::StuckAt,
-                npatterns,
-                (npatterns / 16).max(1),
-                1,
-                self.parallel,
-            )?;
-            out.push(Diagnosis {
-                module: outcome.module.clone(),
-                report: step3,
-            });
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -730,33 +588,6 @@ mod tests {
             Err(SessionError::Engine(EngineError::Hung { .. })) => {}
             other => panic!("expected a Hung error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn clean_report_diagnoses_nothing() {
-        let reference = CaseStudy::paper().unwrap();
-        let dut = CaseStudy::paper().unwrap();
-        let session = RobustSession::default();
-        let report = session.run(&reference, &dut, 64).unwrap();
-        let diagnoses = session.diagnose(&reference, &report, 64).unwrap();
-        assert!(diagnoses.is_empty());
-    }
-
-    #[test]
-    fn quarantined_module_gets_a_diagnosis() {
-        let reference = CaseStudy::paper().unwrap();
-        let mut dut = CaseStudy::paper().unwrap();
-        let victim = dut.modules()[2].primary_outputs()[0];
-        dut.module_mut(2).force_constant(victim, true);
-        let session = RobustSession::default().with_parallelism(ParallelPolicy::serial());
-        let report = session.run(&reference, &dut, 96).unwrap();
-        assert_eq!(report.quarantined(), vec!["CONTROL_UNIT"]);
-
-        let diagnoses = session.diagnose(&reference, &report, 96).unwrap();
-        assert_eq!(diagnoses.len(), 1);
-        assert_eq!(diagnoses[0].module, "CONTROL_UNIT");
-        assert!(diagnoses[0].report.faults > 0);
-        assert!(diagnoses[0].report.stats.classes > 0);
     }
 
     #[test]
@@ -839,36 +670,6 @@ mod tests {
                 .is_some(),
             "waveform carries module 2's ports"
         );
-    }
-
-    #[test]
-    fn screening_separates_pass_defect_and_hang() {
-        let reference = CaseStudy::paper().unwrap();
-        let session = RobustSession::default();
-
-        // Healthy hardware passes.
-        let dut = CaseStudy::paper().unwrap();
-        assert_eq!(
-            session.screen_module(&reference, &dut, 0, 64).unwrap(),
-            ScreenOutcome::Passed
-        );
-
-        // A planted defect is a mismatch on that module, not an error.
-        let mut bad = CaseStudy::paper().unwrap();
-        let victim = bad.modules()[1].primary_outputs()[0];
-        bad.module_mut(1).force_constant(victim, true);
-        match session.screen_module(&reference, &bad, 1, 64).unwrap() {
-            ScreenOutcome::Mismatch { golden, signature } => assert_ne!(golden, signature),
-            other => panic!("expected a mismatch, got {other:?}"),
-        }
-        // ...and the *other* modules still pass on the same defective DUT.
-        assert_eq!(
-            session.screen_module(&reference, &bad, 0, 64).unwrap(),
-            ScreenOutcome::Passed
-        );
-
-        // Out-of-range module index is a typed error.
-        assert!(session.screen_module(&reference, &dut, 9, 64).is_err());
     }
 
     #[test]

@@ -17,9 +17,10 @@ use crate::{FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, Syndro
 /// A set of input patterns for a combinational view, stored bit-parallel:
 /// 64 patterns per block, one word per input position.
 ///
-/// Input positions follow [`Netlist::primary_inputs`] order of the fault
-/// view — for a scan view this means real primary inputs first, then the
-/// pseudo-primary inputs contributed by scan cells.
+/// Input positions follow the fault view's
+/// [`soctest_netlist::Netlist::primary_inputs`] order — for a scan view
+/// this means real primary inputs first, then the pseudo-primary inputs
+/// contributed by scan cells.
 #[derive(Debug, Clone, Default)]
 pub struct PatternSet {
     width: usize,

@@ -118,7 +118,9 @@ impl Default for SeqFaultSimConfig {
     }
 }
 
-/// The sequential fault simulator (see the [module docs](self)).
+/// The sequential fault simulator: a word pass in front of a 64-lane
+/// engine, one window of at most 64 cycles at a time (the comment at the
+/// top of `seqsim.rs` walks through a window).
 ///
 /// See the [crate example](crate) for usage.
 #[derive(Debug)]

@@ -5,7 +5,7 @@
 //! *interleaving memories* emulate the graph edges (bit→check messages in
 //! one, check→bit messages in the other); the `CONTROL_UNIT` walks the
 //! edge lists and decides termination. This mirrors the architecture of
-//! the paper's Fig. 7 (from [15]) at the behavioral level.
+//! the paper's Fig. 7 (after its reference 15) at the behavioral level.
 //!
 //! Every decision point in the three units bumps a named *statement
 //! counter*; [`DecoderStats::statement_coverage`] is the step-1 metric of
@@ -13,8 +13,6 @@
 //! executed by a pattern set.
 
 use std::collections::BTreeMap;
-
-use soctest_obs::MetricsRegistry;
 
 use crate::channel::LLR_MAX;
 use crate::code::LdpcCode;
@@ -102,18 +100,6 @@ impl DecoderStats {
             .copied()
             .filter(|s| self.counters.get(s).copied().unwrap_or(0) == 0)
             .collect()
-    }
-
-    /// Folds this run's accounting into the unified metrics registry:
-    /// one counter per statement id (prefixed `ldpc_stmt_`), the serial
-    /// clock estimate, memory traffic, and the coverage gauge.
-    pub fn export_metrics(&self, registry: &MetricsRegistry) {
-        for (id, &n) in &self.counters {
-            registry.inc(&format!("ldpc_stmt_{id}_total"), n);
-        }
-        registry.inc("ldpc_serial_cycles_total", self.serial_cycles);
-        registry.inc("ldpc_memory_accesses_total", self.memory_accesses);
-        registry.set_gauge("ldpc_statement_coverage_percent", self.statement_coverage());
     }
 
     /// Merges another run's counters into this one.
@@ -437,37 +423,6 @@ mod tests {
         // Init pass + per iteration two passes over all edges.
         let e = c.edges() as u64;
         assert!(out.stats.serial_cycles >= e * (1 + 2 * out.iterations as u64));
-    }
-
-    #[test]
-    fn traced_decode_reports_iterations_and_metrics() {
-        let c = code();
-        let mut dec = SerialDecoder::new(
-            &c,
-            DecoderConfig {
-                variant: MinSumVariant::ScaleThreeQuarters,
-            },
-        );
-        let mut llrs = vec![16i32; c.n()];
-        llrs[3] = -16;
-        let out = dec.decode(&llrs, 30);
-        assert!(out.success);
-
-        let registry = MetricsRegistry::new();
-        out.stats.export_metrics(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counters.get("ldpc_serial_cycles_total"),
-            Some(&out.stats.serial_cycles)
-        );
-        assert!(snap.counters.keys().any(|k| k.starts_with("ldpc_stmt_")));
-        assert!(
-            snap.gauges
-                .get("ldpc_statement_coverage_percent")
-                .copied()
-                .unwrap_or(0.0)
-                > 0.0
-        );
     }
 
     #[test]

@@ -37,8 +37,8 @@ use crate::{GateKind, NetId, Netlist, NetlistError};
 
 /// A flattened, levelized, structure-of-arrays compile of a [`Netlist`].
 ///
-/// Create one with [`compile`] (or [`Netlist::compile`]); see the
-/// [module docs](self) for the layout.
+/// Create one with [`compile`] (or [`Netlist::compile`]); the comment at
+/// the top of `kernel.rs` describes the layout.
 #[derive(Debug)]
 pub struct CompiledNetlist {
     nets: usize,

@@ -52,15 +52,6 @@ impl ToggleRow {
     }
 }
 
-/// One undetected fault, keyed back to the netlist.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UndetectedFault {
-    /// Index into the module's collapsed fault universe.
-    pub index: usize,
-    /// Human-readable description (`net` + fault kind).
-    pub desc: String,
-}
-
 /// One module × fault-model coverage curve, condensed for the advisor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurveFacts {

@@ -9,8 +9,6 @@
 //! identical to one built from a single batch, and a curve built from a
 //! parallel run is bit-identical to the serial one.
 
-use crate::metrics::MetricsRegistry;
-
 /// Cumulative fault-coverage trajectory with per-pattern resolution.
 ///
 /// Stored as a compressed step function: one `(cycle, cumulative_detected)`
@@ -175,49 +173,6 @@ impl CoverageCurve {
         }
         out
     }
-
-    /// Serializes the curve as a self-describing JSON object.
-    pub fn to_json(&self, label: &str) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"label\":\"{}\",\"faults\":{},\"detected\":{},\"cycles\":{},\"final_percent\":{},\"steps\":[",
-            label.replace('\\', "\\\\").replace('"', "\\\""),
-            self.faults,
-            self.detected(),
-            self.cycles,
-            self.final_percent(),
-        );
-        for (i, &(c, n)) in self.steps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{c},{n}]");
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Exports the curve into the unified metrics registry: every
-    /// first-detection index is observed into a log₂-bucketed histogram
-    /// `{prefix}_first_detection`, plus final coverage and test-length
-    /// gauges. `prefix` should be a Prometheus-safe identifier.
-    pub fn export_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
-        let mut prev = 0u64;
-        for &(c, n) in &self.steps {
-            for _ in prev..n {
-                registry.observe(&format!("{prefix}_first_detection"), c);
-            }
-            prev = n;
-        }
-        registry.set_gauge(&format!("{prefix}_final_percent"), self.final_percent());
-        registry.set_gauge(&format!("{prefix}_faults"), self.faults as f64);
-        registry.set_gauge(&format!("{prefix}_cycles"), self.cycles as f64);
-        if let Some(p) = self.patterns_to_final() {
-            registry.set_gauge(&format!("{prefix}_patterns_to_final"), p as f64);
-        }
-    }
 }
 
 /// The coverage thresholds (percent) tracked as milestones in every
@@ -341,7 +296,6 @@ mod tests {
         assert_eq!(c.patterns_to_percent(90.0), None);
         assert_eq!(c.patterns_to_final(), None);
         assert!(c.sampled_percent(10).is_empty());
-        assert!(c.to_json("x").contains("\"faults\":0"));
     }
 
     #[test]
@@ -354,18 +308,6 @@ mod tests {
         assert_eq!(s.last().map(|&(c, _)| c), Some(999));
         // Percent samples are monotonically nondecreasing.
         assert!(s.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn metrics_export_observes_every_detection() {
-        let det = [Some(1), Some(1), Some(6), None];
-        let c = CoverageCurve::from_detection(&det, 8);
-        let reg = MetricsRegistry::new();
-        c.export_metrics(&reg, "cov");
-        let snap = reg.snapshot();
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("cov_first_detection_count 3"));
-        assert!(prom.contains("cov_final_percent 75"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! 2. **Unified metrics** ([`MetricsRegistry`], [`MetricsHandle`]):
 //!    counters, gauges, and fixed log-2-bucket histograms behind one
-//!    snapshot API with Prometheus-text and JSON exposition, replacing the
+//!    snapshot API with Prometheus-text exposition, replacing the
 //!    per-crate ad-hoc accounting as the single aggregation point.
 //!
 //! 3. **Waveforms** ([`VcdWriter`], [`VcdReader`]): deterministic,

@@ -1,13 +1,12 @@
 //! The unified metrics registry: counters, gauges, and log-2 histograms
-//! with Prometheus-text and JSON exposition.
+//! with Prometheus-text exposition.
 //!
-//! Every layer of the stack exports its ad-hoc accounting
-//! (`FaultSimStats`, `WaitStats`, `SessionReport`, `DecoderStats`) into one
-//! registry via `export_metrics` methods, so a single
-//! [`MetricsRegistry::snapshot`] shows the whole session. Registration is
-//! implicit — the first touch of a name creates the series — and names are
-//! plain `snake_case` strings, valid both as Prometheus metric names and
-//! JSON keys.
+//! The session and fleet layers export their accounting (`WaitStats`,
+//! `SessionReport`, the fleet and health reports) into one registry via
+//! `export_metrics` methods, so a single [`MetricsRegistry::snapshot`]
+//! shows the whole run. Registration is implicit — the first touch of a
+//! name creates the series — and names are plain `snake_case` strings,
+//! valid Prometheus metric names.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -242,44 +241,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Renders the snapshot as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for (name, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        first = true;
-        for (name, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"histograms\":{");
-        first = true;
-        for (name, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"mean\":{:.3}}}",
-                h.count,
-                h.sum,
-                h.mean()
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Parses counters, gauges, and histogram sums/counts back out of the
     /// Prometheus text format — the CI "snapshot parses" assertion and the
     /// test-side round-trip. Bucket lines are validated for shape but the
@@ -405,15 +366,6 @@ mod tests {
     fn parse_rejects_untyped_series() {
         assert!(MetricsSnapshot::parse_prometheus("orphan 4\n").is_err());
         assert!(MetricsSnapshot::parse_prometheus("# TYPE x counter\nx notanumber\n").is_err());
-    }
-
-    #[test]
-    fn json_exposition_is_valid_json() {
-        let reg = MetricsRegistry::new();
-        reg.inc("a_total", 1);
-        reg.observe("h", 5);
-        let json = reg.snapshot().to_json();
-        crate::json::parse(&json).expect("snapshot JSON parses");
     }
 
     #[test]

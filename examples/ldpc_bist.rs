@@ -55,16 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the paper's evaluation flow).
     println!("\nstuck-at fault coverage of the {patterns}-pattern session:");
     for (m, module) in case.modules().iter().enumerate() {
-        let runs = eval::step2(
+        let (_, result) = eval::step2(
             &case,
             m,
             FaultModel::StuckAt,
             patterns,
-            101.0,
-            patterns,
             ParallelPolicy::default(),
         )?;
-        let (_, result) = runs.last().expect("at least one run");
         println!(
             "  {:<13} {:>6.1}%  ({} faults, last useful pattern {})",
             module.name(),

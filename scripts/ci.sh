@@ -38,6 +38,9 @@ cargo fmt --all -- --check
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs (-D warnings): no broken or private intra-doc link =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== example smoke: ldpc_bist =="
 cargo run --release --example ldpc_bist
 

@@ -167,18 +167,16 @@ fn evaluation_flow_steps_chain_together() {
     // Step 1 on a small pattern budget.
     let s1 = eval::step1(&case, 128).unwrap();
     assert!(s1.statement_coverage > 40.0);
-    // Step 2 loop on the smallest module.
-    let s2 = eval::step2(
-        &case,
-        2,
-        FaultModel::StuckAt,
-        64,
-        99.9,
-        128,
-        ParallelPolicy::default(),
-    )
-    .unwrap();
-    assert!(s2.len() >= 2, "loop must iterate when under target");
+    // Step 2 on the smallest module: one 128-pattern run's curve gives the
+    // coverage of every shorter budget, here the 64-pattern run's (cycle
+    // indices 0..=63).
+    let step2 = |n| {
+        eval::step2(&case, 2, FaultModel::StuckAt, n, ParallelPolicy::default())
+            .unwrap()
+            .1
+    };
+    let (long, short) = (step2(128), step2(64));
+    assert_eq!(long.curve().detected_at(63), short.detected_count());
     // Step 3 diagnosis.
     let s3 = eval::step3(
         &case,

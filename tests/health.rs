@@ -7,7 +7,6 @@
 
 use soctest::core::casestudy::CaseStudy;
 use soctest::core::fleet::{DefectMix, DriftSpec, Fleet, FleetConfig};
-use soctest::core::health::HealthConfig;
 use soctest::obs::MetricsRegistry;
 
 fn monitored_fleet(mut cfg: FleetConfig) -> Fleet {
@@ -15,9 +14,7 @@ fn monitored_fleet(mut cfg: FleetConfig) -> Fleet {
     if cfg.workers == 0 {
         cfg.workers = 1;
     }
-    Fleet::new(&case, cfg)
-        .unwrap()
-        .with_monitor(HealthConfig::default())
+    Fleet::new(&case, cfg).unwrap().with_monitor()
 }
 
 /// A 3× step of the default defect rate at `batch`, leaving the class
